@@ -7,10 +7,8 @@
 //
 // With -scale it instead runs the large-graph experiment: generate (or
 // load, see -graph) a forest-union instance through the DCG1 binary
-// format and run Legal-Coloring end to end on the columnar batch
-// transport, recording wall time and heap allocations. A nonzero
-// -scale-shadow-n additionally runs both transports at that size and
-// fails unless the colorings match bit for bit.
+// format and run Legal-Coloring end to end, recording wall time and
+// heap allocations.
 //
 // With -scale-procs the full-size run becomes a speedup sweep: one run
 // per listed core count (GOMAXPROCS and the engine worker pool are both
@@ -26,7 +24,7 @@
 //
 //	colorbench [-n vertices] [-seed s] [-exp E07] [-json]
 //	colorbench -scale [-scale-n 1000000] [-scale-a 8] [-scale-p 4]
-//	           [-graph g.bin] [-scale-shadow-n 100000]
+//	           [-graph g.bin]
 //	           [-scale-procs 1,2,4,8] [-scale-shards 1,2,4,8] [-json]
 //	colorbench ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
@@ -60,13 +58,12 @@ func run() error {
 	seed := flag.Int64("seed", experiments.DefaultSizes.Seed, "base RNG seed")
 	exp := flag.String("exp", "", "run a single experiment (e.g. E07)")
 	jsonOut := flag.Bool("json", false, "emit one JSON record per row (JSON Lines) instead of the table")
-	scale := flag.Bool("scale", false, "run the large-graph batch-delivery experiment instead of the suite")
+	scale := flag.Bool("scale", false, "run the large-graph experiment instead of the suite")
 	scaleN := flag.Int("scale-n", 1_000_000, "scale run: vertex count of the generated instance")
 	scaleA := flag.Int("scale-a", 8, "scale run: arboricity (forests in the union and the Legal-Coloring bound)")
 	scaleP := flag.Int("scale-p", 4, "scale run: Legal-Coloring refinement parameter p")
 	graphPath := flag.String("graph", "", "scale run: prebuilt graph file (DCG1 binary or text edge list)")
-	shadowN := flag.Int("scale-shadow-n", 100_000, "scale run: also cross-check batch vs boxed transports at this size (0 disables)")
-	allocBudget := flag.Float64("scale-alloc-budget", 0, "scale run: fail if the full batch run exceeds this many heap allocations per vertex (0 disables)")
+	allocBudget := flag.Float64("scale-alloc-budget", 0, "scale run: fail if the full run exceeds this many heap allocations per vertex (0 disables)")
 	wallBudget := flag.Float64("scale-wall-budget", 0, "scale run: fail if a full-size flat run's wall time exceeds this many seconds (0 disables; nightly derives it from the checked-in BENCH_scale.json baseline + 15%)")
 	evalGate := flag.Bool("scale-eval-gate", false, "scale run: enable the field eval counters and fail if any pipeline step reports a scalar-Eval fallback")
 	scaleKillResume := flag.Bool("scale-kill-resume", false, "scale run: instead of the measured run, gate checkpoint/resume - run uninterrupted, kill at every refinement iteration after persisting the pipeline checkpoint, resume each from the serialized blob on a fresh network, and fail unless colors/rounds/messages match bit for bit")
@@ -131,7 +128,7 @@ func run() error {
 		if *scaleKillResume {
 			return runKillResume(*scaleN, *scaleA, *scaleP, *seed, *graphPath, shards)
 		}
-		return runScale(*scaleN, *scaleA, *scaleP, *seed, *graphPath, *shadowN, *allocBudget, *wallBudget, *evalGate, procs, shards, *jsonOut, *tracePath, *serveAddr != "")
+		return runScale(*scaleN, *scaleA, *scaleP, *seed, *graphPath, *allocBudget, *wallBudget, *evalGate, procs, shards, *jsonOut, *tracePath, *serveAddr != "")
 	}
 
 	sizes := experiments.Sizes{N: *n, Seed: *seed}
@@ -199,8 +196,7 @@ func runKillResume(n, a, p int, seed int64, graphPath string, shards []int) erro
 	}
 	for _, k := range shards {
 		opt := experiments.ScaleOptions{
-			N: n, Arboricity: a, P: p, Seed: seed, GraphPath: graphPath,
-			Delivery: dist.DeliveryBatch, Shards: k,
+			N: n, Arboricity: a, P: p, Seed: seed, GraphPath: graphPath, Shards: k,
 		}
 		rep, err := experiments.ScaleKillResume(opt)
 		if err != nil {
@@ -229,9 +225,8 @@ func parseCounts(s, flagName, what string) ([]int, error) {
 	return counts, nil
 }
 
-// runScale executes the scale experiment: an optional batch-vs-boxed
-// shadow pair at shadowN, then the full-size run on the batch transport -
-// once with the auto worker heuristic, or (with -scale-procs) once per
+// runScale executes the scale experiment: the full-size run - once with
+// the auto worker heuristic, or (with -scale-procs) once per
 // listed core count with GOMAXPROCS and the engine worker pool pinned,
 // requiring bit-for-bit identical colorings and counters across the
 // sweep - and (with -scale-shards) one run per listed shard count on
@@ -239,19 +234,16 @@ func parseCounts(s, flagName, what string) ([]int, error) {
 // gated against the core-count runs. All records go to the JSON-Lines
 // stream (or a readable text line). A nonzero allocBudget gates the
 // (flat) full runs' allocs/vertex - the CI regression check for the
-// typed word-I/O plumbing - and a nonzero wallBudget gates their wall
+// word-column plumbing - and a nonzero wallBudget gates their wall
 // time the same way (the nightly wall-regression check). evalGate turns
 // the field eval counters on for the whole invocation and fails it if
 // any recoloring step reports a scalar-Eval fallback: the batch kernel
 // is supposed to make that count structurally zero.
-func runScale(n, a, p int, seed int64, graphPath string, shadowN int, allocBudget, wallBudget float64, evalGate bool, procs, shards []int, jsonOut bool, tracePath string, serving bool) error {
+func runScale(n, a, p int, seed int64, graphPath string, allocBudget, wallBudget float64, evalGate bool, procs, shards []int, jsonOut bool, tracePath string, serving bool) error {
 	if evalGate {
 		field.SetEvalStats(true)
 		field.ResetEvalStats()
 	}
-	// The trace covers the full-size run(s) only: the shadow pair is a
-	// correctness cross-check, and giving it the probe would interleave
-	// its records with the measured run's.
 	var tw *obs.TraceWriter
 	var probe *dist.Probe
 	if tracePath != "" {
@@ -275,38 +267,8 @@ func runScale(n, a, p int, seed int64, graphPath string, shadowN int, allocBudge
 		recs = append(recs, res.Record)
 		if !jsonOut {
 			r := res.Record
-			fmt.Printf("SCALE %-28s %-22s delivery=%-5s procs=%d workers=%d shards=%d colors=%d rounds=%d messages=%d palette=%.0f wall=%.0fms mallocs=%d alloc=%.1fMB allocs/vertex=%.2f ok=%v\n",
-				r.Workload, r.Params, r.Delivery, r.GoMaxProcs, r.Workers, r.Shards, r.Colors, r.Rounds, r.Messages, r.Measured, r.WallMS, r.Mallocs, r.AllocMB, r.AllocsPerVertex, r.OK)
-		}
-	}
-
-	if shadowN > 0 {
-		// The shadow pair checks transport equivalence, so it always runs
-		// on a generated instance of its own (manageable) size, even when
-		// the full run loads a prebuilt graph.
-		base := experiments.ScaleOptions{N: shadowN, Arboricity: a, P: p, Seed: seed}
-		batchOpt, boxedOpt := base, base
-		batchOpt.Delivery = dist.DeliveryBatch
-		boxedOpt.Delivery = dist.DeliveryBoxed
-		batch, err := experiments.ScaleRun(batchOpt)
-		if err != nil {
-			return fmt.Errorf("shadow batch run: %w", err)
-		}
-		emit(batch)
-		boxed, err := experiments.ScaleRun(boxedOpt)
-		if err != nil {
-			return fmt.Errorf("shadow boxed run: %w", err)
-		}
-		emit(boxed)
-		if !slices.Equal(batch.Colors, boxed.Colors) {
-			return fmt.Errorf("shadow run at n=%d: batch and boxed colorings diverge", shadowN)
-		}
-		if batch.Record.Messages != boxed.Record.Messages || batch.Record.Rounds != boxed.Record.Rounds {
-			return fmt.Errorf("shadow run at n=%d: counters diverge (rounds %d/%d, messages %d/%d)",
-				shadowN, batch.Record.Rounds, boxed.Record.Rounds, batch.Record.Messages, boxed.Record.Messages)
-		}
-		if !jsonOut {
-			fmt.Printf("shadow ok: batch == boxed bit-for-bit at n=%d\n", batch.Record.N)
+			fmt.Printf("SCALE %-28s %-22s procs=%d workers=%d shards=%d colors=%d rounds=%d messages=%d palette=%.0f wall=%.0fms mallocs=%d alloc=%.1fMB allocs/vertex=%.2f ok=%v\n",
+				r.Workload, r.Params, r.GoMaxProcs, r.Workers, r.Shards, r.Colors, r.Rounds, r.Messages, r.Measured, r.WallMS, r.Mallocs, r.AllocMB, r.AllocsPerVertex, r.OK)
 		}
 	}
 
@@ -320,8 +282,7 @@ func runScale(n, a, p int, seed int64, graphPath string, shadowN int, allocBudge
 	// still emitted so the JSONL artifact keeps the diagnostics.
 	opt := experiments.ScaleOptions{
 		N: n, Arboricity: a, P: p, Seed: seed, GraphPath: graphPath,
-		Delivery: dist.DeliveryBatch,
-		Probe:    probe, TracePath: tracePath,
+		Probe: probe, TracePath: tracePath,
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 	}
 	var fulls []*experiments.ScaleResult

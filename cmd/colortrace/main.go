@@ -69,8 +69,8 @@ func run() error {
 	if *dumpRuns {
 		fmt.Println()
 		for _, r := range tr.Runs {
-			fmt.Printf("run %d phase=%q rounds=%d messages=%d peak_live=%d workers=%d shards=%d batch=%v topo_cached=%v scratch_pooled=%v setup=%s compute=%s err=%q\n",
-				r.Run, r.Phase, r.Rounds, r.Messages, r.PeakLive, r.Workers, r.Shards, r.Batch,
+			fmt.Printf("run %d phase=%q rounds=%d messages=%d peak_live=%d workers=%d shards=%d topo_cached=%v scratch_pooled=%v setup=%s compute=%s err=%q\n",
+				r.Run, r.Phase, r.Rounds, r.Messages, r.PeakLive, r.Workers, r.Shards,
 				r.TopoCached, r.ScratchPooled,
 				time.Duration(r.SetupNS).Round(time.Microsecond),
 				time.Duration(r.ComputeNS).Round(time.Microsecond), r.Err)

@@ -10,8 +10,7 @@
 //     constant word widths, and width-bound send/output calls must agree
 //     with the declaration.
 //   - failpath: vertex programs must report errors through Node.Fail, not
-//     by smuggling error values through the Output slot or raising raw
-//     panics from Step/StepWords bodies.
+//     by raising raw panics from StepWords bodies.
 //
 // Annotations. Sanctioned exceptions are declared in source:
 //
@@ -23,7 +22,7 @@
 //	//distvet:unordered <why>  - site line: map iteration whose ordered-
 //	                             looking sink is in fact order-free.
 //	//distvet:panic-ok <why>   - site line: sanctioned raw panic inside a
-//	                             vertex-program Step/StepWords body.
+//	                             vertex-program StepWords body.
 //
 // Site-line annotations attach to constructs on the same line or the line
 // directly below (a directive comment of its own). Every suppression

@@ -8,18 +8,13 @@ import (
 )
 
 // FailPathAnalyzer enforces the first-class error path of vertex
-// programs, two ways:
+// programs: it flags raw panic(...) calls in StepWords bodies. The engine
+// contains a vertex-program panic, but the report is an engine abort
+// (ErrVertexPanic) rather than the program's own diagnosis.
 //
-//   - it flags the pre-word-plane error idiom of assigning an error value
-//     to dist.Node.Output ("n.Output = err"): only the boxed []any plane
-//     can carry it, the word plane silently drops it;
-//   - it flags raw panic(...) calls in Step/StepWords bodies: the engine
-//     contains a vertex-program panic, but the report is an engine abort
-//     (ErrVertexPanic) rather than the program's own diagnosis.
-//
-// The replacement for both is Node.Fail/Failf, which records the error in
-// the per-run slot (smallest failing vertex wins, deterministically) and
-// aborts the run at the end of the round on every transport. A panic that
+// The replacement is Node.Fail/Failf, which records the error in the
+// per-run slot (smallest failing vertex wins, deterministically) and
+// aborts the run at the end of the round. A panic that
 // is genuinely the right tool (an invariant whose violation means the
 // program itself is broken) is sanctioned in place:
 //
@@ -28,43 +23,16 @@ import (
 // on the panic's line or the line above.
 var FailPathAnalyzer = &analysis.Analyzer{
 	Name: "failpath",
-	Doc:  "flag error values smuggled through dist.Node.Output and raw panics in vertex-program steps instead of Node.Fail",
+	Doc:  "flag raw panics in vertex-program steps instead of Node.Fail",
 	Run:  runFailPath,
 }
 
 func runFailPath(pass *analysis.Pass) error {
-	errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	ann := gatherAnnots(pass)
 	for _, file := range pass.Files {
-		ast.Inspect(file, func(node ast.Node) bool {
-			assign, ok := node.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range assign.Lhs {
-				sel, ok := lhs.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Output" || !isNodeField(pass, sel) {
-					continue
-				}
-				if i >= len(assign.Rhs) {
-					continue
-				}
-				tv, ok := pass.TypesInfo.Types[assign.Rhs[i]]
-				if !ok || tv.IsNil() {
-					continue
-				}
-				if types.Implements(tv.Type, errType) {
-					pass.Reportf(assign.Pos(), "error smuggled through Node.Output (only the boxed plane carries it); use n.Fail(err) / n.Failf - the run aborts deterministically on every transport")
-				}
-			}
-			return true
-		})
 		for _, d := range file.Decls {
 			decl, ok := d.(*ast.FuncDecl)
-			if !ok || decl.Body == nil {
-				continue
-			}
-			if name := decl.Name.Name; name != "Step" && name != "StepWords" {
+			if !ok || decl.Body == nil || decl.Name.Name != "StepWords" {
 				continue
 			}
 			if !hasNodeParam(pass, decl) {
@@ -110,15 +78,6 @@ func hasNodeParam(pass *analysis.Pass, decl *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// isNodeField reports whether sel selects a field of dist.Node.
-func isNodeField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	tv, ok := pass.TypesInfo.Types[sel.X]
-	if !ok {
-		return false
-	}
-	return isNodeType(tv.Type)
 }
 
 // isNodeType reports whether t is dist.Node or a pointer to it.

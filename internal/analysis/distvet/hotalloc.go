@@ -9,7 +9,7 @@ import (
 
 // HotAllocAnalyzer enforces the zero-allocation contract of functions
 // annotated //distvet:noalloc: the engine's round loop, recolorOnce and
-// every WordIOAlgorithm step implementation. It is a syntactic gate - the
+// every dist.Algorithm step implementation. It is a syntactic gate - the
 // escape-analysis companion (cmd/escapecheck) verifies the compiler
 // agrees - so it flags allocating CONSTRUCTS rather than proven heap
 // allocations:

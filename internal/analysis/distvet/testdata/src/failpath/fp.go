@@ -2,7 +2,6 @@
 package failpath
 
 import (
-	"errors"
 	"fmt"
 
 	"internal/dist"
@@ -10,26 +9,15 @@ import (
 
 type algo struct{}
 
-func (algo) Init(n *dist.Node) {
-	n.Output = errors.New("boom") // want `error smuggled through Node\.Output`
-}
-
-func (algo) Step(n *dist.Node, inbox []dist.Message) {
-	err := fmt.Errorf("vertex broke")
-	n.Output = err // want `error smuggled through Node\.Output`
-	n.Output = 3   // a non-error output is the normal result path
-	n.Output = nil // clearing the slot is fine
-	n.Fail(err)    // the first-class error path
-	n.Failf("vertex %d broke", n.ID())
-}
-
-func (algo) StepWords(n *dist.Node, inbox []int64) {
+func (algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	if n.ID() < 0 {
 		panic("impossible id") // want `raw panic in vertex program StepWords`
 	}
 	func() {
 		panic("closures still run inside the step") // want `raw panic in vertex program StepWords`
 	}()
+	n.Fail(fmt.Errorf("vertex broke")) // the first-class error path
+	n.Failf("vertex %d broke", n.ID())
 	//distvet:panic-ok engine-misuse guard; the program itself is broken here
 	panic("sanctioned")
 	panic("sanctioned inline") //distvet:panic-ok same-line directive
@@ -42,17 +30,10 @@ func (algo) step(n *dist.Node) {
 	panic("helper panic, out of scope")
 }
 
-// Step without a *dist.Node parameter is some other Step entirely.
+// StepWords without a *dist.Node parameter is some other StepWords
+// entirely.
 type walker struct{}
 
-func (walker) Step(depth int) {
+func (walker) StepWords(depth int) {
 	panic("not a vertex program")
-}
-
-// notNode has an Output field too; assigning an error to it is fine -
-// only dist.Node's slot feeds the engine's result decoding.
-type notNode struct{ Output any }
-
-func otherOutput(x *notNode) {
-	x.Output = errors.New("unrelated")
 }

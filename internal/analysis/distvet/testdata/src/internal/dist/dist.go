@@ -4,22 +4,15 @@
 // satisfies the same match without importing the real engine.
 package dist
 
-// Message is a boxed inter-node message.
-type Message any
-
 // Node is the fixture vertex handle.
 type Node struct {
-	State  any
-	Input  any
-	Output any
+	State any
 }
 
 func (n *Node) ID() int                          { return 0 }
 func (n *Node) Degree() int                      { return 0 }
 func (n *Node) Round() int                       { return 0 }
 func (n *Node) Halt()                            {}
-func (n *Node) Send(port int, m Message)         {}
-func (n *Node) SendAll(m Message)                {}
 func (n *Node) SendWord(port int, w int64)       {}
 func (n *Node) SendWords(port int) []int64       { return nil }
 func (n *Node) SendAllWord(w int64)              {}

@@ -9,12 +9,11 @@ import (
 	"repro/internal/analysis"
 )
 
-// WordIOAnalyzer enforces the fixed-width message contract of the batch
-// transport: a vertex program's declared widths (MessageWords,
-// InputWidth, OutputWidth - the dist.FixedWidthAlgorithm /
-// dist.WordIOAlgorithm shape) must be compile-time constants, and the
-// width-bound dist.Node calls inside the program's methods must agree
-// with the declaration:
+// WordIOAnalyzer enforces the engine's fixed-width word contract: a
+// vertex program's declared widths (MessageWords, InputWidth,
+// OutputWidth - the dist.Algorithm shape) must be compile-time
+// constants, and the width-bound dist.Node calls inside the program's
+// methods must agree with the declaration:
 //
 //   - SendWord / SendAllWord require MessageWords() == 1;
 //   - SetOutputWord requires OutputWidth() == 1;

@@ -33,106 +33,100 @@ func cvIterations(n int) int {
 	return count
 }
 
-type cvInput struct {
-	ParentPort int // -1 for roots
-}
-
-type cvState struct {
-	color   int
+// cvAlgo is the Cole-Vishkin vertex program. Messages are one color word;
+// the input word is the port leading to the vertex's parent (-1 for
+// roots); the output word is the vertex's current - and finally
+// 3-coloring - color. reduceT is the globally known bit-reduction round
+// count cvIterations(n), and old is a caller-owned per-vertex arena
+// holding each vertex's pre-shift color through an elimination's
+// recolor round.
+type cvAlgo struct {
 	reduceT int
-	// elimination bookkeeping
-	oldColor int // color sent in the current elimination's first round
-	shifted  int
+	old     []int64
 }
 
-type cvAlgo struct{}
+func (cvAlgo) MessageWords() int { return 1 }
+func (cvAlgo) InputWidth() int   { return 1 }
+func (cvAlgo) OutputWidth() int  { return 1 }
 
-func (cvAlgo) Init(n *dist.Node) {
-	in, ok := n.Input.(cvInput)
-	if !ok {
-		n.Failf("baseline: bad cole-vishkin input %T", n.Input)
+func (cvAlgo) InitWords(n *dist.Node) {
+	if pp := n.InputWords()[0]; pp >= int64(n.Degree()) {
+		n.Failf("baseline: parent port %d out of range", pp)
 		return
 	}
-	if in.ParentPort >= n.Degree() {
-		n.Failf("baseline: parent port %d out of range", in.ParentPort)
-		return
-	}
-	st := &cvState{color: n.ID() - 1, reduceT: cvIterations(n.N())}
-	n.State = st
-	n.SendAll(st.color)
+	color := int64(n.ID() - 1)
+	n.SetOutputWord(color)
+	n.SendAllWord(color)
 }
 
 // fakeParentColor gives roots an imaginary parent color differing from
 // their own.
-func fakeParentColor(c int) int {
+func fakeParentColor(c int64) int64 {
 	if c == 0 {
 		return 1
 	}
 	return 0
 }
 
-func (cvAlgo) Step(n *dist.Node, inbox []dist.Message) {
-	in := n.Input.(cvInput)
-	st := n.State.(*cvState)
-
-	parentColor := func() int {
-		if in.ParentPort >= 0 && inbox[in.ParentPort] != nil {
-			return inbox[in.ParentPort].(int)
+func (a cvAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
+	pp := int(n.InputWords()[0])
+	color := n.OutputWords()[0]
+	parentColor := func() int64 {
+		if pp >= 0 && inbox.Has(pp) {
+			return inbox.Word(pp)
 		}
-		return fakeParentColor(st.color)
+		return fakeParentColor(color)
 	}
 
 	r := n.Round()
-	if r <= st.reduceT {
+	if r <= a.reduceT {
 		// Bit-reduction round.
-		pc := parentColor()
-		diff := st.color ^ pc
-		i := bits.TrailingZeros(uint(diff))
-		st.color = 2*i + (st.color>>i)&1
-		n.SendAll(st.color)
+		diff := color ^ parentColor()
+		i := int64(bits.TrailingZeros64(uint64(diff)))
+		color = 2*i + (color>>i)&1
+		n.SetOutputWord(color)
+		n.SendAllWord(color)
 		return
 	}
 
 	// Elimination iterations for target colors 5, 4, 3: two rounds each.
-	elim := r - st.reduceT - 1 // 0-based round index within eliminations
-	target := 5 - elim/2
+	elim := r - a.reduceT - 1 // 0-based round index within eliminations
+	target := int64(5 - elim/2)
 	if elim%2 == 0 {
 		// Shift-down: adopt the parent's announced color; roots pick a
-		// fresh color differing from their own (hence from their
-		// children's new color).
-		st.oldColor = st.color
-		if in.ParentPort >= 0 {
-			st.shifted = parentColor()
+		// fresh color from {0,1,2} differing from their current one, so
+		// no eliminated color is ever reintroduced (and it differs from
+		// their children's new color).
+		a.old[n.Vertex()] = color
+		if pp >= 0 {
+			color = parentColor()
+		} else if color == 0 {
+			color = 1
 		} else {
-			// Roots pick a fresh color from {0,1,2} differing from their
-			// current one, so no eliminated color is ever reintroduced.
-			st.shifted = 0
-			if st.color == 0 {
-				st.shifted = 1
-			}
+			color = 0
 		}
-		st.color = st.shifted
-		n.SendAll(st.color)
+		n.SetOutputWord(color)
+		n.SendAllWord(color)
 		return
 	}
 	// Recolor round: vertices holding the target color choose from
 	// {0,1,2} avoiding the parent's shifted color and the children's
 	// shifted color (= own pre-shift color).
-	if st.color == target {
-		pc := parentColor()
-		for c := 0; c < 3; c++ {
-			if c != pc && c != st.oldColor {
-				st.color = c
+	if color == target {
+		pc, old := parentColor(), a.old[n.Vertex()]
+		for c := int64(0); c < 3; c++ {
+			if c != pc && c != old {
+				color = c
 				break
 			}
 		}
+		n.SetOutputWord(color)
 	}
 	if target == 3 {
-		n.Output = st.color
 		n.Halt()
 		return
 	}
-	n.SendAll(st.color)
+	n.SendAllWord(color)
 }
 
 // CVResult reports a Cole-Vishkin run.
@@ -150,31 +144,23 @@ func ColeVishkinForest(net *dist.Network, parentOf []int) (*CVResult, error) {
 	if len(parentOf) != g.N() {
 		return nil, fmt.Errorf("baseline: parentOf has %d entries for %d vertices", len(parentOf), g.N())
 	}
-	inputs := make([]any, g.N())
+	ports := make([]int64, g.N())
 	for v := 0; v < g.N(); v++ {
-		port := -1
+		ports[v] = -1
 		if p := parentOf[v]; p >= 0 {
-			port = g.PortOf(v, p)
-			if port < 0 {
+			if ports[v] = int64(g.PortOf(v, p)); ports[v] < 0 {
 				return nil, fmt.Errorf("baseline: parent %d of %d is not a neighbor", p, v)
 			}
 		}
-		inputs[v] = cvInput{ParentPort: port}
 	}
-	res, err := net.Run(cvAlgo{}, dist.RunOptions{Inputs: inputs})
+	algo := cvAlgo{reduceT: cvIterations(g.N()), old: make([]int64, g.N())}
+	res, err := net.Run(algo, dist.RunOptions{InputWords: ports})
 	if err != nil {
 		return nil, err
 	}
 	colors := make([]int, g.N())
-	for v, o := range res.Outputs {
-		switch x := o.(type) {
-		case int:
-			colors[v] = x
-		case error:
-			return nil, fmt.Errorf("baseline: vertex %d: %w", v, x)
-		default:
-			return nil, fmt.Errorf("baseline: vertex %d output %T", v, o)
-		}
+	if err := dist.IntsFromWords(res, colors); err != nil {
+		return nil, err
 	}
 	return &CVResult{Colors: colors, Rounds: res.Rounds}, nil
 }

@@ -7,7 +7,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/dist"
@@ -16,72 +15,73 @@ import (
 // lubyAlgo implements Luby's MIS: in each two-round iteration every alive
 // vertex draws a random value; strict local maxima (ties by identifier)
 // join the MIS and announce it; vertices hearing an announcement drop out.
-// O(log n) iterations with high probability.
+// O(log n) iterations with high probability. Messages are two words.
+// Odd rounds carry (value, ID); an even round carries only JOIN
+// announcements, so round parity alone decides the kind and any message
+// in an even round means JOIN. The output word is 1 for MIS members.
 type lubyAlgo struct {
 	seed int64
 }
 
-type lubyValue struct {
-	X  int64
-	ID int
-}
-
-type lubyJoin struct{}
-
+// lubyState is the per-node randomness and the node's current value.
 type lubyState struct {
-	rng    *rand.Rand
-	myVal  lubyValue
-	joined bool
+	rng *rand.Rand
+	x   int64
 }
 
-func (a lubyAlgo) Init(n *dist.Node) {
+func (lubyAlgo) MessageWords() int { return 2 }
+func (lubyAlgo) InputWidth() int   { return 0 }
+func (lubyAlgo) OutputWidth() int  { return 1 }
+
+func (a lubyAlgo) InitWords(n *dist.Node) {
 	st := &lubyState{rng: rand.New(rand.NewSource(nodeSeed(a.seed, n.ID(), tagLuby)))}
 	n.State = st
-	st.myVal = lubyValue{X: st.rng.Int63(), ID: n.ID()}
-	n.SendAll(st.myVal)
+	st.draw(n)
 }
 
-func (a lubyAlgo) Step(n *dist.Node, inbox []dist.Message) {
+// draw picks the node's value for the next iteration and sends
+// (value, ID) to every neighbor.
+func (st *lubyState) draw(n *dist.Node) {
+	st.x = st.rng.Int63()
+	sendAll2(n, st.x, int64(n.ID()))
+}
+
+// sendAll2 sends the two-word message (a, b) on every port.
+func sendAll2(n *dist.Node, a, b int64) {
+	for p := 0; p < n.Degree(); p++ {
+		w := n.SendWords(p)
+		w[0], w[1] = a, b
+	}
+}
+
+func (a lubyAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	st := n.State.(*lubyState)
 	if n.Round()%2 == 0 {
-		// Even rounds carry JOIN announcements (and nothing else).
-		for _, m := range inbox {
-			if m == nil {
-				continue
-			}
-			if _, isJoin := m.(lubyJoin); isJoin {
-				n.Output = false
+		// A JOIN from a neighbor: drop out (the output stays 0).
+		for p := 0; p < inbox.Ports(); p++ {
+			if inbox.Has(p) {
 				n.Halt()
 				return
 			}
 		}
 		// Survived: draw a fresh value for the next iteration.
-		st.myVal = lubyValue{X: st.rng.Int63(), ID: n.ID()}
-		n.SendAll(st.myVal)
+		st.draw(n)
 		return
 	}
-	// Odd rounds carry values: check local maximality among alive
-	// neighbors (silent ports mean dead neighbors).
-	win := true
-	for _, m := range inbox {
-		if m == nil {
+	// Check local maximality among alive neighbors (silent ports mean
+	// dead neighbors).
+	id := int64(n.ID())
+	for p := 0; p < inbox.Ports(); p++ {
+		if !inbox.Has(p) {
 			continue
 		}
-		v, ok := m.(lubyValue)
-		if !ok {
-			continue
-		}
-		if v.X > st.myVal.X || (v.X == st.myVal.X && v.ID > st.myVal.ID) {
-			win = false
-			break
+		if w := inbox.Words(p); w[0] > st.x || (w[0] == st.x && w[1] > id) {
+			return
 		}
 	}
-	if win {
-		st.joined = true
-		n.Output = true
-		n.SendAll(lubyJoin{})
-		n.Halt()
-	}
+	n.SetOutputWord(1)
+	sendAll2(n, 0, 0) // JOIN: the words are unused
+	n.Halt()
 }
 
 // LubyResult reports a Luby MIS run.
@@ -101,12 +101,8 @@ func LubyMIS(net *dist.Network, seed int64) (*LubyResult, error) {
 		return nil, err
 	}
 	inMIS := make([]bool, net.Graph().N())
-	for v, o := range res.Outputs {
-		b, ok := o.(bool)
-		if !ok {
-			return nil, fmt.Errorf("baseline: vertex %d output %T", v, o)
-		}
-		inMIS[v] = b
+	for v, w := range res.OutputWords {
+		inMIS[v] = w == 1
 	}
 	return &LubyResult{InMIS: inMIS, Rounds: res.Rounds, Messages: res.Messages}, nil
 }

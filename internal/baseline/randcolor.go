@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/dist"
@@ -12,19 +11,13 @@ import (
 // vertex proposes a uniformly random color from its remaining palette;
 // a proposal is kept when no undecided neighbor proposed the same color
 // (identifier priority breaks ties). Decided colors are announced and
-// removed from neighbors' palettes. O(log n) iterations w.h.p.
+// removed from neighbors' palettes. O(log n) iterations w.h.p. Messages
+// are two words: odd rounds carry proposals (color, ID), even rounds
+// only final announcements (color, unused). The output word is the
+// color.
 type randColorAlgo struct {
 	seed    int64
 	palette int
-}
-
-type rcPropose struct {
-	C  int
-	ID int
-}
-
-type rcFinal struct {
-	C int
 }
 
 type rcState struct {
@@ -33,7 +26,11 @@ type rcState struct {
 	proposal int
 }
 
-func (a randColorAlgo) Init(n *dist.Node) {
+func (randColorAlgo) MessageWords() int { return 2 }
+func (randColorAlgo) InputWidth() int   { return 0 }
+func (randColorAlgo) OutputWidth() int  { return 1 }
+
+func (a randColorAlgo) InitWords(n *dist.Node) {
 	st := &rcState{
 		rng:   rand.New(rand.NewSource(nodeSeed(a.seed, n.ID(), tagRandColor))),
 		taken: make(map[int]bool),
@@ -56,37 +53,34 @@ func (st *rcState) propose(a randColorAlgo, n *dist.Node) {
 		return
 	}
 	st.proposal = free[st.rng.Intn(len(free))]
-	n.SendAll(rcPropose{C: st.proposal, ID: n.ID()})
+	sendAll2(n, int64(st.proposal), int64(n.ID()))
 }
 
-func (a randColorAlgo) Step(n *dist.Node, inbox []dist.Message) {
+func (a randColorAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	st := n.State.(*rcState)
 	if n.Round()%2 == 1 {
 		// Proposal round results: keep the color unless an undecided
 		// neighbor with priority proposed the same one.
 		keep := true
-		for _, m := range inbox {
-			if m == nil {
+		for p := 0; p < inbox.Ports(); p++ {
+			if !inbox.Has(p) {
 				continue
 			}
-			if p, ok := m.(rcPropose); ok && p.C == st.proposal && p.ID > n.ID() {
+			if w := inbox.Words(p); int(w[0]) == st.proposal && w[1] > int64(n.ID()) {
 				keep = false
 			}
 		}
 		if keep {
-			n.Output = st.proposal
-			n.SendAll(rcFinal{C: st.proposal})
+			n.SetOutputWord(int64(st.proposal))
+			sendAll2(n, int64(st.proposal), 0)
 			n.Halt()
 		}
 		return
 	}
 	// Announcement round: record finalized neighbor colors, then repropose.
-	for _, m := range inbox {
-		if m == nil {
-			continue
-		}
-		if f, ok := m.(rcFinal); ok {
-			st.taken[f.C] = true
+	for p := 0; p < inbox.Ports(); p++ {
+		if inbox.Has(p) {
+			st.taken[int(inbox.Word(p))] = true
 		}
 	}
 	st.propose(a, n)
@@ -107,15 +101,8 @@ func RandomizedColoring(net *dist.Network, seed int64) (*RandColorResult, error)
 		return nil, err
 	}
 	colors := make([]int, net.Graph().N())
-	for v, o := range res.Outputs {
-		switch x := o.(type) {
-		case int:
-			colors[v] = x
-		case error:
-			return nil, fmt.Errorf("baseline: vertex %d: %w", v, x)
-		default:
-			return nil, fmt.Errorf("baseline: vertex %d output %T", v, o)
-		}
+	if err := dist.IntsFromWords(res, colors); err != nil {
+		return nil, err
 	}
 	return &RandColorResult{Colors: colors, Rounds: res.Rounds, Messages: res.Messages}, nil
 }

@@ -58,7 +58,7 @@ func ExpiredDeadline() context.Context {
 	return ctx
 }
 
-// Wave is a multi-round word-I/O gossip program with column-only state
+// Wave is a multi-round gossip program with column-only state
 // (the dist.Snapshot contract's qualifying shape): in[0] is the rolling
 // digest, in[1] the per-vertex round budget, the output the final
 // digest. It is the chaos harness's workload for panic and
@@ -109,11 +109,6 @@ func (w Wave) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	}
 	n.SendAllWord(acc % 99991)
 }
-
-// The boxed plane is deliberately absent: Wave keeps its state in the
-// input column, which has no boxed twin.
-func (Wave) Init(n *dist.Node)                      { n.Failf("chaos: Wave has no boxed plane") }
-func (Wave) Step(n *dist.Node, inbox []dist.Message) {}
 
 // WaveInputs builds a seeded input column for an n-vertex Wave run:
 // deterministic per-vertex digests and round budgets.

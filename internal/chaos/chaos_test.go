@@ -208,7 +208,7 @@ func TestChaosPanicMatrix(t *testing.T) {
 		seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	}
 	mk := waveNet(t, n)
-	ref, err := mk().RunWords(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
+	ref, err := mk().Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestChaosPanicMatrix(t *testing.T) {
 					}
 				}
 				w := Wave{PanicVertex: vertex, PanicRound: round}
-				_, err := net.RunWords(w, dist.RunOptions{InputWords: WaveInputs(n, 7)})
+				_, err := net.Run(w, dist.RunOptions{InputWords: WaveInputs(n, 7)})
 				label := fmt.Sprintf("seed=%d vertex=%d round=%d workers=%d shards=%d", seed, vertex, round, workers, shards)
 				if !errors.Is(err, dist.ErrVertexPanic) {
 					t.Fatalf("%s: err=%v, want ErrVertexPanic", label, err)
@@ -242,7 +242,7 @@ func TestChaosPanicMatrix(t *testing.T) {
 					t.Fatalf("%s: error %q does not name the smallest panicking vertex", label, err)
 				}
 				Log(Record{Case: "wave", Fault: "panic", Seed: seed, Vertex: vertex, Round: round, Err: err.Error(), Outcome: "clean-abort"})
-				after, err := net.RunWords(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
+				after, err := net.Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
 				if err != nil {
 					t.Fatalf("%s: rerun after panic: %v", label, err)
 				}
@@ -269,7 +269,7 @@ func TestChaosSnapshotResume(t *testing.T) {
 		cancels = []int{0, 1, 2, 3, 4, 5, 6, 7}
 	}
 	mk := waveNet(t, n)
-	ref, err := mk().RunWords(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
+	ref, err := mk().Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestChaosSnapshotResume(t *testing.T) {
 		for _, shards := range []int{1, 3} {
 			label := fmt.Sprintf("cancel@%d shards=%d", k, shards)
 			net := mk()
-			res, err := net.RunWords(CleanWave(), dist.RunOptions{
+			res, err := net.Run(CleanWave(), dist.RunOptions{
 				InputWords: WaveInputs(n, 7), Context: RoundCancel(k), SnapshotOnAbort: true,
 			})
 			if !errors.Is(err, dist.ErrCanceled) || res == nil || res.Snapshot == nil {
@@ -332,13 +332,13 @@ func TestChaosSnapshotResume(t *testing.T) {
 func TestChaosProbedResume(t *testing.T) {
 	n := 500
 	mk := waveNet(t, n)
-	ref, err := mk().RunWords(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
+	ref, err := mk().Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := 2
 	net := mk()
-	res, err := net.RunWords(CleanWave(), dist.RunOptions{
+	res, err := net.Run(CleanWave(), dist.RunOptions{
 		InputWords: WaveInputs(n, 7), Context: RoundCancel(k), SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, dist.ErrCanceled) || res.Snapshot == nil {
@@ -372,7 +372,7 @@ func TestChaosProbedResume(t *testing.T) {
 func TestChaosFailingSink(t *testing.T) {
 	n := 500
 	mk := waveNet(t, n)
-	ref, err := mk().RunWords(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
+	ref, err := mk().Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestChaosFailingSink(t *testing.T) {
 	net := mk().WithProbe(p)
 	var last *dist.Result
 	for i := 0; i < 3; i++ {
-		last, err = net.RunWords(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
+		last, err = net.Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
 		if err != nil {
 			t.Fatalf("run %d under failing sink: %v", i, err)
 		}
@@ -422,7 +422,7 @@ func TestChaosSlowSink(t *testing.T) {
 	mk := waveNet(t, n)
 	sink := &SlowSink{Delay: 2_000_000} // 2ms per flush
 	p := dist.NewProbe(sink)
-	res, err := mk().WithProbe(p).RunWords(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
+	res, err := mk().WithProbe(p).Run(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}

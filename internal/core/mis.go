@@ -14,46 +14,58 @@ import (
 // the total time is O(a + a^mu log n).
 
 // misAlgo processes color classes in rounds: a vertex of color c decides at
-// round c (round 0 = Init): it joins the MIS unless a neighbor announced
-// joining earlier.
+// round c (round 0 = InitWords): it joins the MIS unless a neighbor
+// announced joining earlier. The input word is the vertex's color; a
+// vertex that hears a join overwrites it with ^c, so a negative word
+// doubles as the blocked flag while ^w still recovers c. The output word
+// is 1 for MIS members and 0 otherwise.
 type misAlgo struct{}
 
-type misState struct {
-	blocked bool
-}
+func (misAlgo) MessageWords() int { return 1 }
+func (misAlgo) InputWidth() int   { return 1 }
+func (misAlgo) OutputWidth() int  { return 1 }
 
-func (misAlgo) Init(n *dist.Node) {
-	c, ok := n.Input.(int)
-	if !ok || c < 0 {
-		n.Failf("core: mis: bad color input %v", n.Input)
+//distvet:noalloc
+func (misAlgo) InitWords(n *dist.Node) {
+	c := n.InputWords()[0]
+	if c < 0 {
+		n.Failf("core: mis: bad color input %d", c)
 		return
 	}
-	n.State = &misState{}
 	if c == 0 {
 		// No neighbor shares color 0; no earlier class exists.
-		n.Output = true
-		n.SendAll(true)
-		n.Halt()
+		misJoin(n)
 	}
 }
 
-func (misAlgo) Step(n *dist.Node, inbox []dist.Message) {
-	st := n.State.(*misState)
-	for _, m := range inbox {
-		if m != nil {
-			st.blocked = true
+//distvet:noalloc
+func (misAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
+	in := n.InputWords()
+	for p := 0; p < inbox.Ports(); p++ {
+		if inbox.Has(p) && in[0] >= 0 {
+			in[0] = ^in[0]
 		}
 	}
-	if n.Round() < n.Input.(int) {
+	blocked, c := in[0] < 0, in[0]
+	if blocked {
+		c = ^c
+	}
+	if int64(n.Round()) < c {
 		return
 	}
-	if st.blocked {
-		n.Output = false
+	if blocked {
 		n.Halt()
 		return
 	}
-	n.Output = true
-	n.SendAll(true)
+	misJoin(n)
+}
+
+// misJoin puts the node into the MIS and announces it to its neighbors.
+//
+//distvet:noalloc
+func misJoin(n *dist.Node) {
+	n.SetOutputWord(1)
+	n.SendAllWord(1)
 	n.Halt()
 }
 
@@ -74,20 +86,17 @@ func MISFromColoring(net *dist.Network, colors []int) (*MISResult, error) {
 	if len(colors) != g.N() {
 		return nil, fmt.Errorf("core: mis: %d colors for %d vertices", len(colors), g.N())
 	}
-	res, err := net.Run(misAlgo{}, dist.RunOptions{Inputs: dist.IntInputs(colors)})
+	col := make([]int64, len(colors))
+	for v, c := range colors {
+		col[v] = int64(c)
+	}
+	res, err := net.Run(misAlgo{}, dist.RunOptions{InputWords: col})
 	if err != nil {
 		return nil, err
 	}
 	inMIS := make([]bool, g.N())
-	for v, o := range res.Outputs {
-		switch x := o.(type) {
-		case bool:
-			inMIS[v] = x
-		case error:
-			return nil, fmt.Errorf("core: mis: vertex %d: %w", v, x)
-		default:
-			return nil, fmt.Errorf("core: mis: vertex %d unexpected output %T", v, o)
-		}
+	for v, w := range res.OutputWords {
+		inMIS[v] = w == 1
 	}
 	return &MISResult{InMIS: inMIS, Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}, nil
 }

@@ -2,13 +2,10 @@ package dist
 
 import "fmt"
 
-// This file implements the columnar batch transport: vertex programs whose
-// messages are a fixed number of int64 words exchange them through two
-// process-wide word columns (one per round parity) indexed by the engine's
-// port tables, instead of boxing every message into the per-node []any
-// buffers. The []any path remains the compatible fallback; the two
-// transports are observationally identical (same outputs, rounds and
-// message counts) and the equivalence is pinned by shadow tests.
+// This file implements the engine's message transport: every message is
+// a fixed number of int64 words (Algorithm.MessageWords), exchanged
+// through two process-wide word columns (one per round parity) indexed by
+// the engine's port tables.
 //
 // Layout. Every active vertex v owns the contiguous slot range
 // [base[v], base[v]+deg(v)) of the columnar port space, one slot per
@@ -16,65 +13,13 @@ import "fmt"
 // round-parity column holds W = MessageWords() int64 words per slot plus
 // one sent flag per slot. Sending writes the node's own slots; delivery
 // reads the neighbor's slot for the previous parity through the
-// precomputed inSlots table (the columnar analogue of the peer table), so
+// precomputed inSlots table (the columnar analogue of a peer table), so
 // a round performs no per-message allocation and no pointer chasing
 // beyond two flat arrays.
 
-// Delivery selects the message transport of a Run.
-type Delivery int
-
-const (
-	// DeliveryAuto (the default) uses the batch transport exactly when
-	// the algorithm implements FixedWidthAlgorithm, and the []any
-	// fallback otherwise. A Network-level preference set with
-	// WithDelivery resolves Auto first.
-	DeliveryAuto Delivery = iota
-	// DeliveryBoxed forces the []any fallback path (the algorithm's
-	// Init/Step methods), even for fixed-width algorithms. Shadow tests
-	// use it as the reference transport.
-	DeliveryBoxed
-	// DeliveryBatch requires the batch transport; Run fails if the
-	// algorithm is not fixed-width.
-	DeliveryBatch
-)
-
-func (d Delivery) String() string {
-	switch d {
-	case DeliveryAuto:
-		return "auto"
-	case DeliveryBoxed:
-		return "boxed"
-	case DeliveryBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("delivery(%d)", int(d))
-	}
-}
-
-// FixedWidthAlgorithm is a vertex program whose messages all consist of
-// exactly MessageWords() int64 words, letting the engine deliver them
-// through the columnar batch transport. The embedded Algorithm methods
-// are the boxed fallback implementation of the same program: both views
-// must implement identical behavior (send on the same ports in the same
-// rounds, halt at the same time, produce the same outputs), which shadow
-// tests verify bit-for-bit by running one transport against the other.
-type FixedWidthAlgorithm interface {
-	Algorithm
-	// MessageWords returns the fixed per-message word count W >= 1.
-	// It must be constant across the run.
-	MessageWords() int
-	// InitWords is Init on the batch transport: send with SendWord /
-	// SendWords / SendAllWord instead of Send / SendAll.
-	InitWords(n *Node)
-	// StepWords is Step on the batch transport; inbox is the columnar
-	// view of the words received this round.
-	StepWords(n *Node, inbox WordInbox)
-}
-
-// WordInbox is the batch-transport inbox: a by-value view of the previous
-// round's word column restricted to one node's visible ports. Port p of
-// the inbox corresponds to the same visible neighbor as inbox[p] on the
-// boxed path.
+// WordInbox is a node's inbox: a by-value view of the previous round's
+// word column restricted to the node's visible ports. Port p of the inbox
+// is the neighbor on the node's visible port p.
 type WordInbox struct {
 	width int
 	words []int64 // previous parity's full word column
@@ -105,8 +50,7 @@ type shardCols struct {
 // Ports returns the number of visible ports (the node's degree).
 func (in WordInbox) Ports() int { return len(in.slots) }
 
-// Has reports whether the neighbor on port p sent a message last round
-// (the boxed path's inbox[p] != nil).
+// Has reports whether the neighbor on port p sent a message last round.
 func (in WordInbox) Has(p int) bool {
 	if in.shard == nil {
 		return in.sent[in.slots[p]] != 0
@@ -138,15 +82,12 @@ func (in WordInbox) Words(p int) []int64 {
 // SendWords marks the given visible port as sending this round and
 // returns its W-word outbox slot, zeroed at the first mark of the round;
 // the caller fills in the words. Subsequent calls in the same round
-// return the same slot (overwrite semantics, like Send).
+// return the same slot (sending again on a port overwrites).
 //
 //distvet:noalloc
 func (n *Node) SendWords(port int) []int64 {
 	if port < 0 || port >= len(n.ports) {
 		panic(fmt.Sprintf("dist: node id=%d sends on port %d of %d", n.id, port, len(n.ports)))
-	}
-	if n.wout == nil {
-		panic(fmt.Sprintf("dist: node id=%d calls SendWords outside the batch transport (use Send)", n.id))
 	}
 	s := port * n.width
 	out := n.wout[s : s+n.width : s+n.width]
@@ -171,9 +112,6 @@ func (n *Node) SendWord(port int, w int64) {
 	if port < 0 || port >= len(n.ports) {
 		panic(fmt.Sprintf("dist: node id=%d sends on port %d of %d", n.id, port, len(n.ports)))
 	}
-	if n.wout == nil {
-		panic(fmt.Sprintf("dist: node id=%d calls SendWord outside the batch transport (use Send)", n.id))
-	}
 	if n.wmark[port] == 0 {
 		n.wmark[port] = 1
 		n.sent++
@@ -187,40 +125,6 @@ func (n *Node) SendWord(port int, w int64) {
 func (n *Node) SendAllWord(w int64) {
 	for p := range n.ports {
 		n.SendWord(p, w)
-	}
-}
-
-// stepSliceBatch is stepSlice on the batch transport. The slot bases and
-// the inSlots delivery table come from the session-cached topology
-// (session.go); the round-parity columns are the pooled, intentionally
-// non-zeroed arrays of the run scratch - every flag a WordInbox reads was
-// cleared this run by its owner's step (clear(nd.wmark) below) or by
-// flushHaltClears, so stale content from earlier runs is never observed.
-//
-//distvet:noalloc
-func (s *simulation) stepSliceBatch(r, lo, hi int, cur *int) {
-	w := s.width
-	par := r % 2
-	words := s.wwords[par]
-	sent := s.wsent[par]
-	base := s.topo.base
-	in := WordInbox{width: w, words: s.wwords[1-par], sent: s.wsent[1-par]}
-	for i := lo; i < hi; i++ {
-		*cur = i
-		v := s.live[i]
-		nd := s.nodes[v]
-		nd.round = r
-		b := base[v]
-		deg := len(nd.ports)
-		nd.wout = words[b*w : (b+deg)*w : (b+deg)*w]
-		nd.wmark = sent[b : b+deg : b+deg]
-		clear(nd.wmark)
-		if r == 0 {
-			s.fw.InitWords(nd)
-			continue
-		}
-		in.slots = s.topo.slots(v)
-		s.fw.StepWords(nd, in)
 	}
 }
 

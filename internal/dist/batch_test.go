@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,62 +11,38 @@ import (
 	"repro/internal/graph"
 )
 
-// wordGossip is a gossip program implemented for both transports: nodes
-// flood mixed digests, halt at staggered rounds (id mod 3) with a final
-// halting send, and output the digest. Any divergence between the boxed
-// and batch paths (delivery, silence order, halting sends, port
-// numbering) changes some output, so DeepEqual over the two results is a
-// sharp equivalence check.
+// wordGossip floods mixed digests, halts at staggered rounds (id mod 3)
+// with a final halting send, and outputs the digest. Any delivery,
+// silence-order, halting-send or port-numbering bug changes some output.
 type wordGossip struct{ rounds int }
 
 func (wordGossip) MessageWords() int { return 1 }
+func (wordGossip) InputWidth() int   { return 0 }
+func (wordGossip) OutputWidth() int  { return 1 }
 
-func (g wordGossip) open(n *Node) int64 {
+func (g wordGossip) InitWords(n *Node) {
 	v := int64(n.ID())*100003 + 7
 	n.State = v
-	return v
+	n.SendAllWord(v)
 }
 
-func (g wordGossip) Init(n *Node)      { n.SendAll(int(g.open(n))) }
-func (g wordGossip) InitWords(n *Node) { n.SendAllWord(g.open(n)) }
-
-// advance mixes the received values into the digest and decides the
-// (always present, possibly halting) broadcast value.
-func (g wordGossip) advance(n *Node, read func(p int) (int64, bool)) int64 {
+func (g wordGossip) StepWords(n *Node, inbox WordInbox) {
 	acc := n.State.(int64)
-	for p := 0; p < n.Degree(); p++ {
-		if v, ok := read(p); ok {
-			acc = acc*31 + v + int64(p)
+	for p := 0; p < inbox.Ports(); p++ {
+		if inbox.Has(p) {
+			acc = acc*31 + inbox.Word(p) + int64(p)
 		}
 	}
 	n.State = acc
 	if n.Round() >= g.rounds+n.ID()%3 {
-		n.Output = acc
+		n.SetOutputWord(acc)
 		n.Halt()
 	}
 	out := acc % 1000003
 	if out < 0 {
 		out = -out
 	}
-	return out + 1
-}
-
-func (g wordGossip) Step(n *Node, inbox []Message) {
-	n.SendAll(int(g.advance(n, func(p int) (int64, bool) {
-		if inbox[p] == nil {
-			return 0, false
-		}
-		return int64(inbox[p].(int)), true
-	})))
-}
-
-func (g wordGossip) StepWords(n *Node, inbox WordInbox) {
-	n.SendAllWord(g.advance(n, func(p int) (int64, bool) {
-		if !inbox.Has(p) {
-			return 0, false
-		}
-		return inbox.Word(p), true
-	}))
+	n.SendAllWord(out + 1)
 }
 
 // tripleTag exchanges 3-word messages (id, round, id^round) for a fixed
@@ -73,102 +50,86 @@ func (g wordGossip) StepWords(n *Node, inbox WordInbox) {
 // weights, so a word ordering or width bug diverges immediately.
 type tripleTag struct{ rounds int }
 
-type tripleMsg struct{ A, B, C int64 }
-
 func (tripleTag) MessageWords() int { return 3 }
+func (tripleTag) InputWidth() int   { return 0 }
+func (tripleTag) OutputWidth() int  { return 1 }
 
-func (t tripleTag) fill(n *Node) tripleMsg {
+func (t tripleTag) send(n *Node) {
 	r := int64(n.Round())
-	return tripleMsg{A: int64(n.ID()), B: r, C: int64(n.ID()) ^ r}
-}
-
-func (t tripleTag) Init(n *Node) {
-	n.State = int64(1)
-	n.SendAll(t.fill(n))
+	for p := 0; p < n.Degree(); p++ {
+		w := n.SendWords(p)
+		w[0], w[1], w[2] = int64(n.ID()), r, int64(n.ID())^r
+	}
 }
 
 func (t tripleTag) InitWords(n *Node) {
-	n.State = int64(1)
-	m := t.fill(n)
-	for p := 0; p < n.Degree(); p++ {
-		w := n.SendWords(p)
-		w[0], w[1], w[2] = m.A, m.B, m.C
-	}
-}
-
-func (t tripleTag) advance(n *Node, read func(p int) (tripleMsg, bool)) bool {
-	acc := n.State.(int64)
-	for p := 0; p < n.Degree(); p++ {
-		if m, ok := read(p); ok {
-			acc = acc*1099511628211 + 3*m.A + 5*m.B + 7*m.C + int64(p)
-		}
-	}
-	n.State = acc
-	if n.Round() >= t.rounds {
-		n.Output = acc
-		n.Halt()
-		return false
-	}
-	return true
-}
-
-func (t tripleTag) Step(n *Node, inbox []Message) {
-	send := t.advance(n, func(p int) (tripleMsg, bool) {
-		if inbox[p] == nil {
-			return tripleMsg{}, false
-		}
-		return inbox[p].(tripleMsg), true
-	})
-	if send {
-		n.SendAll(t.fill(n))
-	}
+	n.SetOutputWord(1)
+	t.send(n)
 }
 
 func (t tripleTag) StepWords(n *Node, inbox WordInbox) {
-	send := t.advance(n, func(p int) (tripleMsg, bool) {
-		if !inbox.Has(p) {
-			return tripleMsg{}, false
-		}
-		w := inbox.Words(p)
-		return tripleMsg{A: w[0], B: w[1], C: w[2]}, true
-	})
-	if send {
-		m := t.fill(n)
-		for p := 0; p < n.Degree(); p++ {
-			w := n.SendWords(p)
-			w[0], w[1], w[2] = m.A, m.B, m.C
+	acc := n.OutputWords()[0]
+	for p := 0; p < inbox.Ports(); p++ {
+		if inbox.Has(p) {
+			w := inbox.Words(p)
+			acc = acc*1099511628211 + 3*w[0] + 5*w[1] + 7*w[2] + int64(p)
 		}
 	}
+	n.SetOutputWord(acc)
+	if n.Round() >= t.rounds {
+		n.Halt()
+		return
+	}
+	t.send(n)
 }
 
-// runBoth runs the same fixed-width program over both transports and
-// fails unless the results are bit-for-bit identical.
-func runBoth(t *testing.T, net *Network, algo FixedWidthAlgorithm, opts RunOptions) *Result {
+// runGolden is a frozen run: FNV-64a hash of the output column (8-byte
+// little-endian words), rounds and messages.
+type runGolden struct {
+	hash     uint64
+	rounds   int
+	messages int64
+}
+
+func hashWords(ws []int64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, x := range ws {
+		for i := range buf {
+			buf[i] = byte(uint64(x) >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// checkFrozen runs algo and fails unless its outputs, rounds and messages
+// match the frozen run. The goldens in this file were captured from the
+// boxed []any transport, which these tests used to compare the batch
+// transport against before the boxed plane was deleted.
+func checkFrozen(t *testing.T, net *Network, algo Algorithm, opts RunOptions, want runGolden) *Result {
 	t.Helper()
-	opts.Delivery = DeliveryBoxed
-	boxed, err := net.Run(algo, opts)
+	res, err := net.Run(algo, opts)
 	if err != nil {
-		t.Fatalf("boxed run: %v", err)
+		t.Fatal(err)
 	}
-	opts.Delivery = DeliveryBatch
-	batch, err := net.Run(algo, opts)
-	if err != nil {
-		t.Fatalf("batch run: %v", err)
+	if got := (runGolden{hashWords(res.OutputWords), res.Rounds, res.Messages}); got != want {
+		t.Fatalf("got {%#x, %d, %d}, frozen boxed run had {%#x, %d, %d}",
+			got.hash, got.rounds, got.messages, want.hash, want.rounds, want.messages)
 	}
-	boxed.Wall, batch.Wall = 0, 0 // host wall time, not deterministic
-	if !reflect.DeepEqual(boxed, batch) {
-		t.Fatalf("transports diverged:\nboxed: rounds=%d messages=%d\nbatch: rounds=%d messages=%d",
-			boxed.Rounds, boxed.Messages, batch.Rounds, batch.Messages)
-	}
-	return batch
+	return res
 }
 
 func TestBatchMatchesBoxedOnRandomGraphs(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(500 + seed))
+	for seed, want := range []runGolden{
+		{0x1d3aa8b039cfd84d, 8, 12061},
+		{0x32b19bab252534d2, 8, 12764},
+		{0xe3ff2e35b4bb8825, 8, 12789},
+		{0xae48d0674827850d, 8, 12518},
+	} {
+		rng := rand.New(rand.NewSource(500 + int64(seed)))
 		g := graph.Gnp(200, 0.04, rng)
-		net := NewNetworkPermuted(g, rng)
-		runBoth(t, net, wordGossip{rounds: 6}, RunOptions{})
+		checkFrozen(t, NewNetworkPermuted(g, rng), wordGossip{rounds: 6}, RunOptions{}, want)
 	}
 }
 
@@ -182,19 +143,19 @@ func TestBatchMatchesBoxedUnderFilters(t *testing.T) {
 		labels[v] = rng.Intn(3)
 		active[v] = rng.Intn(5) > 0
 	}
-	res := runBoth(t, net, wordGossip{rounds: 5}, RunOptions{Labels: labels, Active: active})
-	for v, o := range res.Outputs {
-		if (o == nil) != !active[v] {
-			t.Fatalf("vertex %d active=%v but output %v", v, active[v], o)
+	res := checkFrozen(t, net, wordGossip{rounds: 5}, RunOptions{Labels: labels, Active: active},
+		runGolden{0xd7f2dc0dc1c2f2e0, 7, 3619})
+	for v, w := range res.OutputWords {
+		if !active[v] && w != 0 {
+			t.Fatalf("inactive vertex %d has output %d", v, w)
 		}
 	}
 }
 
 func TestBatchMatchesBoxedMultiWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(520))
-	g := graph.Grid(12, 12)
-	net := NewNetworkPermuted(g, rng)
-	runBoth(t, net, tripleTag{rounds: 5}, RunOptions{})
+	net := NewNetworkPermuted(graph.Grid(12, 12), rng)
+	checkFrozen(t, net, tripleTag{rounds: 5}, RunOptions{}, runGolden{0xc485ff95ef0109b5, 5, 2640})
 }
 
 func TestBatchParallelMatchesSequential(t *testing.T) {
@@ -202,7 +163,7 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 		rng := rand.New(rand.NewSource(530))
 		g := graph.ForestUnion(600, 4, rng)
 		net := NewNetworkPermuted(g, rng)
-		res, err := net.Run(wordGossip{rounds: 8}, RunOptions{Delivery: DeliveryBatch, Workers: workers})
+		res, err := net.Run(wordGossip{rounds: 8}, RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,157 +177,41 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// wordHaltSender reproduces the halting-send test on the batch path: the
-// sender transmits once while halting in Init; the listener records the
-// rounds in which it heard anything through round 5. Both round parities
-// recur twice after the send, so a stale sent flag (the clear-on-halt
-// path) would re-deliver in round 3 or 5.
-type wordHaltSender struct{}
-
-func (wordHaltSender) MessageWords() int { return 1 }
-
-func (wordHaltSender) Init(n *Node) {
-	if n.ID() == 1 {
-		n.SendAll(999)
-		n.Output = 0
-		n.Halt()
-	}
-}
-
-func (wordHaltSender) InitWords(n *Node) {
-	if n.ID() == 1 {
-		n.SendAllWord(999)
-		n.Output = 0
-		n.Halt()
-	}
-}
-
-func (wordHaltSender) listen(n *Node, heardNow bool) {
-	var heard []int
-	if n.State != nil {
-		heard = n.State.([]int)
-	}
-	if heardNow {
-		heard = append(heard, n.Round())
-	}
-	n.State = heard
-	if n.Round() == 5 {
-		n.Output = heard
-		n.Halt()
-	}
-}
-
-func (a wordHaltSender) Step(n *Node, inbox []Message) {
-	heard := false
-	for _, m := range inbox {
-		if m != nil {
-			heard = true
-		}
-	}
-	a.listen(n, heard)
-}
-
-func (a wordHaltSender) StepWords(n *Node, inbox WordInbox) {
-	heard := false
-	for p := 0; p < inbox.Ports(); p++ {
-		if inbox.Has(p) {
-			heard = true
-		}
-	}
-	a.listen(n, heard)
-}
-
+// TestBatchHaltingSendDeliveredExactlyOnce listens through round 5: both
+// round parities recur twice after the send, so a stale sent flag (the
+// clear-on-halt path) would re-deliver in round 3 or 5.
 func TestBatchHaltingSendDeliveredExactlyOnce(t *testing.T) {
 	net := NewNetwork(graph.Path(2))
-	res := runBoth(t, net, wordHaltSender{}, RunOptions{})
-	if got := res.Outputs[1].([]int); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("vertex 1 heard in rounds %v, want [1] only", got)
+	res, err := net.Run(haltSender{until: 5}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.OutputWords[1]; got != 1<<1 {
+		t.Fatalf("vertex 1 heard in rounds %b, want round 1 only", got)
 	}
 }
 
-// transportProbe reports which transport ran it.
-type transportProbe struct{}
-
-func (transportProbe) MessageWords() int              { return 1 }
-func (transportProbe) Init(n *Node)                   { n.Output = "boxed"; n.Halt() }
-func (transportProbe) InitWords(n *Node)              { n.Output = "batch"; n.Halt() }
-func (transportProbe) Step(n *Node, inbox []Message)  {}
-func (transportProbe) StepWords(n *Node, i WordInbox) {}
-
-func TestDeliveryResolution(t *testing.T) {
-	g := graph.Path(2)
-	probe := func(net *Network, opts RunOptions) string {
-		res, err := net.Run(transportProbe{}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Outputs[0].(string)
-	}
-	net := NewNetwork(g)
-	if got := probe(net, RunOptions{}); got != "batch" {
-		t.Errorf("auto on fixed-width algorithm ran %q, want batch", got)
-	}
-	if got := probe(net, RunOptions{Delivery: DeliveryBoxed}); got != "boxed" {
-		t.Errorf("explicit boxed ran %q", got)
-	}
-	boxedNet := net.WithDelivery(DeliveryBoxed)
-	if got := probe(boxedNet, RunOptions{}); got != "boxed" {
-		t.Errorf("network preference boxed ran %q", got)
-	}
-	if got := probe(boxedNet, RunOptions{Delivery: DeliveryBatch}); got != "batch" {
-		t.Errorf("options must override the network preference, ran %q", got)
-	}
-	// Plain algorithms are unaffected by an auto/batch-leaning network.
-	res, err := net.Run(idler{}, RunOptions{MaxRounds: 1})
-	if err == nil || res != nil {
-		t.Error("idler should trip the budget regardless of transport")
-	}
-}
-
-func TestDeliveryValidation(t *testing.T) {
-	net := NewNetwork(graph.Path(2))
-	if _, err := net.Run(idler{}, RunOptions{Delivery: DeliveryBatch}); err == nil {
-		t.Error("DeliveryBatch accepted a non-fixed-width algorithm")
-	}
-	if _, err := net.Run(idler{}, RunOptions{Delivery: Delivery(99)}); err == nil {
-		t.Error("unknown delivery mode accepted")
-	}
-	if _, err := net.Run(zeroWidth{}, RunOptions{}); err == nil {
-		t.Error("zero-word algorithm accepted")
-	}
-}
-
-type zeroWidth struct{}
-
-func (zeroWidth) MessageWords() int              { return 0 }
-func (zeroWidth) Init(n *Node)                   {}
-func (zeroWidth) InitWords(n *Node)              {}
-func (zeroWidth) Step(n *Node, inbox []Message)  {}
-func (zeroWidth) StepWords(n *Node, i WordInbox) {}
-
-// crossSender calls the wrong transport's send; the engine must reject it
-// loudly instead of corrupting buffers.
-type crossSender struct{ useBoxedSend bool }
+// crossSender misuses the send API; the engine must reject it loudly
+// instead of corrupting the columns.
+type crossSender struct{ badPort bool }
 
 func (crossSender) MessageWords() int { return 2 }
-func (c crossSender) Init(n *Node) {
-	n.SendWords(0) // boxed transport: must panic
-}
+func (crossSender) InputWidth() int   { return 0 }
+func (crossSender) OutputWidth() int  { return 0 }
 func (c crossSender) InitWords(n *Node) {
-	if c.useBoxedSend {
-		n.Send(0, 1) // batch transport: must panic
+	if c.badPort {
+		n.SendWords(n.Degree()) // one past the last port: must panic
 	} else {
 		n.SendWord(0, 1) // width is 2: must panic
 	}
 }
-func (crossSender) Step(n *Node, inbox []Message)  {}
 func (crossSender) StepWords(n *Node, i WordInbox) {}
 
 // wantContained drives a run whose vertex program misuses the engine
-// (the engine panics inside the program's Init/Step). The run-control
-// plane must contain that panic into the deterministic Node.Fail path:
-// an error wrapping ErrVertexPanic that still quotes the engine's own
-// misuse message, plus a partial Result - never a crash.
+// (the engine panics inside the program's InitWords/StepWords). The
+// run-control plane must contain that panic into the deterministic
+// Node.Fail path: an error wrapping ErrVertexPanic that still quotes the
+// engine's own misuse message, plus a partial Result - never a crash.
 func wantContained(t *testing.T, substr string, f func() (*Result, error)) {
 	t.Helper()
 	res, err := f()
@@ -387,14 +232,11 @@ func wantContained(t *testing.T, substr string, f func() (*Result, error)) {
 
 func TestTransportMisusePanics(t *testing.T) {
 	net := NewNetwork(graph.Path(2))
-	wantContained(t, "SendWords outside the batch transport", func() (*Result, error) {
-		return net.Run(crossSender{}, RunOptions{Delivery: DeliveryBoxed})
-	})
-	wantContained(t, "Send on the batch transport", func() (*Result, error) {
-		return net.Run(crossSender{useBoxedSend: true}, RunOptions{Delivery: DeliveryBatch})
-	})
 	wantContained(t, "SendWord with 2-word messages", func() (*Result, error) {
-		return net.Run(crossSender{}, RunOptions{Delivery: DeliveryBatch})
+		return net.Run(crossSender{}, RunOptions{})
+	})
+	wantContained(t, "sends on port 1 of 1", func() (*Result, error) {
+		return net.Run(crossSender{badPort: true}, RunOptions{})
 	})
 }
 
@@ -404,83 +246,56 @@ func TestBatchNetworkReusableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	firstWords := append([]int64(nil), first.OutputWords...)
 	second, err := net.Run(wordGossip{rounds: 4}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.Wall, second.Wall = 0, 0 // host wall time, not deterministic
-	if !reflect.DeepEqual(first, second) {
+	if first.Rounds != second.Rounds || first.Messages != second.Messages ||
+		!reflect.DeepEqual(firstWords, second.OutputWords) {
 		t.Fatal("re-running on the same network changed the result")
 	}
 }
 
 // flood is the delivery-path benchmark program: one word per message,
-// per-node state held behind a pointer so neither transport boxes state,
-// leaving message delivery as the only difference between the paths.
+// the per-node digest kept in the output column, leaving message delivery
+// as the loop's only work besides the add.
 type flood struct{ rounds int }
 
 func (flood) MessageWords() int { return 1 }
-
-func (f flood) Init(n *Node) {
-	acc := new(int64)
-	*acc = int64(n.ID())
-	n.State = acc
-	n.SendAll(n.ID() + 100000)
-}
+func (flood) InputWidth() int   { return 0 }
+func (flood) OutputWidth() int  { return 1 }
 
 func (f flood) InitWords(n *Node) {
-	acc := new(int64)
-	*acc = int64(n.ID())
-	n.State = acc
+	n.SetOutputWord(int64(n.ID()))
 	n.SendAllWord(int64(n.ID() + 100000))
 }
 
-func (f flood) Step(n *Node, inbox []Message) {
-	acc := n.State.(*int64)
-	for _, m := range inbox {
-		if m != nil {
-			*acc += int64(m.(int))
-		}
-	}
-	if n.Round() >= f.rounds {
-		n.Output = acc
-		n.Halt()
-		return
-	}
-	n.SendAll(int(*acc%1000003) + 100000)
-}
-
 func (f flood) StepWords(n *Node, inbox WordInbox) {
-	acc := n.State.(*int64)
+	acc := n.OutputWords()
 	for p := 0; p < inbox.Ports(); p++ {
 		if inbox.Has(p) {
-			*acc += inbox.Word(p)
+			acc[0] += inbox.Word(p)
 		}
 	}
 	if n.Round() >= f.rounds {
-		n.Output = acc
 		n.Halt()
 		return
 	}
-	n.SendAllWord(*acc%1000003 + 100000)
+	n.SendAllWord(acc[0]%1000003 + 100000)
 }
 
-func benchmarkDelivery(b *testing.B, d Delivery) {
+// BenchmarkDeliveryBatch measures one Run of a 16-round one-word flood on
+// the columnar message transport.
+func BenchmarkDeliveryBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.ForestUnion(4096, 4, rng)
 	net := NewNetworkPermuted(g, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.Run(flood{rounds: 16}, RunOptions{Delivery: d}); err != nil {
+		if _, err := net.Run(flood{rounds: 16}, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkDeliveryBoxed measures one Run of a 16-round one-word flood on
-// the []any path; BenchmarkDeliveryBatch is the same program on the
-// columnar path. The alloc delta is the per-message boxing plus the
-// per-node inbox/outbox buffers the batch transport eliminates.
-func BenchmarkDeliveryBoxed(b *testing.B) { benchmarkDelivery(b, DeliveryBoxed) }
-func BenchmarkDeliveryBatch(b *testing.B) { benchmarkDelivery(b, DeliveryBatch) }

@@ -42,45 +42,48 @@ var ErrVertexPanic = errors.New("dist: vertex program panicked")
 // legitimate run in this repository finishes orders of magnitude earlier.
 const defaultMaxRounds = 1 << 20
 
-// Message is the unit of communication. Any non-nil value can be sent;
-// nil marks a silent port in inboxes.
-type Message = any
-
-// Algorithm is a vertex program. Init runs once per node at round 0 and
-// typically stores per-node state in Node.State and sends opening
-// messages. Step runs once per round on every node that has not halted;
-// inbox[p] holds the message the neighbor on visible port p sent in the
-// previous round, or nil if it sent nothing. The inbox slice is reused by
-// the engine and must not be retained across calls.
+// Algorithm is a vertex program. Every message it sends is exactly
+// MessageWords() int64 words, and its per-vertex input and output are
+// fixed-width word columns (wordio.go). InitWords runs once per node at
+// round 0 and sends the opening messages. StepWords runs once per round on
+// every node that has not halted; the inbox holds the words each visible
+// neighbor sent in the previous round (batch.go).
 type Algorithm interface {
-	Init(n *Node)
-	Step(n *Node, inbox []Message)
+	// MessageWords returns the fixed per-message word count W >= 1. It
+	// must be constant across the run.
+	MessageWords() int
+	// InputWidth returns the per-vertex input word count (>= 0), or
+	// PerPort. Zero means the program takes no input column. The width
+	// may depend on the algorithm value (e.g. a variant flag), but must
+	// be constant across one Run.
+	InputWidth() int
+	// OutputWidth returns the per-vertex output word count (>= 0), or
+	// PerPort. Zero means the program produces no output column.
+	OutputWidth() int
+	// InitWords is round 0: send with SendWord / SendWords / SendAllWord.
+	InitWords(n *Node)
+	// StepWords is one round; inbox is the columnar view of the words
+	// received this round.
+	StepWords(n *Node, inbox WordInbox)
 }
 
 // RunOptions configures a single Run.
 type RunOptions struct {
-	// Inputs holds per-vertex inputs, exposed as Node.Input (nil = no
-	// inputs). Length must be the vertex count when non-nil.
-	Inputs []any
 	// Labels restricts communication to the label-induced subgraphs: only
 	// same-label neighbors are visible (nil = one subgraph).
 	Labels []int
 	// Active masks the run to a vertex subset: inactive vertices do not
-	// run at all, are invisible to their neighbors, and report a nil
-	// Output (nil = all active).
+	// run at all, are invisible to their neighbors, and read as zero
+	// words in fixed-width output columns (nil = all active).
 	Active []bool
-	// MaxRounds bounds the number of Step rounds; exceeding it aborts the
-	// run with ErrMaxRounds. Zero means the (very large) engine default.
+	// MaxRounds bounds the number of StepWords rounds; exceeding it
+	// aborts the run with ErrMaxRounds. Zero means the (very large)
+	// engine default.
 	MaxRounds int
-	// Delivery selects the message transport (see the Delivery constants).
-	// The zero value resolves to the batch transport exactly when the
-	// algorithm implements FixedWidthAlgorithm.
-	Delivery Delivery
-	// InputWords is the flat input column of a word-I/O run (see
-	// wordio.go for the layout). Only valid when the algorithm is a
-	// WordIOAlgorithm running on the batch transport; mutually exclusive
-	// with Inputs. The engine reads it during the Run only, but the
-	// vertex program may reuse its own slots as scratch.
+	// InputWords is the flat input column (see wordio.go for the
+	// layout); its length must match the algorithm's InputWidth. The
+	// engine reads it during the Run only, but the vertex program may
+	// reuse its own slots as scratch.
 	InputWords []int64
 	// Workers paces the run's worker pool - the per-round step fan-out
 	// and the engine's setup/collection sweeps. Zero resolves to the
@@ -107,26 +110,22 @@ type RunOptions struct {
 	// SnapshotOnAbort captures a Snapshot of the round-structured engine
 	// state into Result.Snapshot when the run aborts via Context or
 	// WallBudget (not on vertex failure, whose mid-round state is not
-	// snapshot-clean). Requires a word-I/O batch run whose state lives
-	// entirely in the word columns (see Snapshot); the capture verifies
-	// this and the abort error is annotated if the program does not
-	// qualify.
+	// snapshot-clean). Requires a program whose state lives entirely in
+	// the word columns (see Snapshot); the capture verifies this and the
+	// abort error is annotated if the program does not qualify.
 	SnapshotOnAbort bool
 }
 
 // Result reports a completed run.
 type Result struct {
-	// Outputs holds each vertex's Node.Output (nil for inactive
-	// vertices). It is nil on word-I/O runs, which report through
-	// OutputWords instead of boxing n values.
-	Outputs []any
-	// OutputWords is the flat output column of a word-I/O run (nil
-	// otherwise). It aliases an engine-owned column that the next
-	// word-I/O Run on the same Network reclaims and re-zeroes: decode or
-	// copy it before starting another run.
+	// OutputWords is the flat output column (nil when the algorithm
+	// declares no output). It aliases an engine-owned column that the
+	// next Run on the same Network reclaims and re-zeroes: decode or copy
+	// it before starting another run.
 	OutputWords []int64
-	// Rounds is the number of Step rounds executed - the LOCAL running
-	// time. A run in which every node halts during Init costs 0 rounds.
+	// Rounds is the number of StepWords rounds executed - the LOCAL
+	// running time. A run in which every node halts during InitWords
+	// costs 0 rounds.
 	Rounds int
 	// Messages is the total number of messages sent.
 	Messages int64
@@ -145,34 +144,28 @@ type Result struct {
 	Snapshot *Snapshot
 }
 
-// Node is the per-vertex view an Algorithm operates on. Input, State and
-// Output are the program-visible slots; everything else is engine state.
+// Node is the per-vertex view an Algorithm operates on. State is the one
+// program-owned slot; everything else is engine state, reached through
+// the word-column accessors.
 type Node struct {
-	// Input is the per-vertex input from RunOptions.Inputs.
-	Input any
-	// State holds arbitrary per-node algorithm state across rounds.
+	// State holds arbitrary per-node algorithm state across rounds (e.g.
+	// a randomized program's per-node rand.Rand). Programs that keep
+	// their state in the word columns leave it nil, which is what makes
+	// their runs snapshotable.
 	State any
-	// Output is the node's result, read by the caller after the run.
-	Output any
 
 	id     int
 	vertex int
 	total  int
 	round  int
 	ports  []int
-	// bufs are the double-buffered per-port outboxes and inbox the
-	// delivery view of the boxed transport; out aliases the buffer for
-	// the round currently executing. All stay nil on the batch
-	// transport, which aliases wout/wmark into the engine's word
-	// columns instead (see batch.go).
-	bufs  [2][]Message
-	inbox []Message
-	out   []Message
+	// wout/wmark alias the node's outbox slots in the current round's
+	// message column (batch.go).
 	width int
 	wout  []int64
 	wmark []uint8
-	// win/wob are the word-I/O input and output views (wordio.go); both
-	// stay nil outside word-I/O runs.
+	// win/wob are the input and output column views (wordio.go); nil
+	// when the algorithm declares no input or output.
 	win    []int64
 	wob    []int64
 	fail   *runFailure
@@ -183,8 +176,8 @@ type Node struct {
 // ID returns the node's LOCAL-model identifier in {1..n}.
 func (n *Node) ID() int { return n.id }
 
-// Round returns the current round: 0 during Init, then 1, 2, ... for
-// successive Step calls.
+// Round returns the current round: 0 during InitWords, then 1, 2, ...
+// for successive StepWords calls.
 func (n *Node) Round() int { return n.round }
 
 // Degree returns the number of visible ports (the degree within the
@@ -194,32 +187,6 @@ func (n *Node) Degree() int { return len(n.ports) }
 // N returns the number of vertices of the whole underlying graph, the
 // globally known quantity n of the LOCAL model.
 func (n *Node) N() int { return n.total }
-
-// Send queues msg on the given visible port for delivery next round.
-// Sending again on the same port in one round overwrites. msg must be
-// non-nil (nil encodes silence).
-func (n *Node) Send(port int, msg Message) {
-	if port < 0 || port >= len(n.ports) {
-		panic(fmt.Sprintf("dist: node id=%d sends on port %d of %d", n.id, port, len(n.ports)))
-	}
-	if msg == nil {
-		panic(fmt.Sprintf("dist: node id=%d sends nil message", n.id))
-	}
-	if n.out == nil {
-		panic(fmt.Sprintf("dist: node id=%d calls Send on the batch transport (use SendWord/SendWords)", n.id))
-	}
-	if n.out[port] == nil {
-		n.sent++
-	}
-	n.out[port] = msg
-}
-
-// SendAll sends msg on every visible port.
-func (n *Node) SendAll(msg Message) {
-	for p := range n.ports {
-		n.Send(p, msg)
-	}
-}
 
 // Halt marks the node finished: it takes no further steps and sends
 // nothing after the current call. Messages sent in the same call are
@@ -233,9 +200,6 @@ func (n *Node) Halt() { n.halted = true }
 type Network struct {
 	g   *graph.Graph
 	ids []int
-	// delivery is the transport preference RunOptions.Delivery == Auto
-	// resolves to (itself Auto by default); see WithDelivery.
-	delivery Delivery
 	// workers is the pool size RunOptions.Workers == 0 resolves to
 	// (0 = the auto heuristic); see WithWorkers.
 	workers int
@@ -243,8 +207,8 @@ type Network struct {
 	// on flat networks); the engine-facing copy lives in the session.
 	sharding graph.Sharding
 	// sess is the persistent per-network session: cached topologies and
-	// pooled per-run state. It is a pointer so WithDelivery/WithWorkers
-	// views share it.
+	// pooled per-run state. It is a pointer so WithWorkers/WithProbe/
+	// WithContext views share it.
 	sess *session
 	// probe, when non-nil, receives round- and run-level trace records
 	// from every Run on this view; see WithProbe and probe.go.
@@ -302,19 +266,6 @@ func (net *Network) Graph() *graph.Graph { return net.g }
 // IDs returns a copy of the identifier assignment, indexed by vertex.
 func (net *Network) IDs() []int { return append([]int(nil), net.ids...) }
 
-// WithDelivery returns a view of the network sharing the graph,
-// identifier assignment and session whose Runs resolve
-// RunOptions.Delivery == DeliveryAuto to the given transport preference.
-// Pipelines that call Run internally with default options inherit the
-// preference, which is how shadow tests and the scale harness force the
-// []any fallback (or require the batch path) across a whole multi-phase
-// algorithm without threading an option through every signature.
-func (net *Network) WithDelivery(d Delivery) *Network {
-	c := *net
-	c.delivery = d
-	return &c
-}
-
 // WithContext returns a view of the network sharing the graph,
 // identifier assignment and session whose Runs resolve
 // RunOptions.Context == nil to ctx. Pipelines that call Run internally
@@ -357,9 +308,6 @@ func (net *Network) prepare(algo Algorithm, opts RunOptions) (*simulation, error
 		return nil, errors.New("dist: nil algorithm")
 	}
 	n := net.g.N()
-	if opts.Inputs != nil && len(opts.Inputs) != n {
-		return nil, fmt.Errorf("dist: %d inputs for %d vertices", len(opts.Inputs), n)
-	}
 	if opts.Labels != nil && len(opts.Labels) != n {
 		return nil, fmt.Errorf("dist: %d labels for %d vertices", len(opts.Labels), n)
 	}
@@ -375,12 +323,8 @@ func (net *Network) prepare(algo Algorithm, opts RunOptions) (*simulation, error
 	if opts.WallBudget < 0 {
 		return nil, fmt.Errorf("dist: negative wall budget %v", opts.WallBudget)
 	}
-	batch, err := net.resolveDelivery(algo, opts)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now() //distvet:wallclock setup-vs-compute attribution (Result.Wall, RunRecord.SetupNS); wall figures are documented non-deterministic
-	s, err := newSimulation(net, algo, opts, batch)
+	s, err := newSimulation(net, algo, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -388,30 +332,6 @@ func (net *Network) prepare(algo Algorithm, opts RunOptions) (*simulation, error
 	s.setupNS = time.Since(start).Nanoseconds() //distvet:wallclock same setup-vs-compute attribution
 	s.initAbort()
 	return s, nil
-}
-
-// resolveDelivery picks the transport of a Run: the explicit
-// RunOptions.Delivery, else the Network preference, else (Auto) the batch
-// transport exactly when the algorithm is fixed-width.
-func (net *Network) resolveDelivery(algo Algorithm, opts RunOptions) (bool, error) {
-	d := opts.Delivery
-	if d == DeliveryAuto {
-		d = net.delivery
-	}
-	_, isFW := algo.(FixedWidthAlgorithm)
-	switch d {
-	case DeliveryAuto:
-		return isFW, nil
-	case DeliveryBoxed:
-		return false, nil
-	case DeliveryBatch:
-		if !isFW {
-			return false, fmt.Errorf("dist: DeliveryBatch requires a FixedWidthAlgorithm, got %T", algo)
-		}
-		return true, nil
-	default:
-		return false, fmt.Errorf("dist: unknown delivery mode %d", int(d))
-	}
 }
 
 // simulation is the per-Run state of the engine. It is pooled inside the
@@ -468,12 +388,11 @@ type simulation struct {
 	startRound int
 	resumed    bool
 
-	// Batch-transport state (see batch.go); fw is nil on the boxed path.
-	fw     FixedWidthAlgorithm
+	// Message-column state (see batch.go).
 	width  int
 	wwords [2][]int64
 	wsent  [2][]uint8
-	// shWords/shSent are the per-shard column views of a sharded batch
+	// shWords/shSent are the per-shard column views of a sharded
 	// run (shard.go); nil on flat runs, where wwords/wsent serve.
 	shWords [2][][]int64
 	shSent  [2][][]uint8
@@ -483,23 +402,23 @@ type simulation struct {
 	shIn   [2]shardCols
 	clearQ []int // nodes halted last round, flags pending a clear
 
-	// Word-I/O state (see wordio.go); wio is nil outside word-I/O runs.
-	wio    WordIOAlgorithm
+	// outCol is the output column (wordio.go); nil when the algorithm
+	// declares no output.
 	outCol []int64
 }
 
-// maxSlots bounds the columnar slot space of a batch run.
+// maxSlots bounds the columnar slot space of a run.
 const maxSlots = 1 << 31
 
 // newSimulation assembles a run: resolve the (cached) topology, validate
 // the algorithm's declared shape against it, borrow the pooled per-run
 // state and wire every live node in one parallel sweep.
-func newSimulation(net *Network, algo Algorithm, opts RunOptions, batch bool) (*simulation, error) {
+func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, error) {
 	n := net.g.N()
 	// The topology's delivery-slot table is int32: guard the whole-graph
 	// directed edge count (which bounds every filtered run's visible port
-	// count) BEFORE building anything, on both transports, so an
-	// oversized graph can never leave a wrapped table in the cache.
+	// count) BEFORE building anything, so an oversized graph can never
+	// leave a wrapped table in the cache.
 	if 2*net.g.M() >= maxSlots {
 		return nil, fmt.Errorf("dist: graph has %d directed edges (max %d)", 2*net.g.M(), maxSlots-1)
 	}
@@ -507,53 +426,23 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions, batch bool) (*
 	setupW := sweepWorkersFor(n, workers, explicit)
 	topo, topoHit := net.sess.topology(net.g, opts.Labels, opts.Active, setupW)
 
-	var fw FixedWidthAlgorithm
-	var wio WordIOAlgorithm
-	width := 0
-	iw, ow := 0, 0
-	if batch {
-		fw = algo.(FixedWidthAlgorithm)
-		width = fw.MessageWords()
-		if width < 1 {
-			return nil, fmt.Errorf("dist: fixed-width algorithm declares %d message words", width)
-		}
-		if topo.totalPorts >= maxSlots/width {
-			return nil, fmt.Errorf("dist: batch transport needs %d word slots (max %d)", topo.totalPorts, maxSlots/width)
-		}
-		wio, _ = algo.(WordIOAlgorithm)
+	width := algo.MessageWords()
+	if width < 1 {
+		return nil, fmt.Errorf("dist: algorithm %T declares %d message words", algo, width)
 	}
-	if wio == nil && opts.InputWords != nil {
-		return nil, fmt.Errorf("dist: RunOptions.InputWords requires a WordIOAlgorithm on the batch transport, got %T (batch=%v)", algo, batch)
+	if topo.totalPorts >= maxSlots/width {
+		return nil, fmt.Errorf("dist: message columns need %d word slots (max %d)", topo.totalPorts, maxSlots/width)
+	}
+	iw, ow := algo.InputWidth(), algo.OutputWidth()
+	if iw < PerPort || ow < PerPort {
+		return nil, fmt.Errorf("dist: algorithm %T declares widths (%d, %d)", algo, iw, ow)
 	}
 	inCol := opts.InputWords
-	outLen := 0
-	if wio != nil {
-		iw, ow = wio.InputWidth(), wio.OutputWidth()
-		if iw < PerPort || ow < PerPort {
-			return nil, fmt.Errorf("dist: word-I/O algorithm declares widths (%d, %d)", iw, ow)
-		}
-		if opts.Inputs != nil {
-			return nil, fmt.Errorf("dist: word-I/O algorithm %T takes RunOptions.InputWords, not Inputs", wio)
-		}
-		want := 0
-		switch iw {
-		case PerPort:
-			want = topo.totalPorts
-		default:
-			want = n * iw
-		}
-		if len(inCol) != want {
-			return nil, fmt.Errorf("dist: %d input words for width %d (want %d)", len(inCol), iw, want)
-		}
-		if inCol == nil {
-			inCol = emptyWords
-		}
-		switch ow {
-		case PerPort:
-			outLen = topo.totalPorts
-		default:
-			outLen = n * ow
-		}
+	if want := columnLen(iw, n, topo.totalPorts); len(inCol) != want {
+		return nil, fmt.Errorf("dist: %d input words for width %d (want %d)", len(inCol), iw, want)
+	}
+	if inCol == nil {
+		inCol = emptyWords
 	}
 
 	rs, pooled := net.sess.borrowRun()
@@ -568,9 +457,7 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions, batch bool) (*
 		explicit:      explicit,
 		topoCached:    topoHit,
 		scratchPooled: pooled,
-		fw:            fw,
 		width:         width,
-		wio:           wio,
 	}
 	rs.nodes = grown(rs.nodes, n)
 	rs.arr = grown(rs.arr, n)
@@ -580,32 +467,28 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions, batch bool) (*
 	s.nodes, s.haltedAt = rs.nodes, rs.haltedAt
 	s.live, s.liveSpare = rs.live, rs.liveSpare
 	copy(s.live, topo.live)
-	if batch {
-		// The pooled message columns are NOT zeroed between runs: a
-		// WordInbox only reads slots whose sent flag is set, and every
-		// flag read at round r belongs to a sender that either stepped
-		// round r-1 (clearing its flags at step start) or halted earlier
-		// and had them flushed (flushHaltClears) - so stale content from
-		// a previous run, even one with a different topology, is never
-		// observed.
-		if st := topo.shard; st != nil {
-			s.growShardColumns(rs, st, width)
-		} else {
-			for i := 0; i < 2; i++ {
-				rs.wwords[i] = grown(rs.wwords[i], topo.totalPorts*width)
-				rs.wsent[i] = grown(rs.wsent[i], topo.totalPorts)
-				s.wwords[i], s.wsent[i] = rs.wwords[i], rs.wsent[i]
-			}
+	// The pooled message columns are NOT zeroed between runs: a WordInbox
+	// only reads slots whose sent flag is set, and every flag read at
+	// round r belongs to a sender that either stepped round r-1 (clearing
+	// its flags at step start) or halted earlier and had them flushed
+	// (flushHaltClears) - so stale content from a previous run, even one
+	// with a different topology, is never observed.
+	if st := topo.shard; st != nil {
+		s.growShardColumns(rs, st, width)
+	} else {
+		for i := 0; i < 2; i++ {
+			rs.wwords[i] = grown(rs.wwords[i], topo.totalPorts*width)
+			rs.wsent[i] = grown(rs.wsent[i], topo.totalPorts)
+			s.wwords[i], s.wsent[i] = rs.wwords[i], rs.wsent[i]
 		}
-		s.clearQ = rs.clearQ[:0]
 	}
-	if wio != nil && ow != 0 {
-		s.outCol = net.sess.borrowOut(outLen, setupW)
+	s.clearQ = rs.clearQ[:0]
+	if ow != 0 {
+		s.outCol = net.sess.borrowOut(columnLen(ow, n, topo.totalPorts), setupW)
 	}
 
-	// One parallel sweep wires every vertex: node reset, input binding,
-	// boxed buffers, and the word-I/O column views.
-	inputs := opts.Inputs
+	// One parallel sweep wires every vertex: node reset and the input and
+	// output column views.
 	parfor(n, setupW, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			ports := topo.ports[v]
@@ -615,21 +498,8 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions, batch bool) (*
 				continue
 			}
 			nd := &rs.arr[v]
-			// Recycle the boxed buffers across runs; stale contents are
-			// never read (delivery is guarded by haltedAt / sent flags).
-			b0, b1, ibx := nd.bufs[0], nd.bufs[1], nd.inbox
 			*nd = Node{id: net.ids[v], vertex: v, total: n, ports: ports, fail: &s.failSlot, width: width}
-			if inputs != nil {
-				nd.Input = inputs[v]
-			}
-			if !batch {
-				nd.bufs[0] = grown(b0, len(ports))
-				nd.bufs[1] = grown(b1, len(ports))
-				nd.inbox = grown(ibx, len(ports))
-			}
-			if wio != nil {
-				wireWordIO(nd, s, iw, ow, inCol, v)
-			}
+			wireWordIO(nd, s, iw, ow, inCol, v)
 			s.haltedAt[v] = math.MaxInt
 			s.nodes[v] = nd
 		}
@@ -637,20 +507,15 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions, batch bool) (*
 	return s, nil
 }
 
-// close releases the pooled per-run state: the word output column goes
-// back to the session (the NEXT word-I/O run's borrow reclaims it, which
-// is why Result.OutputWords may alias it until then) and the scratch
-// bundle becomes available to the next run.
+// close releases the pooled per-run state: the output column goes back
+// to the session (the NEXT run's borrow reclaims it, which is why
+// Result.OutputWords may alias it until then) and the scratch bundle
+// becomes available to the next run.
 func (s *simulation) close() {
-	if s.wio != nil {
-		s.net.sess.publishOut(s.outCol)
-	}
+	s.net.sess.publishOut(s.outCol)
 	// Slices the run grew in place flow back into the scratch so their
-	// capacity survives into the next run. clearQ is batch-only state:
-	// boxed runs leave the pooled queue (and its capacity) untouched.
-	if s.fw != nil {
-		s.rs.clearQ = s.clearQ[:0]
-	}
+	// capacity survives into the next run.
+	s.rs.clearQ = s.clearQ[:0]
 	s.net.sess.releaseRun(s.rs)
 }
 
@@ -684,10 +549,8 @@ func (s *simulation) run() (*Result, error) {
 				len(s.live), budget, ErrMaxRounds)
 		}
 		s.stepRound(r)
-		if s.fw != nil {
-			// Halting sends of round r-1 are delivered; drop the flags.
-			s.flushHaltClears()
-		}
+		// Halting sends of round r-1 are delivered; drop the flags.
+		s.flushHaltClears()
 		rounds = r
 		s.collectHalted(r)
 		if err := s.failSlot.take(); err != nil {
@@ -699,12 +562,10 @@ func (s *simulation) run() (*Result, error) {
 			}
 		}
 	}
-	outs, msgs := s.collectResults()
 	return &Result{
-		Outputs:     outs,
 		OutputWords: s.outCol,
 		Rounds:      rounds,
-		Messages:    msgs,
+		Messages:    s.collectMessages(),
 		Wall:        time.Since(s.start), //distvet:wallclock Result.Wall is host-side observability, documented non-deterministic
 		PeakLive:    len(s.topo.live),
 	}, nil
@@ -750,12 +611,10 @@ func (s *simulation) checkAbort() error {
 // vertex failure - at a round boundary: the outputs and message totals
 // of the rounds completed so far, in the same shape as a completed run.
 func (s *simulation) partial(rounds int) *Result {
-	outs, msgs := s.collectResults()
 	return &Result{
-		Outputs:     outs,
 		OutputWords: s.outCol,
 		Rounds:      rounds,
-		Messages:    msgs,
+		Messages:    s.collectMessages(),
 		Wall:        time.Since(s.start), //distvet:wallclock Result.Wall is host-side observability, documented non-deterministic
 		PeakLive:    len(s.topo.live),
 	}
@@ -777,28 +636,13 @@ func (s *simulation) abortResult(rounds int, abortErr error) (*Result, error) {
 	return res, abortErr
 }
 
-// collectResults gathers the boxed outputs and the message total in one
-// parallel sweep (per-chunk partial sums, deterministically reduced).
-// Word-I/O runs report through the output column; boxing n outputs into
-// []any is exactly what the typed plane exists to avoid.
-func (s *simulation) collectResults() ([]any, int64) {
+// collectMessages sums the per-node send counters in one parallel sweep
+// (per-chunk partial sums, deterministically reduced).
+func (s *simulation) collectMessages() int64 {
 	n := s.net.g.N()
-	var outs []any
-	if s.wio == nil {
-		outs = make([]any, n)
-	}
 	w := s.sweepWorkers(n)
 	if w <= 1 {
-		var msgs int64
-		for v := 0; v < n; v++ {
-			if nd := s.nodes[v]; nd != nil {
-				if outs != nil {
-					outs[v] = nd.Output
-				}
-				msgs += nd.sent
-			}
-		}
-		return outs, msgs
+		return s.sentTotal()
 	}
 	s.rs.sums = grown(s.rs.sums, w)
 	sums := s.rs.sums
@@ -807,9 +651,6 @@ func (s *simulation) collectResults() ([]any, int64) {
 		var msgs int64
 		for v := lo; v < hi; v++ {
 			if nd := s.nodes[v]; nd != nil {
-				if outs != nil {
-					outs[v] = nd.Output
-				}
 				msgs += nd.sent
 			}
 		}
@@ -819,10 +660,10 @@ func (s *simulation) collectResults() ([]any, int64) {
 	for _, m := range sums[:(n+chunk-1)/chunk] {
 		msgs += m
 	}
-	return outs, msgs
+	return msgs
 }
 
-// stepRound executes round r (round 0 = Init) on every live node. Nodes
+// stepRound executes round r (round 0 = InitWords) on every live node. Nodes
 // touch only their own state, and message delivery reads the previous
 // round's buffers and between-round haltedAt marks, so the live set can
 // be split across workers without changing results. Long-tail rounds of
@@ -846,7 +687,7 @@ func (s *simulation) stepRound(r int) {
 
 // stepSliceGuarded runs stepSlice under the panic guard: a panic out of
 // a vertex program (or an engine misuse panic raised inside one, e.g. a
-// bad Send port) is recovered on this worker goroutine and converted
+// bad SendWord port) is recovered on this worker goroutine and converted
 // into the Node.Fail path so the run degrades to a deterministic failed
 // run instead of a crashed process. cur points at this chunk's pooled
 // cursor slot; stepSlice keeps it on the live-list index being stepped.
@@ -885,57 +726,45 @@ func (s *simulation) recoverStep(r, lo, hi int, cur *int) {
 	s.failSlot.record(-1, -1, err)
 }
 
-// stepSlice steps the live nodes in [lo, hi): per-round buffer rebinding,
-// inbox wiring and the Init/Step dispatch. This is the per-node round
-// loop; the only allocations on a steady-state round are the vertex
-// program's own.
+// stepSlice steps the live nodes in [lo, hi): per-round outbox binding
+// and the InitWords/StepWords dispatch. This is the per-node round loop;
+// the only allocations on a steady-state round are the vertex program's
+// own. The slot bases and the inSlots delivery table come from the
+// session-cached topology (session.go); the round-parity columns are the
+// pooled, intentionally non-zeroed arrays of the run scratch - every flag
+// a WordInbox reads was cleared this run by its owner's step
+// (clear(nd.wmark) below) or by flushHaltClears, so stale content from
+// earlier runs is never observed. Sharded topologies step against
+// shard-local columns instead (shard.go).
 //
 //distvet:noalloc
 func (s *simulation) stepSlice(r, lo, hi int, cur *int) {
-	if s.fw != nil {
-		if s.topo.shard != nil {
-			s.stepSliceBatchSharded(r, lo, hi, cur)
-		} else {
-			s.stepSliceBatch(r, lo, hi, cur)
-		}
+	if s.topo.shard != nil {
+		s.stepSliceSharded(r, lo, hi, cur)
 		return
 	}
+	w := s.width
+	par := r % 2
+	words := s.wwords[par]
+	sent := s.wsent[par]
 	base := s.topo.base
-	inSlots := s.topo.inSlots
-	st := s.topo.shard
+	in := WordInbox{width: w, words: s.wwords[1-par], sent: s.wsent[1-par]}
 	for i := lo; i < hi; i++ {
 		*cur = i
 		v := s.live[i]
 		nd := s.nodes[v]
 		nd.round = r
-		nd.out = nd.bufs[r%2]
-		for p := range nd.out {
-			nd.out[p] = nil
-		}
+		b := base[v]
+		deg := len(nd.ports)
+		nd.wout = words[b*w : (b+deg)*w : (b+deg)*w]
+		nd.wmark = sent[b : b+deg : b+deg]
+		clear(nd.wmark)
 		if r == 0 {
-			s.algo.Init(nd)
+			s.algo.InitWords(nd)
 			continue
 		}
-		in := nd.inbox
-		prev := (r - 1) % 2
-		b := base[v]
-		for p, u := range nd.ports {
-			// The neighbor's previous-round buffer is live exactly when
-			// it stepped that round, i.e. halted no earlier. Its port
-			// back to us is its delivery slot minus its slot base; on a
-			// sharded topology the slot is shard-local and the boundary
-			// table supplies the sending shard's slot offset.
-			if s.haltedAt[u] >= r-1 {
-				slot := int(inSlots[b+p])
-				if st != nil {
-					slot += st.slotCuts[st.inShard[b+p]]
-				}
-				in[p] = s.nodes[u].bufs[prev][slot-base[u]]
-			} else {
-				in[p] = nil
-			}
-		}
-		s.algo.Step(nd, in)
+		in.slots = s.topo.slots(v)
+		s.algo.StepWords(nd, in)
 	}
 }
 
@@ -951,9 +780,7 @@ func (s *simulation) collectHalted(r int) {
 		for _, v := range s.live {
 			if s.nodes[v].halted {
 				s.haltedAt[v] = r
-				if s.fw != nil {
-					s.clearQ = append(s.clearQ, v)
-				}
+				s.clearQ = append(s.clearQ, v)
 			} else {
 				kept = append(kept, v)
 			}
@@ -985,9 +812,7 @@ func (s *simulation) collectHalted(r int) {
 	}
 	starts[chunks] = keptTotal
 	clearBase := len(s.clearQ)
-	if s.fw != nil {
-		s.clearQ = grownKeep(s.clearQ, clearBase+(m-keptTotal))
-	}
+	s.clearQ = grownKeep(s.clearQ, clearBase+(m-keptTotal))
 	dst := s.liveSpare
 	parfor(m, w, func(lo, hi int) {
 		c := lo / chunk
@@ -999,10 +824,8 @@ func (s *simulation) collectHalted(r int) {
 		for i := lo; i < hi; i++ {
 			v := s.live[i]
 			if s.nodes[v].halted {
-				if s.fw != nil {
-					s.clearQ[ho] = v
-					ho++
-				}
+				s.clearQ[ho] = v
+				ho++
 			} else {
 				dst[ko] = v
 				ko++

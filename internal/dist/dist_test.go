@@ -10,47 +10,49 @@ import (
 )
 
 // chainColor 2-colors a path: the head (no predecessor port) outputs 0 in
-// Init; every other node waits for its predecessor's color c and outputs
-// 1-c. Input is the port leading to the predecessor, or -1 for the head.
+// InitWords; every other node waits for its predecessor's color c and
+// outputs 1-c. The input word is the port leading to the predecessor, or
+// -1 for the head.
 type chainColor struct{}
 
-func (chainColor) Init(n *Node) {
-	if n.Input.(int) < 0 {
-		n.Output = 0
-		n.SendAll(0)
+func (chainColor) MessageWords() int { return 1 }
+func (chainColor) InputWidth() int   { return 1 }
+func (chainColor) OutputWidth() int  { return 1 }
+
+func (chainColor) InitWords(n *Node) {
+	if n.InputWords()[0] < 0 {
+		n.SetOutputWord(0)
+		n.SendAllWord(0)
 		n.Halt()
 	}
 }
 
-func (chainColor) Step(n *Node, inbox []Message) {
-	p := n.Input.(int)
-	if inbox[p] == nil {
+func (chainColor) StepWords(n *Node, inbox WordInbox) {
+	p := int(n.InputWords()[0])
+	if !inbox.Has(p) {
 		return
 	}
-	c := 1 - inbox[p].(int)
-	n.Output = c
-	n.SendAll(c)
+	c := 1 - inbox.Word(p)
+	n.SetOutputWord(c)
+	n.SendAllWord(c)
 	n.Halt()
 }
 
-func pathInputs(n int) []any {
-	inputs := make([]any, n)
-	inputs[0] = -1
-	for v := 1; v < n; v++ {
-		inputs[v] = 0 // predecessor v-1 is the smaller neighbor: port 0
-	}
+func pathInputs(n int) []int64 {
+	inputs := make([]int64, n)
+	inputs[0] = -1 // every later vertex's predecessor v-1 is its smaller neighbor: port 0
 	return inputs
 }
 
 func TestPathTwoColoringEndToEnd(t *testing.T) {
 	const n = 17
 	net := NewNetwork(graph.Path(n))
-	res, err := net.Run(chainColor{}, RunOptions{Inputs: pathInputs(n)})
+	res, err := net.Run(chainColor{}, RunOptions{InputWords: pathInputs(n)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	colors, err := IntOutputs(res, -1)
-	if err != nil {
+	colors := make([]int, n)
+	if err := IntsFromWords(res, colors); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < n; v++ {
@@ -73,12 +75,12 @@ func TestErrMaxRoundsSurfaces(t *testing.T) {
 	const n = 9
 	net := NewNetwork(graph.Path(n))
 	// Budget too small for the wave to reach the tail.
-	_, err := net.Run(chainColor{}, RunOptions{Inputs: pathInputs(n), MaxRounds: n / 2})
+	_, err := net.Run(chainColor{}, RunOptions{InputWords: pathInputs(n), MaxRounds: n / 2})
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
 	// Exactly enough rounds: no error.
-	if _, err := net.Run(chainColor{}, RunOptions{Inputs: pathInputs(n), MaxRounds: n - 1}); err != nil {
+	if _, err := net.Run(chainColor{}, RunOptions{InputWords: pathInputs(n), MaxRounds: n - 1}); err != nil {
 		t.Fatalf("tight budget failed: %v", err)
 	}
 }
@@ -88,25 +90,28 @@ func TestErrMaxRoundsSurfaces(t *testing.T) {
 // (ordering, delivery, halting) changes some output.
 type gossip struct{ rounds int }
 
-func (g gossip) Init(n *Node) {
-	n.State = n.ID()
-	n.SendAll(n.ID())
+func (gossip) MessageWords() int { return 1 }
+func (gossip) InputWidth() int   { return 0 }
+func (gossip) OutputWidth() int  { return 1 }
+
+func (g gossip) InitWords(n *Node) {
+	n.SetOutputWord(int64(n.ID()))
+	n.SendAllWord(int64(n.ID()))
 }
 
-func (g gossip) Step(n *Node, inbox []Message) {
-	acc := n.State.(int)
-	for p, m := range inbox {
-		if m != nil {
-			acc = acc*31 + m.(int) + p
+func (g gossip) StepWords(n *Node, inbox WordInbox) {
+	acc := n.OutputWords()[0]
+	for p := 0; p < inbox.Ports(); p++ {
+		if inbox.Has(p) {
+			acc = acc*31 + inbox.Word(p) + int64(p)
 		}
 	}
-	n.State = acc
+	n.SetOutputWord(acc)
 	if n.Round() >= g.rounds {
-		n.Output = acc
 		n.Halt()
 		return
 	}
-	n.SendAll(acc % 1000003)
+	n.SendAllWord(acc % 1000003)
 }
 
 func runGossip(t *testing.T, seed int64, workers int) *Result {
@@ -129,7 +134,7 @@ func TestDeterministicForIdenticalSeeds(t *testing.T) {
 		t.Fatal("identical seeds produced different results")
 	}
 	c := runGossip(t, 43, 0)
-	if reflect.DeepEqual(a.Outputs, c.Outputs) {
+	if reflect.DeepEqual(a.OutputWords, c.OutputWords) {
 		t.Fatal("different seeds produced identical outputs (permutation ignored?)")
 	}
 }
@@ -142,35 +147,34 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// portEcho records, per round, which ports were audible; used to verify
-// label/active visibility and one-shot delivery of a halting node's last
-// messages.
+// portEcho counts, per visible port, the rounds in which the port was
+// audible; used to verify label/active visibility.
 type portEcho struct{ rounds int }
 
-func (e portEcho) Init(n *Node) {
-	n.State = []int{}
-	n.SendAll(n.ID())
-}
+func (portEcho) MessageWords() int { return 1 }
+func (portEcho) InputWidth() int   { return 0 }
+func (portEcho) OutputWidth() int  { return PerPort }
 
-func (e portEcho) Step(n *Node, inbox []Message) {
-	heard := n.State.([]int)
-	for p, m := range inbox {
-		if m != nil {
-			heard = append(heard, p)
+func (e portEcho) InitWords(n *Node) { n.SendAllWord(int64(n.ID())) }
+
+func (e portEcho) StepWords(n *Node, inbox WordInbox) {
+	heard := n.OutputWords()
+	for p := range heard {
+		if inbox.Has(p) {
+			heard[p]++
 		}
 	}
-	n.State = heard
 	if n.Round() >= e.rounds {
-		n.Output = heard
 		n.Halt()
 		return
 	}
-	n.SendAll(n.ID())
+	n.SendAllWord(int64(n.ID()))
 }
 
 func TestLabelAndActiveFiltering(t *testing.T) {
 	// K4: every pair adjacent. Labels split {0,1} vs {2,3}; vertex 3 is
-	// inactive. Then 0 and 1 hear exactly each other; 2 hears nobody.
+	// inactive. Then 0 and 1 hear exactly each other (in both rounds);
+	// 2 hears nobody and 3 has no ports at all.
 	g := graph.Complete(4)
 	labels := []int{0, 0, 1, 1}
 	active := []bool{true, true, true, false}
@@ -179,14 +183,10 @@ func TestLabelAndActiveFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[3] != nil {
-		t.Errorf("inactive vertex has output %v", res.Outputs[3])
-	}
-	if got := res.Outputs[0].([]int); !reflect.DeepEqual(got, []int{0, 0}) {
-		t.Errorf("vertex 0 heard ports %v, want [0 0]", got)
-	}
-	if got := res.Outputs[2].([]int); len(got) != 0 {
-		t.Errorf("vertex 2 heard ports %v, want none", got)
+	// Per-port layout: vertex 0's one port, vertex 1's one port; vertex 2
+	// has degree 0 and the inactive vertex 3 owns no slots.
+	if want := []int64{2, 2}; !reflect.DeepEqual(res.OutputWords, want) {
+		t.Errorf("per-port hearing counts %v, want %v", res.OutputWords, want)
 	}
 	// Engine port numbering must agree with VisiblePorts.
 	if ports := VisiblePorts(g, labels, active, 0); !reflect.DeepEqual(ports, []int{1}) {
@@ -194,43 +194,43 @@ func TestLabelAndActiveFiltering(t *testing.T) {
 	}
 }
 
-// haltSender halts in Init after one send; its neighbor keeps listening.
-// The message must arrive exactly once - in round 1, and never again.
-type haltSender struct{}
+// haltSender: the sender (id 1) transmits once while halting in
+// InitWords; the listener records, as a bitmask output, the rounds in
+// which it heard anything through round `until`.
+type haltSender struct{ until int }
 
-func (haltSender) Init(n *Node) {
+func (haltSender) MessageWords() int { return 1 }
+func (haltSender) InputWidth() int   { return 0 }
+func (haltSender) OutputWidth() int  { return 1 }
+
+func (haltSender) InitWords(n *Node) {
 	if n.ID() == 1 {
-		n.SendAll(99)
-		n.Output = 0
+		n.SendAllWord(999)
 		n.Halt()
 	}
 }
 
-func (haltSender) Step(n *Node, inbox []Message) {
-	var heard []int
-	if n.State != nil {
-		heard = n.State.([]int)
-	}
-	for _, m := range inbox {
-		if m != nil {
-			heard = append(heard, n.Round())
+func (h haltSender) StepWords(n *Node, inbox WordInbox) {
+	for p := 0; p < inbox.Ports(); p++ {
+		if inbox.Has(p) {
+			n.OutputWords()[0] |= 1 << n.Round()
 		}
 	}
-	n.State = heard
-	if n.Round() == 3 {
-		n.Output = heard
+	if n.Round() == h.until {
 		n.Halt()
 	}
 }
 
+// TestHaltingSendDeliveredExactlyOnce: the message sent while halting
+// must arrive exactly once - in round 1, and never again.
 func TestHaltingSendDeliveredExactlyOnce(t *testing.T) {
 	net := NewNetwork(graph.Path(2))
-	res, err := net.Run(haltSender{}, RunOptions{})
+	res, err := net.Run(haltSender{until: 3}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Outputs[1].([]int); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("vertex 1 heard in rounds %v, want [1] only", got)
+	if got := res.OutputWords[1]; got != 1<<1 {
+		t.Fatalf("vertex 1 heard in rounds %b, want round 1 only", got)
 	}
 }
 
@@ -238,16 +238,20 @@ func TestHaltingSendDeliveredExactlyOnce(t *testing.T) {
 // cheaply via an explicit small cap.
 type idler struct{}
 
-func (idler) Init(n *Node)                  {}
-func (idler) Step(n *Node, inbox []Message) {}
+func (idler) MessageWords() int                  { return 1 }
+func (idler) InputWidth() int                    { return 0 }
+func (idler) OutputWidth() int                   { return 0 }
+func (idler) InitWords(n *Node)                  {}
+func (idler) StepWords(n *Node, inbox WordInbox) {}
+
+type zeroWidth struct{ idler }
+
+func (zeroWidth) MessageWords() int { return 0 }
 
 func TestRunOptionValidation(t *testing.T) {
 	net := NewNetwork(graph.Path(3))
 	if _, err := net.Run(nil, RunOptions{}); err == nil {
 		t.Error("nil algorithm accepted")
-	}
-	if _, err := net.Run(idler{}, RunOptions{Inputs: make([]any, 2)}); err == nil {
-		t.Error("short inputs accepted")
 	}
 	if _, err := net.Run(idler{}, RunOptions{Labels: []int{0}}); err == nil {
 		t.Error("short labels accepted")
@@ -258,17 +262,26 @@ func TestRunOptionValidation(t *testing.T) {
 	if _, err := net.Run(idler{}, RunOptions{MaxRounds: -1}); err == nil {
 		t.Error("negative budget accepted")
 	}
+	if _, err := net.Run(zeroWidth{}, RunOptions{}); err == nil {
+		t.Error("zero-word algorithm accepted")
+	}
 	if _, err := net.Run(idler{}, RunOptions{MaxRounds: 4}); !errors.Is(err, ErrMaxRounds) {
 		t.Error("non-halting program did not trip the budget")
 	}
 }
 
+// idEcho outputs its identifier and halts in InitWords.
+type idEcho struct{ idler }
+
+func (idEcho) OutputWidth() int { return 1 }
+func (idEcho) InitWords(n *Node) {
+	n.SetOutputWord(int64(n.ID()))
+	n.Halt()
+}
+
 func TestInitOnlyRunCostsZeroRounds(t *testing.T) {
-	algo := algoFuncs{
-		init: func(n *Node) { n.Output = n.ID(); n.Halt() },
-	}
 	net := NewNetworkPermuted(graph.Star(6), rand.New(rand.NewSource(3)))
-	res, err := net.Run(algo, RunOptions{})
+	res, err := net.Run(idEcho{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,28 +289,10 @@ func TestInitOnlyRunCostsZeroRounds(t *testing.T) {
 		t.Fatalf("rounds=%d messages=%d, want 0/0", res.Rounds, res.Messages)
 	}
 	ids := net.IDs()
-	for v, o := range res.Outputs {
-		if o.(int) != ids[v] {
-			t.Fatalf("vertex %d output %v, want id %d", v, o, ids[v])
+	for v, w := range res.OutputWords {
+		if int(w) != ids[v] {
+			t.Fatalf("vertex %d output %d, want id %d", v, w, ids[v])
 		}
-	}
-}
-
-// algoFuncs adapts closures to Algorithm for small test programs.
-type algoFuncs struct {
-	init func(n *Node)
-	step func(n *Node, inbox []Message)
-}
-
-func (a algoFuncs) Init(n *Node) {
-	if a.init != nil {
-		a.init(n)
-	}
-}
-
-func (a algoFuncs) Step(n *Node, inbox []Message) {
-	if a.step != nil {
-		a.step(n, inbox)
 	}
 }
 
@@ -307,12 +302,13 @@ func TestNetworkReusableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	firstWords := append([]int64(nil), first.OutputWords...)
 	second, err := net.Run(gossip{rounds: 4}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.Wall, second.Wall = 0, 0 // host wall time, not deterministic
-	if !reflect.DeepEqual(first, second) {
+	if first.Rounds != second.Rounds || first.Messages != second.Messages ||
+		!reflect.DeepEqual(firstWords, second.OutputWords) {
 		t.Fatal("re-running on the same network changed the result")
 	}
 }

@@ -2,16 +2,17 @@
 // model of distributed computing, the model in which the paper states
 // every running-time bound.
 //
-// An Algorithm is a vertex program in the Pregel style: Init runs once on
-// every node (round 0), then Step runs once per node per round until every
-// node has called Halt. Messages sent in round r (including from Init) are
-// delivered at the start of round r+1, one inbox slot per port; a port
-// whose neighbor sent nothing that round holds nil. Ports are positions in
-// the node's list of visible neighbors, which is the full sorted adjacency
-// list of the underlying graph unless RunOptions.Labels/Active restrict
-// the run to label-induced subgraphs or an active subset - the mechanism
-// by which the paper's procedures recurse "on all subgraphs in parallel"
-// within a single simulated network.
+// An Algorithm is a vertex program in the Pregel style: InitWords runs
+// once on every node (round 0), then StepWords runs once per node per
+// round until every node has called Halt. Messages sent in round r
+// (including from InitWords) are delivered at the start of round r+1, one
+// inbox slot per port; WordInbox.Has reports whether the neighbor on a
+// port sent anything that round. Ports are positions in the node's list
+// of visible neighbors, which is the full sorted adjacency list of the
+// underlying graph unless RunOptions.Labels/Active restrict the run to
+// label-induced subgraphs or an active subset - the mechanism by which
+// the paper's procedures recurse "on all subgraphs in parallel" within a
+// single simulated network.
 //
 // Nodes are identified by LOCAL-model identifiers id(v) in {1..n}, either
 // canonical (NewNetwork) or randomly permuted (NewNetworkPermuted) to
@@ -24,25 +25,27 @@
 // communication rounds (the LOCAL measure) and messages sent; Tally
 // accumulates both across the phases of a multi-stage pipeline.
 //
-// # Data planes
+// # Data plane
 //
-// The engine has two per-vertex data planes. The boxed plane is the
-// reference: RunOptions.Inputs ([]any) in, Node.Output (any) out, with
-// []any message buffers. The typed plane extends the columnar batch
-// transport (batch.go) to inputs and outputs: a WordIOAlgorithm
-// declares fixed per-vertex word widths (or one word per visible port),
-// reads Node.InputWords and writes Node.SetOutputWord(s) against flat
-// []int64 columns, and a Run boxes nothing per vertex - see wordio.go
-// for the layout and ownership contract. Vertex programs report input
-// or palette errors through Node.Fail, which aborts the run with a
-// deterministic per-run error instead of smuggling errors through
-// Node.Output. Shadow tests pin the two planes bit-for-bit equal at the
-// engine, phase, pipeline and scale-harness levels.
+// Every value the engine moves is a fixed number of int64 words. Each
+// message in the paper's algorithms carries one O(log n)-bit value - a
+// color, an H-partition level, an identifier - so an Algorithm declares
+// its message width (MessageWords) and its per-vertex input and output
+// widths (InputWidth/OutputWidth, or one word per visible port), and the
+// engine moves all three through flat []int64 columns: messages through
+// two round-parity columns indexed by the port tables (batch.go), inputs
+// and outputs through RunOptions.InputWords and Result.OutputWords (see
+// wordio.go for the layout and ownership contract). A Run boxes nothing
+// per vertex. Vertex programs report input or palette errors through
+// Node.Fail, which aborts the run with a deterministic per-run error.
+// Node.State is the one program-owned slot outside the columns, for
+// state that is not a word (a randomized program's rand.Rand).
 //
 // # Sessions and parallelism
 //
 // A Network owns a persistent session (session.go) living as long as the
-// Network itself and shared by all WithDelivery/WithWorkers views of it:
+// Network itself and shared by all WithWorkers/WithProbe/WithContext
+// views of it:
 //
 //   - Topology caches. The simulation wiring that depends only on the
 //     (graph, Labels, Active) triple - visible port lists, live set,
@@ -55,17 +58,17 @@
 //     tables are immutable and engine-owned; callers never see them.
 //   - Run scratch. The mutable per-run state (node array, halt marks,
 //     live list, message columns, the word output column) is pooled:
-//     a repeated unfiltered word-I/O run performs no setup allocations
-//     at all (a regression test pins this). Concurrent runs on one
+//     a repeated unfiltered run performs no setup allocations at all (a
+//     regression test pins this). Concurrent runs on one
 //     network are safe - whoever finds the pool busy falls back to
 //     fresh allocations - but the Result.OutputWords reclamation
-//     contract (wordio.go) still requires the caller to decode a word
-//     column before STARTING the next word run on that network.
+//     contract (wordio.go) still requires the caller to decode an output
+//     column before STARTING the next run on that network.
 //   - Session values. Algorithm layers pin small cross-run state on the
 //     session through Network.SessionValue, keyed by unexported types -
 //     e.g. recolor's per-(step, family) hot-row cache of resolved
 //     row-table snapshots. Ownership contract: a value lives as long as
-//     the Network, is shared by WithDelivery/WithWorkers/WithProbe
+//     the Network, is shared by WithWorkers/WithProbe/WithContext
 //     views (a Sharded view starts a fresh session and therefore a
 //     fresh value store), and must be safe for concurrent use by
 //     overlapping runs. Invalidation is the owning layer's concern; the
@@ -86,8 +89,8 @@
 //
 // Network.Sharded(sh) returns a view running the shard-structured
 // engine: the vertex space is partitioned into graph.Sharding's
-// contiguous shards and the batch transport's message columns become
-// shard-local (shard.go). Ownership and delivery contract:
+// contiguous shards and the message columns become shard-local
+// (shard.go). Ownership and delivery contract:
 //
 //   - Column ownership is by SENDER shard: the word a vertex u sends on
 //     a port lives in the column of u's shard, at the shard-local slot
@@ -104,8 +107,8 @@
 //     double-buffered round-parity rule as the flat transport), which
 //     is what makes the cross-shard read safe under any worker count.
 //   - Sharding is observationally inert: colors, rounds and message
-//     counts are bit-for-bit identical at every shard count (golden and
-//     shadow tests pin this); only WHERE a message word lives changes.
+//     counts are bit-for-bit identical at every shard count (golden
+//     tests pin this); only WHERE a message word lives changes.
 //     Probed sharded runs additionally record per-shard live counts,
 //     message counts and step wall time per round (ShardRoundStat).
 //
@@ -122,7 +125,7 @@
 // tracing without touching results. Lifetime and ownership rules:
 //
 //   - Construct with NewProbe(sink), attach with Network.WithProbe
-//     (a view, like WithDelivery/WithWorkers), label upcoming runs
+//     (a view, like WithWorkers/WithContext), label upcoming runs
 //     with Probe.SetPhase, and Close the probe after the last run -
 //     Close flushes buffered records and stops the flusher; writing
 //     sinks (obs.TraceWriter) are closed after the probe.
@@ -163,7 +166,7 @@
 //     path pays one nil check when no context is set (the probe-overhead
 //     benchmark gates this).
 //   - Panic containment. A panic raised by a vertex program during
-//     Init/Step (any plane, any worker count, sharded or flat) is
+//     InitWords/StepWords (any worker count, sharded or flat) is
 //     recovered by the engine and converted to the deterministic Node.Fail
 //     path: the run aborts at the end of the round with an error wrapping
 //     ErrVertexPanic that names the smallest panicking vertex, its round,
@@ -177,10 +180,9 @@
 //   - Snapshots. RunOptions.SnapshotOnAbort captures a Snapshot in the
 //     partial Result at the abort boundary; Network.Resume(alg, opts, sn)
 //     continues it to an end state bit-for-bit identical to the
-//     uninterrupted run. Snapshots are only offered for word-I/O batch
-//     runs whose state lives entirely in the engine's columns (Node.State
-//     and Output unset - the capture verifies this and refuses
-//     otherwise), they serialize to a versioned binary framing (WriteTo /
+//     uninterrupted run. Snapshots are only offered for runs whose state
+//     lives entirely in the engine's columns (Node.State unset - the
+//     capture verifies this and refuses otherwise), they serialize to a versioned binary framing (WriteTo /
 //     ReadSnapshot, "DSN1") that rejects truncation and trailing bytes,
 //     and they are portable across shard counts: columns are normalized
 //     to the flat global slot layout on capture and re-localized on
@@ -205,8 +207,8 @@
 //     everything those reads feed is documented non-deterministic.
 //   - //distvet:noalloc - in a function's doc comment: the function is
 //     on the per-vertex hot path and must contain no allocating
-//     constructs. The round loops (stepSlice and its batch/sharded
-//     twins, flushHaltClears), the word-plane Node accessors, and every
+//     constructs. The round loops (stepSlice and its sharded twin,
+//     flushHaltClears), the word-column Node accessors, and every
 //     InitWords/StepWords implementation carry it. cmd/escapecheck
 //     additionally pins the compiler's escape picture of these
 //     functions against ESCAPES.baseline.

@@ -6,46 +6,10 @@ import (
 	"repro/internal/graph"
 )
 
-// IntInputs boxes an int-per-vertex slice as RunOptions.Inputs.
-func IntInputs(vals []int) []any {
-	out := make([]any, len(vals))
-	for i, v := range vals {
-		out[i] = v
-	}
-	return out
-}
-
-// IntOutputs unboxes a boxed run's outputs as ints. Vertices with no
-// output (inactive, or never assigned one) report def. The error-value
-// case survives only for the boxed fallback path: legacy boxed programs
-// may still smuggle an error through Node.Output, which aborts with
-// that error. Word-I/O programs report errors through Node.Fail and
-// never reach this path (their Result.Outputs is nil).
-func IntOutputs(res *Result, def int) ([]int, error) {
-	if res.Outputs == nil && res.OutputWords != nil {
-		return nil, fmt.Errorf("dist: IntOutputs on a word-I/O result (use IntsFromWords)")
-	}
-	out := make([]int, len(res.Outputs))
-	for v, o := range res.Outputs {
-		switch x := o.(type) {
-		case int:
-			out[v] = x
-		case nil:
-			out[v] = def
-		case error:
-			return nil, fmt.Errorf("dist: vertex %d: %w", v, x)
-		default:
-			return nil, fmt.Errorf("dist: vertex %d has non-int output %T", v, o)
-		}
-	}
-	return out, nil
-}
-
-// IntsFromWords decodes a word-I/O run's output column into dst (one
-// word per vertex; the output width must be 1, so len(dst) must equal
-// the column length). It is the word-plane counterpart of IntOutputs
-// and the step that discharges the ownership contract: after the copy,
-// the engine-owned column may be reclaimed by the next word run.
+// IntsFromWords decodes a run's output column into dst (one word per
+// vertex; the output width must be 1, so len(dst) must equal the column
+// length). It is the step that discharges the ownership contract: after
+// the copy, the engine-owned column may be reclaimed by the next run.
 func IntsFromWords(res *Result, dst []int) error {
 	if res.OutputWords == nil {
 		return fmt.Errorf("dist: IntsFromWords on a result without an output column")

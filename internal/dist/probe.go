@@ -38,9 +38,6 @@ type RoundRecord struct {
 	Messages int64 `json:"messages"`
 	// Workers is the fan-out the step sweep used this round.
 	Workers int `json:"workers"`
-	// Batch reports the delivery plane (true = columnar batch transport,
-	// false = boxed []any fallback).
-	Batch bool `json:"batch"`
 	// WallNS is the wall time of the full round (step + delivery
 	// housekeeping + halt collection).
 	WallNS int64 `json:"wall_ns"`
@@ -81,8 +78,6 @@ type RunRecord struct {
 	PeakLive int   `json:"peak_live"`
 	// Workers is the resolved pool size of the run.
 	Workers int `json:"workers"`
-	// Batch reports the delivery plane.
-	Batch bool `json:"batch"`
 	// TopoCached reports a session topology-cache hit; ScratchPooled
 	// reports reuse of the pooled per-run scratch bundle.
 	TopoCached    bool `json:"topo_cached"`
@@ -337,7 +332,7 @@ func (p *Probe) Close() error {
 
 // WithProbe returns a view of the network sharing the graph, identifier
 // assignment and session whose Runs report to p (nil detaches). Like
-// WithDelivery, orchestrator-internal runs on the view inherit the
+// WithWorkers, orchestrator-internal runs on the view inherit the
 // probe, so attaching one at the pipeline entry point traces every
 // phase.
 func (net *Network) WithProbe(p *Probe) *Network {
@@ -438,9 +433,7 @@ func (s *simulation) runProbed() (*Result, error) {
 		} else {
 			w, maxNS, meanNS = s.stepRoundTimed(r)
 		}
-		if s.fw != nil {
-			s.flushHaltClears()
-		}
+		s.flushHaltClears()
 		rounds = r
 		s.collectHalted(r)
 		wall := time.Since(roundStart)
@@ -466,7 +459,6 @@ func (s *simulation) runProbed() (*Result, error) {
 			Live:        live,
 			Messages:    cum - prevSent,
 			Workers:     w,
-			Batch:       s.fw != nil,
 			WallNS:      wall.Nanoseconds(),
 			MaxChunkNS:  maxNS,
 			MeanChunkNS: meanNS,
@@ -482,9 +474,8 @@ func (s *simulation) runProbed() (*Result, error) {
 			}
 		}
 	}
-	outs, msgs := s.collectResults()
+	msgs := s.collectMessages()
 	res := &Result{
-		Outputs:     outs,
 		OutputWords: s.outCol,
 		Rounds:      rounds,
 		Messages:    msgs,
@@ -504,7 +495,6 @@ func (s *simulation) emitRun(p *Probe, seq int64, phase string, rounds int, msgs
 		Messages:      msgs,
 		PeakLive:      len(s.topo.live),
 		Workers:       s.workers,
-		Batch:         s.fw != nil,
 		TopoCached:    s.topoCached,
 		ScratchPooled: s.scratchPooled,
 		SetupNS:       s.setupNS,

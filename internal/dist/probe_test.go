@@ -124,8 +124,7 @@ func TestProbeDeterministicAcrossWorkers(t *testing.T) {
 
 // TestProbeSessionEvents pins the run-level session telemetry: a second
 // run on the same network view hits the topology cache and reuses the
-// pooled scratch; run sequence numbers grow; the probed rounds carry the
-// delivery plane.
+// pooled scratch; run sequence numbers grow.
 func TestProbeSessionEvents(t *testing.T) {
 	net := NewNetworkPermuted(graph.Grid(8, 8), rand.New(rand.NewSource(5)))
 	sink := &memSink{}
@@ -152,11 +151,6 @@ func TestProbeSessionEvents(t *testing.T) {
 	}
 	if !second.ScratchPooled {
 		t.Error("second run did not reuse the pooled scratch")
-	}
-	for _, r := range sink.rounds {
-		if r.Batch {
-			t.Error("boxed gossip round flagged as batch delivery")
-		}
 	}
 }
 
@@ -198,7 +192,7 @@ func TestProbeRecordsFailedRun(t *testing.T) {
 	sink := &memSink{}
 	p := NewProbe(sink)
 	net := NewNetwork(graph.Path(9)).WithProbe(p)
-	_, err := net.Run(chainColor{}, RunOptions{Inputs: pathInputs(9), MaxRounds: 4})
+	_, err := net.Run(chainColor{}, RunOptions{InputWords: pathInputs(9), MaxRounds: 4})
 	if err == nil {
 		t.Fatal("over-budget run succeeded")
 	}
@@ -214,16 +208,18 @@ func TestProbeRecordsFailedRun(t *testing.T) {
 	}
 }
 
+// initSender sends on every port and halts in InitWords.
+type initSender struct{ idler }
+
+func (initSender) InitWords(n *Node) { n.SendAllWord(0); n.Halt() }
+
 // TestProbeInitOnlyRunEmitsNoRounds pins the documented Rounds==0 case:
 // no round records, Init messages visible only in the run record.
 func TestProbeInitOnlyRunEmitsNoRounds(t *testing.T) {
 	sink := &memSink{}
 	p := NewProbe(sink)
-	algo := algoFuncs{
-		init: func(n *Node) { n.Output = n.ID(); n.SendAll(0); n.Halt() },
-	}
 	net := NewNetwork(graph.Star(5)).WithProbe(p)
-	res, err := net.Run(algo, RunOptions{})
+	res, err := net.Run(initSender{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

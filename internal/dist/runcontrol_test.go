@@ -63,17 +63,14 @@ func sameRun(t *testing.T, label string, got, want *Result) {
 	if got.Rounds != want.Rounds || got.Messages != want.Messages {
 		t.Fatalf("%s: rounds/messages %d/%d, want %d/%d", label, got.Rounds, got.Messages, want.Rounds, want.Messages)
 	}
-	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
-		t.Fatalf("%s: outputs diverge", label)
-	}
 	if !reflect.DeepEqual(got.OutputWords, want.OutputWords) {
 		t.Fatalf("%s: output words diverge", label)
 	}
 }
 
 // TestCancelAtEveryRound is the session-safety gate for round-boundary
-// aborts: cancel a run at every round boundary k, in every delivery
-// mode, at several worker counts and under sharding, and require (a) a
+// aborts: cancel a run at every round boundary k, at several worker
+// counts, flat and sharded, and require (a) a
 // partial Result wrapped in ErrCanceled and (b) that the SAME session's
 // next full run matches a fresh network's bit for bit.
 func TestCancelAtEveryRound(t *testing.T) {
@@ -87,13 +84,12 @@ func TestCancelAtEveryRound(t *testing.T) {
 		opts  RunOptions
 		fresh func(t *testing.T) *Network
 	}
-	build := func(t *testing.T, d Delivery, workers, shards int) *Network {
+	build := func(t *testing.T, workers, shards int) *Network {
 		t.Helper()
 		net, err := NewNetworkWithIDs(g, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		net = net.WithDelivery(d)
 		if workers > 0 {
 			net = net.WithWorkers(workers)
 		}
@@ -109,22 +105,20 @@ func TestCancelAtEveryRound(t *testing.T) {
 		return net
 	}
 	var modes []mode
-	for _, d := range []Delivery{DeliveryBoxed, DeliveryBatch} {
-		for _, w := range []int{1, 4, 0} {
-			d, w := d, w
-			modes = append(modes, mode{
-				name:  fmt.Sprintf("%v/workers=%d", d, w),
-				view:  func(t *testing.T) *Network { return build(t, d, w, 1) },
-				fresh: func(t *testing.T) *Network { return build(t, d, w, 1) },
-			})
-		}
+	for _, w := range []int{1, 4, 0} {
+		w := w
+		modes = append(modes, mode{
+			name:  fmt.Sprintf("batch/workers=%d", w),
+			view:  func(t *testing.T) *Network { return build(t, w, 1) },
+			fresh: func(t *testing.T) *Network { return build(t, w, 1) },
+		})
 	}
 	for _, w := range []int{1, 0} {
 		w := w
 		modes = append(modes, mode{
 			name:  fmt.Sprintf("sharded/workers=%d", w),
-			view:  func(t *testing.T) *Network { return build(t, DeliveryBatch, w, 4) },
-			fresh: func(t *testing.T) *Network { return build(t, DeliveryBatch, w, 4) },
+			view:  func(t *testing.T) *Network { return build(t, w, 4) },
+			fresh: func(t *testing.T) *Network { return build(t, w, 4) },
 		})
 	}
 
@@ -208,32 +202,31 @@ type panicProg struct {
 	from, round, rounds int
 }
 
+func (panicProg) MessageWords() int { return 1 }
+func (panicProg) InputWidth() int   { return 0 }
+func (panicProg) OutputWidth() int  { return 0 }
+
 func (p panicProg) trip(n *Node) {
 	if n.Round() == p.round && n.Vertex() >= p.from {
 		panic(fmt.Sprintf("chaos trip at vertex %d", n.Vertex()))
 	}
 }
 
-func (p panicProg) Init(n *Node) {
-	p.trip(n)
-	n.SendAll(1)
-}
+func (p panicProg) InitWords(n *Node) { p.trip(n); n.SendAllWord(1) }
 
-func (p panicProg) Step(n *Node, inbox []Message) {
+func (p panicProg) StepWords(n *Node, inbox WordInbox) {
 	p.trip(n)
 	if n.Round() >= p.rounds {
-		n.Output = n.Round()
 		n.Halt()
 		return
 	}
-	n.SendAll(1)
+	n.SendAllWord(1)
 }
 
 // TestPanicContainment pins panic recovery into the deterministic
 // Node.Fail path: the error wraps ErrVertexPanic, names the globally
 // smallest panicking vertex, the round, and the recovered value - at
-// every worker count, on the boxed and batch-free (boxed-only program)
-// paths, and the session stays reusable afterwards.
+// every worker count, and the session stays reusable afterwards.
 func TestPanicContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.ForestUnion(700, 3, rng)
@@ -267,9 +260,6 @@ func TestPanicContainment(t *testing.T) {
 				}
 			}
 			// Session reuse after containment.
-			ref := runFull(t, NewNetwork(g), RunOptions{})
-			net2, _ := NewNetworkWithIDs(g, NewNetwork(g).IDs())
-			_ = net2
 			after, err := net.Run(wordGossip{rounds: 6}, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -280,7 +270,6 @@ func TestPanicContainment(t *testing.T) {
 			}
 			want := runFull(t, fresh, RunOptions{})
 			sameRun(t, "after panic", after, want)
-			_ = ref
 		})
 	}
 }
@@ -302,7 +291,7 @@ func TestPanicContainmentSharded(t *testing.T) {
 		if workers > 0 {
 			net = net.WithWorkers(workers)
 		}
-		res, err := net.Run(panicWords{from: 211, round: 1, rounds: 5}, RunOptions{Delivery: DeliveryBatch})
+		res, err := net.Run(panicProg{from: 211, round: 1, rounds: 5}, RunOptions{})
 		if !errors.Is(err, ErrVertexPanic) {
 			t.Fatalf("workers=%d: err=%v, want ErrVertexPanic", workers, err)
 		}
@@ -317,43 +306,9 @@ func TestPanicContainmentSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := runFull(t, NewNetwork(g), RunOptions{Delivery: DeliveryBatch})
+		want := runFull(t, NewNetwork(g), RunOptions{})
 		sameRun(t, fmt.Sprintf("sharded workers=%d after panic", workers), after, want)
 	}
-}
-
-// panicWords is panicProg for the batch transport.
-type panicWords struct {
-	from, round, rounds int
-}
-
-func (panicWords) MessageWords() int { return 1 }
-
-func (p panicWords) trip(n *Node) {
-	if n.Round() == p.round && n.Vertex() >= p.from {
-		panic(fmt.Sprintf("chaos trip at vertex %d", n.Vertex()))
-	}
-}
-
-func (p panicWords) Init(n *Node)      { p.trip(n); n.SendAll(1) }
-func (p panicWords) InitWords(n *Node) { p.trip(n); n.SendAllWord(1) }
-
-func (p panicWords) Step(n *Node, inbox []Message) {
-	p.trip(n)
-	if n.Round() >= p.rounds {
-		n.Halt()
-		return
-	}
-	n.SendAll(1)
-}
-
-func (p panicWords) StepWords(n *Node, inbox WordInbox) {
-	p.trip(n)
-	if n.Round() >= p.rounds {
-		n.Halt()
-		return
-	}
-	n.SendAllWord(1)
 }
 
 // waveWords is a multi-round word-I/O program whose per-node state
@@ -388,11 +343,6 @@ func (waveWords) StepWords(n *Node, inbox WordInbox) {
 	}
 	n.SendAllWord(acc % 99991)
 }
-
-// The boxed plane is unused by the snapshot tests; a program that keeps
-// state in columns has no boxed twin.
-func (waveWords) Init(n *Node)                { n.Failf("waveWords has no boxed plane") }
-func (waveWords) Step(n *Node, inbox []Message) {}
 
 func waveInputs(n int, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -436,7 +386,7 @@ func TestSnapshotResumeEveryRound(t *testing.T) {
 	run := func(t *testing.T, net *Network, opts RunOptions) (*Result, error) {
 		t.Helper()
 		opts.InputWords = waveInputs(n, 12)
-		return net.RunWords(waveWords{}, opts)
+		return net.Run(waveWords{}, opts)
 	}
 
 	ref, err := run(t, build(t, 1), RunOptions{})
@@ -495,25 +445,24 @@ func TestSnapshotResumeEveryRound(t *testing.T) {
 }
 
 // TestSnapshotContractRejections pins the refusal paths: snapshots
-// require the word-I/O batch plane with column-only state, and resumes
-// validate dimensions.
+// require column-only state, and resumes validate dimensions.
 func TestSnapshotContractRejections(t *testing.T) {
 	g := graph.Path(32)
 	net := NewNetwork(g)
-	// Boxed-state program: capture must refuse.
+	// Program keeping its digest in Node.State: capture must refuse.
 	_, err := net.Run(wordGossip{rounds: 4}, RunOptions{
-		Context: cancelAtRound(1), SnapshotOnAbort: true, Delivery: DeliveryBatch,
+		Context: cancelAtRound(1), SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err=%v, want ErrCanceled with snapshot failure note", err)
 	}
 	if !strings.Contains(err.Error(), "snapshot not captured") {
-		t.Fatalf("boxed-state capture not refused: %v", err)
+		t.Fatalf("Node.State capture not refused: %v", err)
 	}
 
 	// A valid snapshot refuses to resume on a different graph.
 	words := waveInputs(g.N(), 3)
-	res, err := net.RunWords(waveWords{}, RunOptions{
+	res, err := net.Run(waveWords{}, RunOptions{
 		InputWords: words, Context: cancelAtRound(1), SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, ErrCanceled) || res.Snapshot == nil {
@@ -534,7 +483,7 @@ func TestSnapshotContractRejections(t *testing.T) {
 func TestSnapshotTruncation(t *testing.T) {
 	g := graph.Path(48)
 	net := NewNetwork(g)
-	res, err := net.RunWords(waveWords{}, RunOptions{
+	res, err := net.Run(waveWords{}, RunOptions{
 		InputWords: waveInputs(g.N(), 5), Context: cancelAtRound(2), SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, ErrCanceled) || res.Snapshot == nil {

@@ -11,7 +11,7 @@ import (
 
 // This file implements the persistent per-Network session: the simulation
 // state that depends only on the (graph, filter) pair - visible port
-// lists, live sets, columnar slot bases and the batch delivery table - is
+// lists, live sets, columnar slot bases and the delivery table - is
 // built once (in parallel) and cached, so the dozens of phase runs a
 // coloring pipeline performs on one network stop re-sweeping the graph.
 // The session also pools the per-run mutable state (node array, halt
@@ -45,16 +45,14 @@ type topology struct {
 	live []int
 	// base[v] is the first columnar slot of v: slot ranges
 	// [base[v], base[v]+deg(v)) partition the visible directed edges in
-	// ascending (vertex, port) order - the batch-column and PerPort
+	// ascending (vertex, port) order - the message-column and PerPort
 	// layout of batch.go / wordio.go.
 	base []int
 	// inSlots[base[v]+p] is the slot neighbor u = ports[v][p] writes for
 	// v. On a flat topology it is global - u's base plus v's position in
-	// u's port list - serving batch delivery directly and giving the
-	// boxed path its peer index as inSlots[base[v]+p] - base[u]. On a
-	// sharded topology (shard != nil) it is SHARD-LOCAL: the same slot
-	// relative to the sending shard's slot range, with shard.inShard
-	// naming the shard (see shard.go).
+	// u's port list. On a sharded topology (shard != nil) it is
+	// SHARD-LOCAL: the same slot relative to the sending shard's slot
+	// range, with shard.inShard naming the shard (see shard.go).
 	inSlots    []int32
 	totalPorts int
 	// shard is the per-topology shard structure of a sharded session
@@ -288,8 +286,8 @@ type topoEntry struct {
 	tick   uint64
 }
 
-// session is the per-Network persistent state. All WithDelivery /
-// WithWorkers views of a network share one session, so any view's runs
+// session is the per-Network persistent state. All WithWorkers /
+// WithProbe / WithContext views of a network share one session, so any view's runs
 // warm the caches for all of them. Every method is safe for concurrent
 // use; overlapping runs fall back to fresh allocations for the pooled
 // per-run state and build (then race to publish) topologies.
@@ -299,7 +297,7 @@ type session struct {
 	filtered   []*topoEntry
 	tick       uint64
 	// run is the pooled per-run scratch (nil while borrowed or never
-	// built); out is the pooled word-I/O output column of wordio.go.
+	// built); out is the pooled output column of wordio.go.
 	run *runScratch
 	out []int64
 	// values is the keyed session-scratch store of SessionValue: hot
@@ -411,7 +409,7 @@ type runScratch struct {
 	wwords    [2][]int64
 	wsent     [2][]uint8
 	// wshardWords/wshardSent are the pooled per-shard round-parity
-	// message columns of sharded batch runs, indexed [parity][shard]
+	// message columns of sharded runs, indexed [parity][shard]
 	// (nil and unused on flat sessions); see shard.go.
 	wshardWords [2][][]int64
 	wshardSent  [2][][]uint8
@@ -459,7 +457,7 @@ func (sc *session) releaseRun(rs *runScratch) {
 // borrowOut returns a zeroed word column of the given length, reusing
 // (and re-zeroing, in parallel) the pooled backing array when it is large
 // enough. The column is re-published by the run's completion, so the NEXT
-// word-I/O run's borrow is what reclaims Result.OutputWords.
+// run's borrow is what reclaims Result.OutputWords.
 func (sc *session) borrowOut(n, workers int) []int64 {
 	sc.mu.Lock()
 	col := sc.out
@@ -560,8 +558,8 @@ func ParallelFor(n, workers int, fn func(lo, hi int)) {
 
 // SessionValue returns the session-scoped singleton for key, building
 // it with build on first use. The value lives for the lifetime of the
-// network's session and is shared by every WithDelivery / WithWorkers /
-// WithProbe view (a Sharded view has a session - and hence a store - of
+// network's session and is shared by every WithWorkers / WithProbe /
+// WithContext view (a Sharded view has a session - and hence a store - of
 // its own), so orchestrators use it to keep hot state resident across
 // the dozens of phase runs of one pipeline: the recoloring hot-row
 // cache keys per-(step, family) row-table snapshots here, turning the
@@ -609,7 +607,7 @@ func (net *Network) SweepWorkers(n int) int {
 
 // WithWorkers returns a view of the network sharing the graph, identifier
 // assignment and session whose Runs resolve RunOptions.Workers == 0 to
-// the given count (0 restores the auto heuristic). Like WithDelivery, the
+// the given count (0 restores the auto heuristic). Like WithProbe, the
 // view lets a harness pin the fan-out of every phase of a multi-phase
 // pipeline without threading an option through every signature; results
 // are bit-for-bit identical at every setting.

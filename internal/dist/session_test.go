@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -27,27 +28,7 @@ func (wordSum) MessageWords() int { return 1 }
 func (wordSum) InputWidth() int   { return 0 }
 func (wordSum) OutputWidth() int  { return 1 }
 
-func (wordSum) Init(n *Node)      { n.SendAll(n.ID()) }
 func (wordSum) InitWords(n *Node) { n.SendAllWord(int64(n.ID())) }
-
-func (a wordSum) Step(n *Node, inbox []Message) {
-	acc := int64(0)
-	if n.State != nil {
-		acc = n.State.(int64)
-	}
-	for p, m := range inbox {
-		if m != nil {
-			acc = acc*31 + int64(m.(int)) + int64(p)
-		}
-	}
-	n.State = acc
-	if n.Round() >= a.rounds {
-		n.Output = int(acc)
-		n.Halt()
-		return
-	}
-	n.SendAll(n.ID())
-}
 
 func (a wordSum) StepWords(n *Node, inbox WordInbox) {
 	acc := n.OutputWords()[0]
@@ -93,15 +74,11 @@ func snapshotResult(res *Result) *Result {
 	if res.OutputWords != nil {
 		c.OutputWords = append([]int64(nil), res.OutputWords...)
 	}
-	if res.Outputs != nil {
-		c.Outputs = append([]any(nil), res.Outputs...)
-	}
 	return &c
 }
 
 // TestSessionReuseMatchesFreshNetwork drives one shared network through a
-// pipeline-shaped sequence of runs - word and boxed planes, repeated
-// filters (cache hits), changed label contents in a reused slice, and
+// pipeline-shaped sequence of runs - repeated filters (cache hits), changed label contents in a reused slice, and
 // both worker modes - and requires every result to equal the same run on
 // a freshly built network.
 func TestSessionReuseMatchesFreshNetwork(t *testing.T) {
@@ -122,8 +99,6 @@ func TestSessionReuseMatchesFreshNetwork(t *testing.T) {
 		{"filtered-word", RunOptions{Labels: labels, Active: active}},
 		{"filtered-word-repeat", RunOptions{Labels: labels, Active: active}}, // cache hit
 		{"labels-only", RunOptions{Labels: labels}},
-		{"unfiltered-boxed", RunOptions{Delivery: DeliveryBoxed}},
-		{"filtered-boxed", RunOptions{Labels: labels, Active: active, Delivery: DeliveryBoxed}},
 		{"unfiltered-word-again", RunOptions{}},
 		{"filtered-word-workers", RunOptions{Labels: labels, Active: active, Workers: 4}},
 		{"unfiltered-sequential", RunOptions{Workers: 1}},
@@ -238,11 +213,11 @@ func TestSecondUnfilteredRunZeroSetupAllocs(t *testing.T) {
 	g := graph.ForestUnion(3000, 3, rng)
 	net := NewNetworkPermuted(g, rng)
 	opts := RunOptions{Workers: 1} // no goroutine spawns in the count
-	if _, err := net.RunWords(wordSum{rounds: 4}, opts); err != nil {
+	if _, err := net.Run(wordSum{rounds: 4}, opts); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := net.RunWords(wordSum{rounds: 4}, opts); err != nil {
+		if _, err := net.Run(wordSum{rounds: 4}, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -254,7 +229,7 @@ func TestSecondUnfilteredRunZeroSetupAllocs(t *testing.T) {
 }
 
 // TestBackToBackPipelinesOneNetwork runs two full multi-phase sequences
-// (mixed filters and transports) back-to-back on one network; under
+// (mixed filters and worker counts) back-to-back on one network; under
 // -race this doubles as the detector pass over the session's borrow/
 // publish lifecycle. The second pipeline must reproduce the first
 // bit-for-bit.
@@ -271,7 +246,7 @@ func TestBackToBackPipelinesOneNetwork(t *testing.T) {
 		for _, opts := range []RunOptions{
 			{},
 			{Labels: labels},
-			{Labels: labels, Delivery: DeliveryBoxed},
+			{Labels: labels, Workers: 1},
 			{Workers: 3},
 		} {
 			res, err := net.Run(wordSum{rounds: 3}, opts)
@@ -370,7 +345,7 @@ func TestConcurrentRunsOneNetwork(t *testing.T) {
 
 // TestSessionValueOwnership pins the session value store's contract:
 // one build per key per session, the same value returned to every
-// WithDelivery/WithWorkers/WithProbe view, a fresh store on a Sharded
+// WithWorkers/WithProbe/WithContext view, a fresh store on a Sharded
 // view (fresh session), and safe concurrent access.
 func TestSessionValueOwnership(t *testing.T) {
 	type keyA struct{}
@@ -388,8 +363,8 @@ func TestSessionValueOwnership(t *testing.T) {
 	if v := net.WithWorkers(2).SessionValue(keyA{}, build); v != v1 {
 		t.Fatal("WithWorkers view does not share the session value")
 	}
-	if v := net.WithDelivery(DeliveryBoxed).SessionValue(keyA{}, build); v != v1 {
-		t.Fatal("WithDelivery view does not share the session value")
+	if v := net.WithContext(context.Background()).SessionValue(keyA{}, build); v != v1 {
+		t.Fatal("WithContext view does not share the session value")
 	}
 	if net.SessionValue(keyB{}, func() any { return "b" }) == v1 {
 		t.Fatal("distinct keys collide")

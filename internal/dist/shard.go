@@ -12,7 +12,7 @@ import (
 // This file implements the shard-structured data plane: a Network view
 // created with Sharded partitions the vertex space into the contiguous
 // ranges of a graph.Sharding, and the engine then keeps topology slots
-// and batch message columns shard-local. Each shard owns the column
+// and message columns shard-local. Each shard owns the column
 // segment of its own vertices' outgoing slots, so a worker sweeping one
 // shard's vertices writes only that shard's cache lines; cross-shard
 // delivery goes through the boundary table (shardTopo.inShard), which
@@ -21,8 +21,8 @@ import (
 // Results are bit-for-bit identical to the flat engine at every shard
 // count: sharding changes only WHERE a message word lives (which column
 // segment), never which value is delivered to which port in which round,
-// and the live-list worker chunking is untouched. Shadow tests pin the
-// equivalence exactly as PR 5's worker-count tests do.
+// and the live-list worker chunking is untouched. Tests pin the
+// equivalence exactly as the worker-count tests do.
 
 // shardTopo is the per-topology shard structure of a sharded session.
 // Like the rest of the topology it is immutable after construction.
@@ -127,7 +127,7 @@ func (net *Network) Shards() int {
 }
 
 // growShardColumns sizes the per-shard round-parity message columns of a
-// sharded batch run from the pooled scratch. Like the flat columns the
+// sharded run from the pooled scratch. Like the flat columns the
 // segments are NOT zeroed between runs; the flag-hygiene argument of
 // newSimulation carries over per segment, because a shard-local slot
 // belongs to exactly one sender of the current topology and that sender
@@ -158,14 +158,14 @@ func growSlices[T any](s [][]T, k int) [][]T {
 	return t
 }
 
-// stepSliceBatchSharded is stepSliceBatch against shard-local columns:
+// stepSliceSharded is stepSlice against shard-local columns:
 // the node's outbox binds into its own shard's current-parity segment,
 // and the inbox view carries the previous parity's per-shard columns
 // plus the boundary table so delivery resolves cross-shard slots with
 // one extra byte read. The flat path keeps its own loop untouched.
 //
 //distvet:noalloc
-func (s *simulation) stepSliceBatchSharded(r, lo, hi int, cur *int) {
+func (s *simulation) stepSliceSharded(r, lo, hi int, cur *int) {
 	w := s.width
 	par := r % 2
 	st := s.topo.shard
@@ -189,12 +189,12 @@ func (s *simulation) stepSliceBatchSharded(r, lo, hi int, cur *int) {
 		nd.wmark = sent[k][b : b+deg : b+deg]
 		clear(nd.wmark)
 		if r == 0 {
-			s.fw.InitWords(nd)
+			s.algo.InitWords(nd)
 			continue
 		}
 		in.slots = s.topo.slots(v)
 		in.inBase = int32(gb)
-		s.fw.StepWords(nd, in)
+		s.algo.StepWords(nd, in)
 	}
 }
 

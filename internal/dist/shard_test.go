@@ -11,8 +11,8 @@ import (
 // The shard shadow suite pins the shard-structured engine (shard.go) to
 // the flat engine bit-for-bit, the way PR 5's worker-count tests pinned
 // parallel execution: the same program over the same network must yield
-// identical Results at every shard count, on both transports, under
-// filters, and across pooled-scratch reuse.
+// identical Results at every shard count, under filters, and across
+// pooled-scratch reuse.
 
 // shardCounts are the partitions every shadow case sweeps: flat baseline
 // (1), small counts, a count that does not divide n, and "auto".
@@ -44,9 +44,9 @@ func runSharded(t *testing.T, net *Network, sh graph.Sharding, algo Algorithm, o
 	return res
 }
 
-// shadowShards runs algo flat, then at every shard count on both
-// transports, demanding bit-for-bit identical Results throughout.
-func shadowShards(t *testing.T, net *Network, algo FixedWidthAlgorithm, opts RunOptions) {
+// shadowShards runs algo flat, then at every shard count, demanding
+// bit-for-bit identical Results throughout.
+func shadowShards(t *testing.T, net *Network, algo Algorithm, opts RunOptions) {
 	t.Helper()
 	flat, err := net.Run(algo, opts)
 	if err != nil {
@@ -54,14 +54,10 @@ func shadowShards(t *testing.T, net *Network, algo FixedWidthAlgorithm, opts Run
 	}
 	flat.Wall = 0
 	for _, sh := range shardCounts(t, net.Graph().N()) {
-		for _, d := range []Delivery{DeliveryBatch, DeliveryBoxed} {
-			o := opts
-			o.Delivery = d
-			got := runSharded(t, net, sh, algo, o)
-			if !reflect.DeepEqual(flat, got) {
-				t.Fatalf("%d shards (%s) diverged from flat: rounds %d/%d messages %d/%d",
-					sh.NumShards(), d, got.Rounds, flat.Rounds, got.Messages, flat.Messages)
-			}
+		got := runSharded(t, net, sh, algo, opts)
+		if !reflect.DeepEqual(flat, got) {
+			t.Fatalf("%d shards diverged from flat: rounds %d/%d messages %d/%d",
+				sh.NumShards(), got.Rounds, flat.Rounds, got.Messages, flat.Messages)
 		}
 	}
 }
@@ -128,7 +124,7 @@ func TestShardedParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Result {
-		res, err := view.Run(wordGossip{rounds: 8}, RunOptions{Delivery: DeliveryBatch, Workers: workers})
+		res, err := view.Run(wordGossip{rounds: 8}, RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,20 +173,13 @@ func TestShardedNetworkReusableAcrossRuns(t *testing.T) {
 	}
 }
 
-// The word-I/O plane on a sharded view: typed columns against boxed
-// structs, both through shard-local message columns.
+// Input and output columns on a sharded view: the per-vertex input words
+// and the output column must behave exactly as on the flat engine.
 func TestShardedWordIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(860))
 	g := graph.Gnp(150, 0.05, rng)
 	net := NewNetworkPermuted(g, rng)
-	boxed, words := seedMixCase(g, rng)
-	for _, sh := range shardCounts(t, g.N()) {
-		view, err := net.Sharded(sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runWordShadow(t, view, seedMix{}, boxed, words, RunOptions{}, decodeInts)
-	}
+	shadowShards(t, net, seedMix{}, RunOptions{InputWords: seedMixInputs(g, rng)})
 }
 
 // Halting sends must deliver exactly once through shard-local columns
@@ -207,11 +196,11 @@ func TestShardedHaltingSendDeliveredExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := net.Run(wordHaltSender{}, RunOptions{Delivery: DeliveryBatch})
+	flat, err := net.Run(haltSender{until: 5}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := view.Run(wordHaltSender{}, RunOptions{Delivery: DeliveryBatch})
+	got, err := view.Run(haltSender{until: 5}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,6 +346,6 @@ func TestShardedSendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantContained(t, "dist: node", func() (*Result, error) {
-		return view.Run(crossSender{}, RunOptions{Delivery: DeliveryBatch})
+		return view.Run(crossSender{}, RunOptions{})
 	})
 }

@@ -9,20 +9,19 @@ import (
 )
 
 // This file implements checkpoint/resume for the round-structured engine
-// state. The batch transport's state between two rounds is, by
-// construction, exactly the current-parity message columns plus the live
-// set and a handful of counters: the engine is RNG-free, the word-I/O
-// plane keeps inputs/outputs in flat columns, and the flag-hygiene
+// state. The engine's state between two rounds is, by construction,
+// exactly the current-parity message columns plus the live set and a
+// handful of counters: the engine is RNG-free, inputs and outputs live in
+// flat columns, and the flag-hygiene
 // invariant means the OTHER parity's content is dead (its flags are
 // about to be overwritten or were flushed). A Snapshot captures that
 // state - copied, never aliased - so a run aborted at a round boundary
 // (RunOptions.SnapshotOnAbort) can be serialized, the process killed,
 // and the run resumed bit-for-bit on a fresh Network.
 //
-// Contract: snapshots cover word-I/O batch runs whose per-node state
-// lives ENTIRELY in the word columns (input/output/message words) -
-// Node.State and Node.Output must stay nil on the batch plane. The
-// capture verifies this and refuses otherwise; programs that keep
+// Contract: snapshots cover runs whose per-node state lives ENTIRELY in
+// the word columns (input/output/message words) - Node.State must stay
+// nil. The capture verifies this and refuses otherwise; programs that keep
 // algorithm-side arenas (e.g. reduce.Algo) are not snapshotable
 // mid-run, while column-state programs (e.g. forest.WaitColorAlgo) are
 // by design. Sharded runs snapshot fine: the columns are normalized to
@@ -40,8 +39,7 @@ const snapVersion = 1
 // totalPorts into an overflowing allocation).
 const maxSnapWidth = 1 << 16
 
-// Snapshot is the captured engine state of a word-I/O batch run at a
-// round boundary. It owns all of its memory: nothing aliases the
+// Snapshot is the captured engine state of a run at a round boundary. It owns all of its memory: nothing aliases the
 // session's pooled columns or the caller's input column, so it remains
 // valid across later runs and process boundaries (WriteTo/ReadSnapshot).
 type Snapshot struct {
@@ -69,7 +67,7 @@ type Snapshot struct {
 	// captured run's shard count.
 	words []int64
 	flags []uint8
-	// inWords/outWords are the word-I/O input and output column contents
+	// inWords/outWords are the input and output column contents
 	// (programs may use input slots as scratch, so the live contents -
 	// not the caller's originals - are what resumes need).
 	inWords  []int64
@@ -83,14 +81,11 @@ func (sn *Snapshot) Round() int { return sn.round }
 // into an owned Snapshot. Called at a round boundary (abortResult) while
 // the pooled columns are still bound.
 func (s *simulation) captureSnapshot(rounds int) (*Snapshot, error) {
-	if s.wio == nil || s.fw == nil {
-		return nil, fmt.Errorf("dist: snapshot requires a word-I/O batch run, got %T", s.algo)
-	}
 	// Verify the column-state contract: a program that stashed anything
-	// in the boxed per-node slots cannot be rebuilt from columns alone.
+	// in Node.State cannot be rebuilt from columns alone.
 	for _, nd := range s.nodes {
-		if nd != nil && (nd.State != nil || nd.Output != nil) {
-			return nil, fmt.Errorf("dist: snapshot requires column-only state, but vertex %d holds boxed State/Output", nd.vertex)
+		if nd != nil && nd.State != nil {
+			return nil, fmt.Errorf("dist: snapshot requires column-only state, but vertex %d holds Node.State", nd.vertex)
 		}
 	}
 	n := s.net.g.N()
@@ -99,8 +94,8 @@ func (s *simulation) captureSnapshot(rounds int) (*Snapshot, error) {
 		n:          n,
 		totalPorts: tp,
 		width:      s.width,
-		iw:         s.wio.InputWidth(),
-		ow:         s.wio.OutputWidth(),
+		iw:         s.algo.InputWidth(),
+		ow:         s.algo.OutputWidth(),
 		round:      rounds,
 		live:       append([]int(nil), s.live...),
 		clearQ:     append([]int(nil), s.clearQ...),
@@ -156,18 +151,15 @@ func (net *Network) Resume(algo Algorithm, opts RunOptions, sn *Snapshot) (*Resu
 
 // restore overlays the snapshot onto a freshly prepared simulation.
 func (s *simulation) restore(sn *Snapshot) error {
-	if s.wio == nil || s.fw == nil {
-		return fmt.Errorf("dist: resume requires a word-I/O batch run, got %T", s.algo)
-	}
 	if n := s.net.g.N(); n != sn.n {
 		return fmt.Errorf("dist: snapshot of %d vertices resumed on %d", sn.n, n)
 	}
 	if tp := s.topo.totalPorts; tp != sn.totalPorts {
 		return fmt.Errorf("dist: snapshot of %d delivery slots resumed on a topology with %d (different graph or filters)", sn.totalPorts, tp)
 	}
-	if s.width != sn.width || s.wio.InputWidth() != sn.iw || s.wio.OutputWidth() != sn.ow {
+	if s.width != sn.width || s.algo.InputWidth() != sn.iw || s.algo.OutputWidth() != sn.ow {
 		return fmt.Errorf("dist: snapshot widths (W=%d, in=%d, out=%d) do not match algorithm %T (W=%d, in=%d, out=%d)",
-			sn.width, sn.iw, sn.ow, s.algo, s.width, s.wio.InputWidth(), s.wio.OutputWidth())
+			sn.width, sn.iw, sn.ow, s.algo, s.width, s.algo.InputWidth(), s.algo.OutputWidth())
 	}
 	if len(sn.inWords) != len(s.opts.InputWords) {
 		return fmt.Errorf("dist: snapshot carries %d input words, options carry %d", len(sn.inWords), len(s.opts.InputWords))

@@ -1,49 +1,43 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
 
-// This file implements the typed word-I/O plane: vertex programs whose
-// per-vertex inputs and outputs are a fixed number of int64 words read
-// and write flat columns instead of boxing one struct per vertex into
-// []any. It extends the columnar batch transport of batch.go from
-// messages to inputs and outputs, which is the last allocation source on
-// the pipeline hot path (ROADMAP "typed input/output plumbing").
+// This file implements the engine's per-vertex input and output columns:
+// a vertex program's inputs and outputs are a fixed number of int64 words
+// per vertex (Algorithm.InputWidth/OutputWidth) in flat columns, the same
+// shape the message transport of batch.go gives its messages.
 //
 // Contract.
 //
-//   - A WordIOAlgorithm declares InputWidth and OutputWidth: the number
-//     of int64 words per vertex, or PerPort for one word per visible
-//     port (the layout used for per-port data such as parent flags or
-//     edge directions).
-//   - The word plane is bound to the batch transport: when a Run of a
-//     WordIOAlgorithm resolves to batch delivery, InitWords/StepWords
-//     read Node.InputWords() and write Node.SetOutputWord(s)/
-//     OutputWords(), and the run takes RunOptions.InputWords instead of
-//     RunOptions.Inputs (mixing the two is an error). When the run
-//     resolves to boxed delivery, the boxed Init/Step methods run
-//     against the classic Inputs/Node.Output plane; that []any path is
-//     the reference fallback which shadow tests compare against.
+//   - InputWidth and OutputWidth are the number of int64 words per
+//     vertex, or PerPort for one word per visible port (the layout used
+//     for per-port data such as parent flags or edge directions).
+//     InitWords/StepWords read Node.InputWords() and write
+//     Node.SetOutputWord(s)/OutputWords(); the run takes its input column
+//     through RunOptions.InputWords.
 //   - Input columns are CALLER-owned: the engine (and the vertex
 //     program) read them during the Run only, but a program may also use
 //     its own input slots as per-run scratch, so callers must not assume
 //     the column is unchanged after the Run (see forest.WaitColorAlgo).
 //   - Output columns are ENGINE-owned and reused: Result.OutputWords
-//     aliases a column that the next word-I/O Run on the same Network
-//     (or any of its WithDelivery views) reclaims and re-zeroes. Decode
-//     or copy it before starting another run. The column is zeroed at
-//     the start of each run, so vertices that never set an output - and
-//     inactive vertices - read as zero words.
+//     aliases a column that the next Run on the same Network (or any of
+//     its WithWorkers/WithProbe/WithContext views) reclaims and
+//     re-zeroes. Decode or copy it before starting another run. The
+//     column is zeroed at the start of each run, so vertices that never
+//     set an output - and inactive vertices - read as zero words.
+//   - Errors are reported through Node.Fail, which aborts the run with a
+//     deterministic per-run error; the output column carries results
+//     only.
 //
 // Layouts. For a fixed width W >= 1, vertex v owns words
 // [v*W, (v+1)*W) of the column, for all n vertices (inactive slots are
 // simply unused). For PerPort, the column is the concatenation, over
 // ACTIVE vertices in ascending vertex order, of one word per visible
-// port in port order - exactly the slot layout of the batch message
-// columns, so its total length is the number of visible directed edges.
+// port in port order - exactly the slot layout of the message columns,
+// so its total length is the number of visible directed edges.
 // ForEachVisible iterates that order for callers filling or decoding
 // per-port columns.
 
@@ -51,47 +45,38 @@ import (
 // instead of a fixed per-vertex word count.
 const PerPort = -1
 
-// WordIOAlgorithm is a fixed-width vertex program whose per-vertex
-// inputs and outputs are typed word columns. On the batch transport the
-// engine wires Node.InputWords/OutputWords to flat []int64 columns; the
-// embedded boxed methods remain the []any fallback implementation of
-// the same program, and the two planes must implement identical
-// behavior (pinned by shadow tests).
-type WordIOAlgorithm interface {
-	FixedWidthAlgorithm
-	// InputWidth returns the per-vertex input word count (>= 0), or
-	// PerPort. Zero means the program takes no input column. The width
-	// may depend on the algorithm value (e.g. a variant flag), but must
-	// be constant across one Run.
-	InputWidth() int
-	// OutputWidth returns the per-vertex output word count (>= 0), or
-	// PerPort. Zero means the program produces no output column.
-	OutputWidth() int
+// columnLen is the length of a column of the given width: n words per
+// word of a fixed width, one word per visible port for PerPort.
+func columnLen(width, n, totalPorts int) int {
+	if width == PerPort {
+		return totalPorts
+	}
+	return n * width
 }
 
 // InputWords returns the node's view of the input column: InputWidth
 // words (or one word per visible port when the width is PerPort). It
-// panics outside a word-I/O run or when the algorithm declares no
-// input. The program may overwrite its own slots and use them as
-// per-run scratch; see the package contract.
+// panics when the algorithm declares no input. The program may overwrite
+// its own slots and use them as per-run scratch; see the package
+// contract.
 //
 //distvet:noalloc
 func (n *Node) InputWords() []int64 {
 	if n.win == nil {
-		panic(fmt.Sprintf("dist: node id=%d calls InputWords outside a word-I/O run (or the algorithm declares no input words)", n.id))
+		panic(fmt.Sprintf("dist: node id=%d calls InputWords but the algorithm declares no input words", n.id))
 	}
 	return n.win
 }
 
 // OutputWords returns the node's writable view of the output column:
 // OutputWidth words (or one per visible port when the width is
-// PerPort), zeroed at the start of the run. It panics outside a
-// word-I/O run or when the algorithm declares no output.
+// PerPort), zeroed at the start of the run. It panics when the algorithm
+// declares no output.
 //
 //distvet:noalloc
 func (n *Node) OutputWords() []int64 {
 	if n.wob == nil {
-		panic(fmt.Sprintf("dist: node id=%d calls OutputWords outside a word-I/O run (or the algorithm declares no output words)", n.id))
+		panic(fmt.Sprintf("dist: node id=%d calls OutputWords but the algorithm declares no output words", n.id))
 	}
 	return n.wob
 }
@@ -130,8 +115,6 @@ func (n *Node) Vertex() int { return n.vertex }
 // and halts the node. The run aborts at the end of the current round
 // and Run returns the error of the smallest failing vertex (wrapped
 // with its vertex and identifier), regardless of worker scheduling.
-// This replaces the legacy convention of smuggling errors through
-// n.Output, which only the boxed []any plane can carry.
 func (n *Node) Fail(err error) {
 	if err == nil {
 		panic(fmt.Sprintf("dist: node id=%d calls Fail with a nil error", n.id))
@@ -177,35 +160,6 @@ func (f *runFailure) take() error {
 		return nil
 	}
 	return fmt.Errorf("dist: vertex %d (id %d): %w", f.vertex, f.id, f.err)
-}
-
-// WordIO reports whether a default-options Run of algo on this network
-// resolves to the batch transport with the typed word-I/O plane.
-// Orchestrators branch on it: word columns via RunWords when true, the
-// boxed []any fallback otherwise (e.g. under a WithDelivery(
-// DeliveryBoxed) shadow view).
-func (net *Network) WordIO(algo Algorithm) bool {
-	batch, err := net.resolveDelivery(algo, RunOptions{})
-	if err != nil || !batch {
-		return false
-	}
-	_, ok := algo.(WordIOAlgorithm)
-	return ok
-}
-
-// RunWords is the word-plane entry point: Run restricted to word-I/O
-// algorithms on the batch transport. It fails rather than falling back
-// when the network or options force boxed delivery, so orchestrators
-// that support the fallback check Network.WordIO first.
-func (net *Network) RunWords(algo WordIOAlgorithm, opts RunOptions) (*Result, error) {
-	batch, err := net.resolveDelivery(algo, opts)
-	if err != nil {
-		return nil, err
-	}
-	if !batch {
-		return nil, errors.New("dist: RunWords requires the batch transport (the network or options force boxed delivery)")
-	}
-	return net.Run(algo, opts)
 }
 
 // wireWordIO binds one live node's input/output column views. The widths

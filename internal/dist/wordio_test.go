@@ -10,75 +10,31 @@ import (
 	"repro/internal/graph"
 )
 
-// seedMix is the engine-level word-I/O shadow program: per-vertex typed
-// inputs (a seed and a round budget word), one digest word of output,
-// and one-word messages. The boxed plane reads seedMixInput structs and
-// writes n.Output; the word plane reads InputWords and writes
-// SetOutputWord. Any divergence between the planes - input decode,
-// output slot, delivery, halting - shifts some digest.
+// seedMix is the engine-level word-I/O program: per-vertex typed inputs
+// (a seed and a round budget word), one digest word of output, and
+// one-word messages. Any input-decode, output-slot, delivery or halting
+// bug shifts some digest.
 type seedMix struct{}
-
-type seedMixInput struct {
-	Seed   int64
-	Rounds int64
-}
 
 func (seedMix) MessageWords() int { return 1 }
 func (seedMix) InputWidth() int   { return 2 }
 func (seedMix) OutputWidth() int  { return 1 }
 
-func (seedMix) open(n *Node, seed int64) int64 {
-	acc := seed*1000003 + int64(n.ID())
+func (seedMix) InitWords(n *Node) {
+	acc := n.InputWords()[0]*1000003 + int64(n.ID())
 	n.State = acc
-	return acc
+	n.SendAllWord(acc % 99991)
 }
 
-func (seedMix) mix(n *Node, read func(p int) (int64, bool)) int64 {
+func (seedMix) StepWords(n *Node, inbox WordInbox) {
 	acc := n.State.(int64)
-	for p := 0; p < n.Degree(); p++ {
-		if v, ok := read(p); ok {
-			acc = acc*31 + v + int64(p)
+	for p := 0; p < inbox.Ports(); p++ {
+		if inbox.Has(p) {
+			acc = acc*31 + inbox.Word(p) + int64(p)
 		}
 	}
 	n.State = acc
-	return acc
-}
-
-func (a seedMix) Init(n *Node) {
-	in := n.Input.(seedMixInput)
-	n.SendAll(int(a.open(n, in.Seed) % 99991))
-}
-
-func (a seedMix) InitWords(n *Node) {
-	in := n.InputWords()
-	n.SendAllWord(a.open(n, in[0]) % 99991)
-}
-
-func (a seedMix) Step(n *Node, inbox []Message) {
-	in := n.Input.(seedMixInput)
-	acc := a.mix(n, func(p int) (int64, bool) {
-		if inbox[p] == nil {
-			return 0, false
-		}
-		return int64(inbox[p].(int)), true
-	})
-	if int64(n.Round()) >= in.Rounds+int64(n.ID()%2) {
-		n.Output = int(acc)
-		n.Halt()
-		return
-	}
-	n.SendAll(int(acc % 99991))
-}
-
-func (a seedMix) StepWords(n *Node, inbox WordInbox) {
-	in := n.InputWords()
-	acc := a.mix(n, func(p int) (int64, bool) {
-		if !inbox.Has(p) {
-			return 0, false
-		}
-		return inbox.Word(p), true
-	})
-	if int64(n.Round()) >= in[1]+int64(n.ID()%2) {
+	if int64(n.Round()) >= n.InputWords()[1]+int64(n.ID()%2) {
 		n.SetOutputWord(acc)
 		n.Halt()
 		return
@@ -86,71 +42,29 @@ func (a seedMix) StepWords(n *Node, inbox WordInbox) {
 	n.SendAllWord(acc % 99991)
 }
 
-// runWordShadow runs a word-I/O program on both planes - boxed structs
-// versus typed columns - and fails unless rounds, messages and decoded
-// outputs are identical.
-func runWordShadow(t *testing.T, net *Network, algo WordIOAlgorithm, boxedInputs []any, words []int64, opts RunOptions, decode func(*Result) []int64) {
-	t.Helper()
-	boxedOpts := opts
-	boxedOpts.Delivery = DeliveryBoxed
-	boxedOpts.Inputs = boxedInputs
-	boxed, err := net.Run(algo, boxedOpts)
-	if err != nil {
-		t.Fatalf("boxed run: %v", err)
+func seedMixInputs(g *graph.Graph, rng *rand.Rand) []int64 {
+	words := make([]int64, 2*g.N())
+	for v := 0; v < g.N(); v++ {
+		words[2*v], words[2*v+1] = int64(rng.Intn(1000)), int64(3+rng.Intn(3))
 	}
-	boxedOut := decode(boxed)
-
-	wordOpts := opts
-	wordOpts.Delivery = DeliveryBatch
-	wordOpts.InputWords = words
-	word, err := net.Run(algo, wordOpts)
-	if err != nil {
-		t.Fatalf("word run: %v", err)
-	}
-	if word.Outputs != nil {
-		t.Fatal("word-I/O run materialized []any outputs")
-	}
-	if boxed.Rounds != word.Rounds || boxed.Messages != word.Messages {
-		t.Fatalf("planes diverged: boxed rounds=%d messages=%d, word rounds=%d messages=%d",
-			boxed.Rounds, boxed.Messages, word.Rounds, word.Messages)
-	}
-	if !reflect.DeepEqual(boxedOut, word.OutputWords) {
-		t.Fatalf("planes diverged on outputs:\nboxed %v\nword  %v", boxedOut, word.OutputWords)
-	}
+	return words
 }
 
-func seedMixCase(g *graph.Graph, rng *rand.Rand) ([]any, []int64) {
-	n := g.N()
-	boxed := make([]any, n)
-	words := make([]int64, 2*n)
-	for v := 0; v < n; v++ {
-		in := seedMixInput{Seed: int64(rng.Intn(1000)), Rounds: int64(3 + rng.Intn(3))}
-		boxed[v] = in
-		words[2*v], words[2*v+1] = in.Seed, in.Rounds
-	}
-	return boxed, words
-}
-
-// decodeInts re-encodes a boxed []any int output as a word column so the
-// shadow harness can DeepEqual it against OutputWords. Inactive (nil)
-// outputs map to 0, the word plane's unset value.
-func decodeInts(res *Result) []int64 {
-	out := make([]int64, len(res.Outputs))
-	for v, o := range res.Outputs {
-		if o != nil {
-			out[v] = int64(o.(int))
-		}
-	}
-	return out
-}
+// The two seedMix goldens were captured from the boxed []any plane (the
+// same program reading per-vertex input structs), which these tests used
+// to compare the word plane against before it was deleted.
 
 func TestWordIOShadowsBoxedOnRandomGraphs(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(700 + seed))
+	for seed, want := range []runGolden{
+		{0x189752fb4e769834, 6, 4751},
+		{0x3f07eca1db66b003, 6, 5486},
+		{0x433da7e53caccaa9, 6, 5406},
+		{0xb1f2e8857eca66b, 6, 5150},
+	} {
+		rng := rand.New(rand.NewSource(700 + int64(seed)))
 		g := graph.Gnp(150, 0.05, rng)
 		net := NewNetworkPermuted(g, rng)
-		boxed, words := seedMixCase(g, rng)
-		runWordShadow(t, net, seedMix{}, boxed, words, RunOptions{}, decodeInts)
+		checkFrozen(t, net, seedMix{}, RunOptions{InputWords: seedMixInputs(g, rng)}, want)
 	}
 }
 
@@ -164,8 +78,8 @@ func TestWordIOShadowsBoxedUnderFilters(t *testing.T) {
 		labels[v] = rng.Intn(3)
 		active[v] = rng.Intn(6) > 0
 	}
-	boxed, words := seedMixCase(g, rng)
-	runWordShadow(t, net, seedMix{}, boxed, words, RunOptions{Labels: labels, Active: active}, decodeInts)
+	opts := RunOptions{InputWords: seedMixInputs(g, rng), Labels: labels, Active: active}
+	checkFrozen(t, net, seedMix{}, opts, runGolden{0xa982d239f3fd6c28, 6, 2360})
 }
 
 // portScale exercises the PerPort layouts on both ends: the input column
@@ -173,26 +87,11 @@ func TestWordIOShadowsBoxedUnderFilters(t *testing.T) {
 // per visible port (weight times the neighbor's opening message).
 type portScale struct{}
 
-type portScaleInput struct{ Weights []int64 }
-
 func (portScale) MessageWords() int { return 1 }
 func (portScale) InputWidth() int   { return PerPort }
 func (portScale) OutputWidth() int  { return PerPort }
 
-func (portScale) Init(n *Node)      { n.SendAll(n.ID() + 13) }
 func (portScale) InitWords(n *Node) { n.SendAllWord(int64(n.ID() + 13)) }
-
-func (portScale) Step(n *Node, inbox []Message) {
-	in := n.Input.(portScaleInput)
-	out := make([]int64, n.Degree())
-	for p, m := range inbox {
-		if m != nil {
-			out[p] = in.Weights[p] * int64(m.(int))
-		}
-	}
-	n.Output = out
-	n.Halt()
-}
 
 func (portScale) StepWords(n *Node, inbox WordInbox) {
 	in := n.InputWords()
@@ -214,43 +113,40 @@ func TestWordIOPerPortPlanes(t *testing.T) {
 		labels[v] = rng.Intn(2)
 	}
 
-	boxed := make([]any, g.N())
-	var words []int64
+	// Every visible neighbor sends id+13 in round 0, so port p of v
+	// must output weight(v, p) * (id(u)+13) - computed here host-side.
+	ids := net.IDs()
+	var words, want []int64
 	ForEachVisible(g, labels, nil, func(v int, ports []int) {
-		ws := make([]int64, len(ports))
-		for p := range ports {
-			ws[p] = int64(1 + (v+p)%7)
-			words = append(words, ws[p])
+		for p, u := range ports {
+			w := int64(1 + (v+p)%7)
+			words = append(words, w)
+			want = append(want, w*int64(ids[u]+13))
 		}
-		boxed[v] = portScaleInput{Weights: ws}
 	})
-
-	decode := func(res *Result) []int64 {
-		var out []int64
-		ForEachVisible(g, labels, nil, func(v int, ports []int) {
-			ws := res.Outputs[v].([]int64)
-			out = append(out, ws...)
-		})
-		if out == nil {
-			out = []int64{}
-		}
-		return out
+	res, err := net.Run(portScale{}, RunOptions{InputWords: words, Labels: labels})
+	if err != nil {
+		t.Fatal(err)
 	}
-	runWordShadow(t, net, portScale{}, boxed, words, RunOptions{Labels: labels}, decode)
+	if res.Rounds != 1 || res.Messages != int64(len(words)) {
+		t.Errorf("rounds/messages %d/%d, want 1/%d", res.Rounds, res.Messages, len(words))
+	}
+	if !reflect.DeepEqual(res.OutputWords, want) {
+		t.Fatal("per-port output column diverges from the host-side products")
+	}
 }
 
 func TestWordIOColumnReusedAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(730))
 	g := graph.Grid(10, 10)
 	net := NewNetworkPermuted(g, rng)
-	boxed, words := seedMixCase(g, rng)
-	_ = boxed
-	first, err := net.RunWords(seedMix{}, RunOptions{InputWords: words})
+	words := seedMixInputs(g, rng)
+	first, err := net.Run(seedMix{}, RunOptions{InputWords: words})
 	if err != nil {
 		t.Fatal(err)
 	}
 	firstCopy := append([]int64(nil), first.OutputWords...)
-	second, err := net.RunWords(seedMix{}, RunOptions{InputWords: words})
+	second, err := net.Run(seedMix{}, RunOptions{InputWords: words})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,56 +162,33 @@ func TestWordIOValidation(t *testing.T) {
 	g := graph.Path(3)
 	net := NewNetwork(g)
 	// Wrong input column length.
-	if _, err := net.RunWords(seedMix{}, RunOptions{InputWords: make([]int64, 5)}); err == nil {
+	if _, err := net.Run(seedMix{}, RunOptions{InputWords: make([]int64, 5)}); err == nil {
 		t.Error("short input column accepted")
 	}
-	// Boxed inputs on the word plane.
-	if _, err := net.Run(seedMix{}, RunOptions{Inputs: make([]any, 3), Delivery: DeliveryBatch}); err == nil {
-		t.Error("boxed Inputs accepted on a word-I/O batch run")
-	}
-	// Word inputs without a word-I/O algorithm.
+	// An input column for an algorithm that declares no input.
 	if _, err := net.Run(wordGossip{rounds: 2}, RunOptions{InputWords: make([]int64, 3)}); err == nil {
-		t.Error("InputWords accepted for a non-word-I/O algorithm")
-	}
-	// RunWords refuses the boxed transport rather than falling back.
-	boxedNet := net.WithDelivery(DeliveryBoxed)
-	if _, err := boxedNet.RunWords(seedMix{}, RunOptions{InputWords: make([]int64, 6)}); err == nil {
-		t.Error("RunWords ran on a boxed-forced network")
-	}
-	if net.WordIO(seedMix{}) != true {
-		t.Error("WordIO false for a word-I/O algorithm on an auto network")
-	}
-	if boxedNet.WordIO(seedMix{}) != false {
-		t.Error("WordIO true on a boxed-forced network")
-	}
-	if net.WordIO(wordGossip{rounds: 1}) != false {
-		t.Error("WordIO true for a fixed-width-only algorithm")
+		t.Error("InputWords accepted for an algorithm without an input column")
 	}
 }
 
-// inputTouch calls InputWords from the boxed plane, which must panic.
-type inputTouch struct{}
+// inputTouch calls InputWords although it declares no input, which
+// must panic.
+type inputTouch struct{ idler }
 
-func (inputTouch) MessageWords() int              { return 1 }
-func (inputTouch) InputWidth() int                { return 1 }
-func (inputTouch) OutputWidth() int               { return 1 }
-func (inputTouch) Init(n *Node)                   { n.InputWords() }
-func (inputTouch) InitWords(n *Node)              { n.SetOutputWords(7) }
-func (inputTouch) Step(n *Node, inbox []Message)  {}
-func (inputTouch) StepWords(n *Node, i WordInbox) {}
+func (inputTouch) InitWords(n *Node) { n.InputWords() }
 
 func TestWordIOMisusePanics(t *testing.T) {
 	net := NewNetwork(graph.Path(2))
-	wantContained(t, "InputWords outside a word-I/O run", func() (*Result, error) {
-		return net.Run(inputTouch{}, RunOptions{Delivery: DeliveryBoxed})
+	wantContained(t, "declares no input words", func() (*Result, error) {
+		return net.Run(inputTouch{}, RunOptions{})
 	})
 	// SetOutputWord with a wider declared output.
 	wantContained(t, "SetOutputWord with 2 output words", func() (*Result, error) {
-		return net.Run(badSetter{}, RunOptions{Delivery: DeliveryBatch})
+		return net.Run(badSetter{}, RunOptions{})
 	})
 	// SetOutputWords with the wrong word count.
 	wantContained(t, "sets 1 of 2 output words", func() (*Result, error) {
-		return net.Run(badSetter{short: true}, RunOptions{Delivery: DeliveryBatch})
+		return net.Run(badSetter{short: true}, RunOptions{})
 	})
 }
 
@@ -331,12 +204,10 @@ func (b badSetter) InitWords(n *Node) {
 		n.SetOutputWord(1)
 	}
 }
-func (badSetter) Init(n *Node)                   {}
-func (badSetter) Step(n *Node, inbox []Message)  {}
 func (badSetter) StepWords(n *Node, i WordInbox) {}
 
 // failAt fails every vertex whose identifier is divisible by div, in
-// round 1, on both planes.
+// round 1.
 type failAt struct{ div int }
 
 var errFailAt = errors.New("synthetic vertex failure")
@@ -344,17 +215,14 @@ var errFailAt = errors.New("synthetic vertex failure")
 func (failAt) MessageWords() int { return 1 }
 func (failAt) InputWidth() int   { return 0 }
 func (failAt) OutputWidth() int  { return 1 }
-func (failAt) Init(n *Node)      { n.SendAll(1) }
 func (failAt) InitWords(n *Node) { n.SendAllWord(1) }
-func (f failAt) step(n *Node) {
+func (f failAt) StepWords(n *Node, i WordInbox) {
 	if n.ID()%f.div == 0 {
 		n.Fail(errFailAt)
 		return
 	}
 	n.Halt()
 }
-func (f failAt) Step(n *Node, inbox []Message)  { f.step(n) }
-func (f failAt) StepWords(n *Node, i WordInbox) { f.step(n) }
 
 func TestFailReportsSmallestVertexDeterministically(t *testing.T) {
 	rng := rand.New(rand.NewSource(740))
@@ -362,17 +230,15 @@ func TestFailReportsSmallestVertexDeterministically(t *testing.T) {
 	net := NewNetworkPermuted(g, rng)
 
 	want := ""
-	for _, d := range []Delivery{DeliveryBoxed, DeliveryBatch} {
-		for _, workers := range []int{4, 1} { // pinned worker pool and sequential
-			_, err := net.Run(failAt{div: 7}, RunOptions{Delivery: d, Workers: workers})
-			if !errors.Is(err, errFailAt) {
-				t.Fatalf("delivery=%v workers=%d: got %v, want errFailAt", d, workers, err)
-			}
-			if want == "" {
-				want = err.Error()
-			} else if err.Error() != want {
-				t.Fatalf("nondeterministic failure report:\n%q\n%q", err.Error(), want)
-			}
+	for _, workers := range []int{4, 1} { // pinned worker pool and sequential
+		_, err := net.Run(failAt{div: 7}, RunOptions{Workers: workers})
+		if !errors.Is(err, errFailAt) {
+			t.Fatalf("workers=%d: got %v, want errFailAt", workers, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("nondeterministic failure report:\n%q\n%q", err.Error(), want)
 		}
 	}
 	if !strings.Contains(want, "vertex ") {
@@ -383,7 +249,7 @@ func TestFailReportsSmallestVertexDeterministically(t *testing.T) {
 func TestVertexAccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(750))
 	net := NewNetworkPermuted(graph.Path(5), rng)
-	res, err := net.Run(vertexEcho{}, RunOptions{Delivery: DeliveryBatch})
+	res, err := net.Run(vertexEcho{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,6 +269,4 @@ func (vertexEcho) InitWords(n *Node) {
 	n.SetOutputWord(int64(n.Vertex()))
 	n.Halt()
 }
-func (vertexEcho) Init(n *Node)                   { n.Halt() }
-func (vertexEcho) Step(n *Node, inbox []Message)  {}
 func (vertexEcho) StepWords(n *Node, i WordInbox) {}

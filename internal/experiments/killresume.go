@@ -111,7 +111,6 @@ func ScaleKillResume(opt ScaleOptions) (*KillResumeReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		net = net.WithDelivery(opt.Delivery)
 		if opt.Workers > 0 {
 			net = net.WithWorkers(opt.Workers)
 		}

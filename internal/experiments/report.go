@@ -49,13 +49,11 @@ type Record struct {
 	WallMS float64 `json:"wall_ms"`
 	N      int     `json:"n"`
 	Seed   int64   `json:"seed"`
-	// Delivery, Mallocs, AllocMB and AllocsPerVertex are set on
-	// scale-run records (exp "SCALE"): the message transport used, the
-	// heap allocation count / bytes (MB) of the coloring run they
-	// bracket, and the normalized mallocs/n - the figure the typed
-	// word-I/O plumbing exists to keep in the single digits, gated in CI
-	// against a checked-in budget.
-	Delivery        string  `json:"delivery,omitempty"`
+	// Mallocs, AllocMB and AllocsPerVertex are set on scale-run records
+	// (exp "SCALE"): the heap allocation count / bytes (MB) of the
+	// coloring run they bracket, and the normalized mallocs/n - the
+	// figure the word-column plumbing exists to keep in the single
+	// digits, gated in CI against a checked-in budget.
 	Mallocs         uint64  `json:"mallocs,omitempty"`
 	AllocMB         float64 `json:"alloc_mb,omitempty"`
 	AllocsPerVertex float64 `json:"allocs_per_vertex,omitempty"`

@@ -16,13 +16,9 @@ import (
 
 // The scale experiment (exp id "SCALE") is the ROADMAP's million-vertex
 // target: load an n=10^6-class instance through the streaming binary
-// graph format and run Procedure Legal-Coloring end to end on the
-// columnar batch transport, recording wall time and heap allocations
-// next to the usual colors/rounds/messages. Forcing dist.DeliveryBatch
-// doubles as an end-to-end assertion that every phase of the pipeline
-// (H-partition, per-level recoloring, orientation exchange,
-// wait-for-parents) is fixed-width; the boxed transport remains
-// selectable for shadow comparisons.
+// graph format and run Procedure Legal-Coloring end to end, recording
+// wall time and heap allocations next to the usual
+// colors/rounds/messages.
 
 // ScaleOptions configures one scale run.
 type ScaleOptions struct {
@@ -41,9 +37,6 @@ type ScaleOptions struct {
 	// Dir is the scratch directory for the generate->WriteBinary->
 	// OpenBinary round trip; empty means a temporary directory.
 	Dir string
-	// Delivery selects the transport; DeliveryAuto is recorded (and
-	// enforced) as DeliveryBatch.
-	Delivery dist.Delivery
 	// Workers pins the engine worker count for every phase of the run
 	// (dist.Network.WithWorkers); 0 keeps the auto heuristic. The
 	// coloring is bit-for-bit identical at every setting - the knob only
@@ -78,13 +71,10 @@ func (o *ScaleOptions) normalize() {
 	if o.P < 4 {
 		o.P = 4
 	}
-	if o.Delivery == dist.DeliveryAuto {
-		o.Delivery = dist.DeliveryBatch
-	}
 }
 
 // ScaleResult is one scale run: the JSON-Lines record plus the raw
-// coloring, which shadow comparisons check bit for bit across transports.
+// coloring, which sweeps check bit for bit across their points.
 type ScaleResult struct {
 	Record Record
 	Colors []int
@@ -102,7 +92,7 @@ func ScaleRun(opt ScaleOptions) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := dist.NewNetworkPermuted(g, rng).WithDelivery(opt.Delivery)
+	net := dist.NewNetworkPermuted(g, rng)
 	if opt.Workers > 0 {
 		net = net.WithWorkers(opt.Workers)
 	}
@@ -153,7 +143,7 @@ func ScaleSweep(opt ScaleOptions, workers []int) ([]*ScaleResult, error) {
 		o := opt
 		o.Workers = w
 		prev := runtime.GOMAXPROCS(w)
-		res, err := scaleMeasure(net.WithDelivery(o.Delivery).WithWorkers(w), g, source, o)
+		res, err := scaleMeasure(net.WithWorkers(w), g, source, o)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			return results, fmt.Errorf("experiments: scale sweep (workers=%d): %w", w, err)
@@ -210,7 +200,6 @@ func ScaleShardSweep(opt ScaleOptions, shardCounts []int) ([]*ScaleResult, error
 		}
 		o := opt
 		o.Shards = k
-		net = net.WithDelivery(o.Delivery)
 		if o.Workers > 0 {
 			net = net.WithWorkers(o.Workers)
 		}
@@ -272,7 +261,6 @@ func scaleMeasure(net *dist.Network, g *graph.Graph, source string, opt ScaleOpt
 		WallMS:     float64(wall.Microseconds()) / 1000.0,
 		N:          g.N(),
 		Seed:       opt.Seed,
-		Delivery:   opt.Delivery.String(),
 		Mallocs:    after.Mallocs - before.Mallocs,
 		AllocMB:    float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
 		GoMaxProcs: runtime.GOMAXPROCS(0),

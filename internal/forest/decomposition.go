@@ -24,41 +24,13 @@ type ForestsDecomposition struct {
 // beyond the orientation exchange; the assignment round is free.
 type forestAssign struct{}
 
-type forestAssignInput struct {
-	ParentPort []bool
-}
-
-type forestAssignOutput struct {
-	// ForestOfPort[p] is the forest index of the outgoing edge on port p,
-	// or -1 when the port is not a parent edge.
-	ForestOfPort []int
-}
-
-func (forestAssign) Init(n *dist.Node) {
-	in := n.Input.(forestAssignInput)
-	out := make([]int, len(in.ParentPort))
-	next := 0
-	for p, isParent := range in.ParentPort {
-		if isParent {
-			out[p] = next
-			next++
-		} else {
-			out[p] = -1
-		}
-	}
-	n.Output = forestAssignOutput{ForestOfPort: out}
-	n.Halt()
-}
-
-func (forestAssign) Step(n *dist.Node, inbox []dist.Message) {}
-
-// MessageWords implements dist.FixedWidthAlgorithm; the assignment is
-// purely local, so no message is ever sent.
+// MessageWords implements dist.Algorithm; the assignment is purely
+// local, so no message is ever sent.
 func (forestAssign) MessageWords() int { return 1 }
 
-// InputWidth and OutputWidth implement dist.WordIOAlgorithm: one
-// parent-flag word in and one forest-index word out per visible port
-// (-1 marks a non-parent edge).
+// InputWidth and OutputWidth implement dist.Algorithm: one parent-flag
+// word in and one forest-index word out per visible port (-1 marks a
+// non-parent edge).
 func (forestAssign) InputWidth() int  { return dist.PerPort }
 func (forestAssign) OutputWidth() int { return dist.PerPort }
 
@@ -113,56 +85,29 @@ func DecomposeWithOrientation(net *dist.Network, sigma *graph.Orientation, baseR
 			numForests = f + 1
 		}
 	}
-	var res *dist.Result
-	var err error
-	if net.WordIO(forestAssign{}) {
-		// Unfiltered run: visible ports coincide with the graph's port
-		// numbering, so the parent flags can be read per port, in
-		// parallel against the cached topology.
-		col := net.PortColumn(nil, nil, func(v int, ports []int, out []int64) {
-			for p := range ports {
-				if sigma.IsParentPort(v, p) {
-					out[p] = 1
-				}
-			}
-		})
-		res, err = net.RunWords(forestAssign{}, dist.RunOptions{InputWords: col})
-		if err != nil {
-			return nil, err
-		}
-		out, off := res.OutputWords, 0
-		for v := 0; v < n; v++ {
-			nbrs := g.Neighbors(v)
-			for p, u := range nbrs {
-				record(v, u, int(out[off+p]))
-			}
-			off += len(nbrs)
-		}
-	} else {
-		inputs := make([]any, n)
-		for v := 0; v < n; v++ {
-			nbrs := g.Neighbors(v)
-			flags := make([]bool, len(nbrs))
-			for p := range flags {
-				flags[p] = sigma.IsParentPort(v, p)
-			}
-			inputs[v] = forestAssignInput{ParentPort: flags}
-		}
-		res, err = net.Run(forestAssign{}, dist.RunOptions{Inputs: inputs})
-		if err != nil {
-			return nil, err
-		}
-		for v := 0; v < n; v++ {
-			out, ok := res.Outputs[v].(forestAssignOutput)
-			if !ok {
-				return nil, fmt.Errorf("forest: vertex %d missing assignment", v)
-			}
-			nbrs := g.Neighbors(v)
-			for p, f := range out.ForestOfPort {
-				record(v, nbrs[p], f)
+	// Unfiltered run: visible ports coincide with the graph's port
+	// numbering, so the parent flags can be read per port, in parallel
+	// against the cached topology.
+	col := net.PortColumn(nil, nil, func(v int, ports []int, out []int64) {
+		for p := range ports {
+			if sigma.IsParentPort(v, p) {
+				out[p] = 1
 			}
 		}
+	})
+	res, err := net.Run(forestAssign{}, dist.RunOptions{InputWords: col})
+	if err != nil {
+		return nil, err
 	}
+	out, off := res.OutputWords, 0
+	for v := 0; v < n; v++ {
+		nbrs := g.Neighbors(v)
+		for p, u := range nbrs {
+			record(v, u, int(out[off+p]))
+		}
+		off += len(nbrs)
+	}
+
 	return &ForestsDecomposition{
 		Sigma:      sigma,
 		ForestOf:   forestOf,

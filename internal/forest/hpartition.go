@@ -69,31 +69,12 @@ type hpartitionAlgo struct {
 	threshold int
 }
 
-func (a hpartitionAlgo) Init(n *dist.Node) {
-	n.SendAll(struct{}{})
-}
-
-func (a hpartitionAlgo) Step(n *dist.Node, inbox []dist.Message) {
-	activeNbrs := 0
-	for _, m := range inbox {
-		if m != nil {
-			activeNbrs++
-		}
-	}
-	if activeNbrs <= a.threshold {
-		n.Output = n.Round()
-		n.Halt()
-		return
-	}
-	n.SendAll(struct{}{})
-}
-
-// MessageWords implements dist.FixedWidthAlgorithm: the beacon is a
-// single (ignored) word; presence is the signal.
+// MessageWords implements dist.Algorithm: the beacon is a single
+// (ignored) word; presence is the signal.
 func (hpartitionAlgo) MessageWords() int { return 1 }
 
-// InputWidth and OutputWidth implement dist.WordIOAlgorithm: the peeling
-// takes no input and reports one level word per vertex.
+// InputWidth and OutputWidth implement dist.Algorithm: the peeling takes
+// no input and reports one level word per vertex.
 func (hpartitionAlgo) InputWidth() int  { return 0 }
 func (hpartitionAlgo) OutputWidth() int { return 1 }
 
@@ -136,31 +117,16 @@ func ComputeHPartition(net *dist.Network, a int, eps Eps, labels []int, active [
 	threshold := eps.Threshold(a)
 	budget := eps.MaxLevels(g.N()) + 2
 	algo := hpartitionAlgo{threshold: threshold}
-	opts := dist.RunOptions{MaxRounds: budget, Labels: labels, Active: active}
-	var res *dist.Result
-	var err error
-	wordIO := net.WordIO(algo)
-	if wordIO {
-		res, err = net.RunWords(algo, opts)
-	} else {
-		res, err = net.Run(algo, opts)
-	}
+	res, err := net.Run(algo, dist.RunOptions{MaxRounds: budget, Labels: labels, Active: active})
 	if err != nil {
 		if errors.Is(err, dist.ErrMaxRounds) {
 			return nil, fmt.Errorf("%w (bound a=%d, threshold=%d)", ErrArboricityTooSmall, a, threshold)
 		}
 		return nil, err
 	}
-	var levels []int
-	if wordIO {
-		levels = make([]int, g.N())
-		if err := dist.IntsFromWords(res, levels); err != nil {
-			return nil, err
-		}
-	} else {
-		if levels, err = dist.IntOutputs(res, 0); err != nil {
-			return nil, err
-		}
+	levels := make([]int, g.N())
+	if err := dist.IntsFromWords(res, levels); err != nil {
+		return nil, err
 	}
 	numLevels := 0
 	for _, l := range levels {

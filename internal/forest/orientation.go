@@ -25,60 +25,25 @@ import (
 // its neighbors' (level, key) pairs and derives parent-port flags locally.
 type orientExchange struct{}
 
-type orientMsg struct {
-	Level int
-	Key   int
-}
-
-type orientInput struct {
-	Level int
-	Key   int
-}
-
-// orientOutput reports, for each visible port: +1 parent, -1 child,
-// 0 unoriented.
-type orientOutput struct {
-	PortDir []int8
-}
-
-func (orientExchange) Init(n *dist.Node) {
-	in := n.Input.(orientInput)
-	n.SendAll(orientMsg{Level: in.Level, Key: in.Key})
-}
-
-func (orientExchange) Step(n *dist.Node, inbox []dist.Message) {
-	in := n.Input.(orientInput)
-	dirs := make([]int8, len(inbox))
-	for p, m := range inbox {
-		if m == nil {
-			continue
-		}
-		om := m.(orientMsg)
-		dirs[p] = orientDir(in, om.Level, om.Key)
-	}
-	n.Output = orientOutput{PortDir: dirs}
-	n.Halt()
-}
-
 // orientDir compares a neighbor's (level, key) with ours: +1 parent,
 // -1 child, 0 tie (unoriented).
-func orientDir(in orientInput, level, key int) int8 {
+func orientDir(myLevel, myKey, level, key int64) int64 {
 	switch {
-	case level > in.Level || (level == in.Level && key > in.Key):
+	case level > myLevel || (level == myLevel && key > myKey):
 		return +1 // neighbor is our parent
-	case level < in.Level || (level == in.Level && key < in.Key):
+	case level < myLevel || (level == myLevel && key < myKey):
 		return -1 // neighbor is our child
 	default:
 		return 0
 	}
 }
 
-// MessageWords implements dist.FixedWidthAlgorithm: a message carries the
-// sender's level and key.
+// MessageWords implements dist.Algorithm: a message carries the sender's
+// level and key.
 func (orientExchange) MessageWords() int { return 2 }
 
-// InputWidth and OutputWidth implement dist.WordIOAlgorithm: two input
-// words per vertex (level, key) and one direction word per visible port
+// InputWidth and OutputWidth implement dist.Algorithm: two input words
+// per vertex (level, key) and one direction word per visible port
 // (+1 parent, -1 child, 0 unoriented/silent).
 func (orientExchange) InputWidth() int  { return 2 }
 func (orientExchange) OutputWidth() int { return dist.PerPort }
@@ -95,14 +60,14 @@ func (orientExchange) InitWords(n *dist.Node) {
 
 //distvet:noalloc
 func (orientExchange) StepWords(n *dist.Node, inbox dist.WordInbox) {
-	in := orientInput{Level: int(n.InputWords()[0]), Key: int(n.InputWords()[1])}
+	in := n.InputWords()
 	out := n.OutputWords()
 	for p := range out {
 		if !inbox.Has(p) {
 			continue
 		}
 		w := inbox.Words(p)
-		out[p] = int64(orientDir(in, int(w[0]), int(w[1])))
+		out[p] = orientDir(in[0], in[1], w[0], w[1])
 	}
 	n.Halt()
 }
@@ -135,61 +100,36 @@ func OrientByLevelKey(net *dist.Network, levels, keys []int, labels []int, activ
 		return nil, fmt.Errorf("forest: levels/keys length mismatch")
 	}
 	sigma := graph.NewOrientation(g)
-	if net.WordIO(orientExchange{}) {
-		col := make([]int64, 2*n)
-		dist.ParallelFor(n, net.SweepWorkers(n), func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				col[2*v] = int64(levels[v])
-				col[2*v+1] = int64(keys[v])
-			}
-		})
-		res, err := net.RunWords(orientExchange{}, dist.RunOptions{InputWords: col, Labels: labels, Active: active})
-		if err != nil {
-			return nil, err
+	col := make([]int64, 2*n)
+	dist.ParallelFor(n, net.SweepWorkers(n), func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			col[2*v] = int64(levels[v])
+			col[2*v+1] = int64(keys[v])
 		}
-		// Decode the per-port direction column in the engine's layout
-		// order (active vertices ascending, visible ports ascending),
-		// served from the session's cached topology. The central sigma
-		// assembly stays serial: Orient mutates both endpoints' entries.
-		out, off := res.OutputWords, 0
-		var orientErr error
-		net.ForEachVisible(labels, active, func(v int, ports []int) {
-			dirs := out[off : off+len(ports)]
-			off += len(ports)
-			for p, d := range dirs {
-				if d == +1 && orientErr == nil {
-					orientErr = sigma.Orient(v, ports[p])
-				}
-			}
-		})
-		if orientErr != nil {
-			return nil, orientErr
-		}
-		return &OrientResult{Sigma: sigma, Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}, nil
-	}
-	inputs := make([]any, n)
-	for v := 0; v < n; v++ {
-		inputs[v] = orientInput{Level: levels[v], Key: keys[v]}
-	}
-	res, err := net.Run(orientExchange{}, dist.RunOptions{Inputs: inputs, Labels: labels, Active: active})
+	})
+	res, err := net.Run(orientExchange{}, dist.RunOptions{InputWords: col, Labels: labels, Active: active})
 	if err != nil {
 		return nil, err
 	}
-	for v := 0; v < n; v++ {
-		out, ok := res.Outputs[v].(orientOutput)
-		if !ok {
-			continue // inactive vertex
-		}
-		ports := dist.VisiblePorts(g, labels, active, v)
-		for p, d := range out.PortDir {
-			if d == +1 {
-				if err := sigma.Orient(v, ports[p]); err != nil {
-					return nil, err
-				}
+	// Decode the per-port direction column in the engine's layout
+	// order (active vertices ascending, visible ports ascending),
+	// served from the session's cached topology. The central sigma
+	// assembly stays serial: Orient mutates both endpoints' entries.
+	out, off := res.OutputWords, 0
+	var orientErr error
+	net.ForEachVisible(labels, active, func(v int, ports []int) {
+		dirs := out[off : off+len(ports)]
+		off += len(ports)
+		for p, d := range dirs {
+			if d == +1 && orientErr == nil {
+				orientErr = sigma.Orient(v, ports[p])
 			}
 		}
+	})
+	if orientErr != nil {
+		return nil, orientErr
 	}
-	return &OrientResult{Sigma: sigma, Rounds: res.Rounds, Messages: res.Messages}, nil
+	return &OrientResult{Sigma: sigma, Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}, nil
 }
 
 // CompleteAcyclicOrientation implements Lemma 2.4: an acyclic complete

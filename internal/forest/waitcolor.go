@@ -58,38 +58,17 @@ func (r ChoiceRule) choose(counts []int) (int, error) {
 	}
 }
 
-// WaitColorInput is the per-node input of the boxed fallback plane. The
-// typed word plane carries Palette and Rule in the algorithm value and
-// the parent flags in the per-port input column.
-type WaitColorInput struct {
-	// ParentPort flags which visible ports lead to parents under sigma.
-	ParentPort []bool
-	// Palette is the number of available colors k.
-	Palette int
-	// Rule selects the color choice rule.
-	Rule ChoiceRule
-}
-
-type waitColorState struct {
-	parentColors []int // counts per palette color
-	pending      int   // parents not yet heard from
-}
-
-// WaitColorAlgo is the vertex program of the engine.
-//
-// On the boxed []any plane the zero value is ready to use and reads
-// per-vertex WaitColorInput structs (the reference fallback). On the
-// typed word plane, construct it with newWordWaitColor. Word layout: the
-// input column holds one word per visible port and doubles as the
-// node's per-run state - 0 marks a non-parent port, 1 a parent not yet
-// heard from, and c+2 a parent that announced color c (so callers must
-// not reuse the column expecting the original flags). The output column
-// is one word per vertex, the chosen color. With the waiting state
-// folded into the input column the word path allocates nothing per
-// vertex.
+// WaitColorAlgo is the vertex program of the engine; construct it with
+// newWaitColor. Word layout: the input column holds one word per visible
+// port and doubles as the node's per-run state - 0 marks a non-parent
+// port, 1 a parent not yet heard from, and c+2 a parent that announced
+// color c (so callers must not reuse the column expecting the original
+// flags). The output column is one word per vertex, the chosen color.
+// With the waiting state folded into the input column a run allocates
+// nothing per vertex.
 type WaitColorAlgo struct {
-	// Palette and Rule are the uniform globally known parameters of the
-	// word plane; the boxed fallback ignores them.
+	// Palette is the number of available colors k and Rule selects the
+	// color choice rule; both are uniform and globally known.
 	Palette int
 	Rule    ChoiceRule
 
@@ -98,8 +77,8 @@ type WaitColorAlgo struct {
 	pool *sync.Pool
 }
 
-// newWordWaitColor prepares the word-I/O form of the engine.
-func newWordWaitColor(palette int, rule ChoiceRule) WaitColorAlgo {
+// newWaitColor prepares the engine's vertex program.
+func newWaitColor(palette int, rule ChoiceRule) WaitColorAlgo {
 	return WaitColorAlgo{
 		Palette: palette,
 		Rule:    rule,
@@ -109,22 +88,16 @@ func newWordWaitColor(palette int, rule ChoiceRule) WaitColorAlgo {
 
 type countScratch struct{ counts []int }
 
-// MessageWords implements dist.FixedWidthAlgorithm: a message is the
-// sender's chosen color.
+// MessageWords implements dist.Algorithm: a message is the sender's
+// chosen color.
 func (WaitColorAlgo) MessageWords() int { return 1 }
 
-// InputWidth and OutputWidth implement dist.WordIOAlgorithm: one
-// parent-flag word per visible port in, one color word per vertex out.
+// InputWidth and OutputWidth implement dist.Algorithm: one parent-flag
+// word per visible port in, one color word per vertex out.
 func (WaitColorAlgo) InputWidth() int  { return dist.PerPort }
 func (WaitColorAlgo) OutputWidth() int { return 1 }
 
-func (WaitColorAlgo) Init(n *dist.Node) {
-	if c, announce := waitColorInit(n); announce {
-		n.SendAll(c)
-	}
-}
-
-// InitWords is Init on the typed word plane.
+// InitWords finishes parent-free vertices at once.
 //
 //distvet:noalloc
 func (a WaitColorAlgo) InitWords(n *dist.Node) {
@@ -143,47 +116,8 @@ func (a WaitColorAlgo) InitWords(n *dist.Node) {
 	}
 }
 
-// waitColorInit is the transport-independent Init; when announce is true
-// the node picked color c (parent-free case) and the caller broadcasts it.
-func waitColorInit(n *dist.Node) (int, bool) {
-	in, ok := n.Input.(WaitColorInput)
-	if !ok || in.Palette < 1 {
-		n.Failf("forest: bad wait-color input %T", n.Input)
-		return 0, false
-	}
-	pending := 0
-	for _, p := range in.ParentPort {
-		if p {
-			pending++
-		}
-	}
-	st := &waitColorState{parentColors: make([]int, in.Palette), pending: pending}
-	n.State = st
-	if pending == 0 {
-		return finishWaitColor(n, in, st)
-	}
-	return 0, false
-}
-
-func (WaitColorAlgo) Step(n *dist.Node, inbox []dist.Message) {
-	in := n.Input.(WaitColorInput)
-	st := n.State.(*waitColorState)
-	for p, m := range inbox {
-		if m == nil || p >= len(in.ParentPort) || !in.ParentPort[p] {
-			continue
-		}
-		st.record(m.(int))
-	}
-	if st.pending <= 0 {
-		if c, announce := finishWaitColor(n, in, st); announce {
-			n.SendAll(c)
-		}
-	}
-}
-
-// StepWords is Step on the typed word plane: announced parent colors are
-// recorded into the node's own input slots (flag 1 -> color+2), so the
-// only remaining state is the words themselves.
+// StepWords records announced parent colors into the node's own input
+// slots (flag 1 -> color+2), so the only state is the words themselves.
 //
 //distvet:noalloc
 func (a WaitColorAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
@@ -204,28 +138,9 @@ func (a WaitColorAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	}
 }
 
-func (st *waitColorState) record(c int) {
-	if c >= 0 && c < len(st.parentColors) {
-		st.parentColors[c]++
-	}
-	st.pending--
-}
-
-// finishWaitColor chooses the node's color, publishes it as the output
-// and halts; when announce is true the caller broadcasts c to children.
-func finishWaitColor(n *dist.Node, in WaitColorInput, st *waitColorState) (int, bool) {
-	c, err := in.Rule.choose(st.parentColors)
-	if err != nil {
-		n.Fail(err)
-		return 0, false
-	}
-	n.Output = c
-	n.Halt()
-	return c, true
-}
-
-// finishWords is finishWaitColor on the word plane: parent counts are
-// rebuilt from the recorded input words into pooled scratch.
+// finishWords chooses the node's color, publishes it as the output,
+// halts and announces it to children. Parent counts are rebuilt from the
+// recorded input words into pooled scratch.
 //
 //distvet:noalloc
 func (a WaitColorAlgo) finishWords(n *dist.Node) {
@@ -271,8 +186,7 @@ func (r *WaitColorResult) Stats() dist.RunStats {
 // colors k; rule selects the per-vertex choice. labels/active optionally
 // restrict to subgraphs (sigma must then orient only intra-subgraph edges,
 // as produced by OrientByLevelKey with the same filters). Running time is
-// len(sigma)+1 rounds. It takes the typed word path when the network
-// resolves to the batch transport and the boxed []any fallback otherwise.
+// len(sigma)+1 rounds.
 func WaitColor(net *dist.Network, sigma *graph.Orientation, palette int, rule ChoiceRule, labels []int, active []bool) (*WaitColorResult, error) {
 	g := net.Graph()
 	n := g.N()
@@ -281,65 +195,28 @@ func WaitColor(net *dist.Network, sigma *graph.Orientation, palette int, rule Ch
 		return nil, fmt.Errorf("forest: wait-color needs acyclic orientation: %w", err)
 	}
 	colors := make([]int, n)
-	if net.WordIO(WaitColorAlgo{}) {
-		// Parent flags in the engine's per-port column order, filled in
-		// parallel against the session's cached topology. Note: these
-		// are VISIBLE ports (label/active-filtered), so they do not align
-		// with sigma's graph ports; query by neighbor vertex.
-		col := net.PortColumn(labels, active, func(v int, ports []int, out []int64) {
-			for p, u := range ports {
-				if sigma.IsParent(v, u) {
-					out[p] = 1
-				}
-			}
-		})
-		res, err := net.RunWords(newWordWaitColor(palette, rule), dist.RunOptions{
-			InputWords: col,
-			Labels:     labels,
-			Active:     active,
-			MaxRounds:  length + 2,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := dist.IntsFromWords(res, colors); err != nil {
-			return nil, err
-		}
-		return &WaitColorResult{Colors: colors, Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}, nil
-	}
-	inputs := make([]any, n)
-	for v := 0; v < n; v++ {
-		// Note: these are VISIBLE ports (label/active-filtered), so they do
-		// not align with sigma's graph ports; query by neighbor vertex.
-		ports := dist.VisiblePorts(g, labels, active, v)
-		flags := make([]bool, len(ports))
+	// Parent flags in the engine's per-port column order, filled in
+	// parallel against the session's cached topology. Note: these
+	// are VISIBLE ports (label/active-filtered), so they do not align
+	// with sigma's graph ports; query by neighbor vertex.
+	col := net.PortColumn(labels, active, func(v int, ports []int, out []int64) {
 		for p, u := range ports {
-			flags[p] = sigma.IsParent(v, u)
+			if sigma.IsParent(v, u) {
+				out[p] = 1
+			}
 		}
-		inputs[v] = WaitColorInput{ParentPort: flags, Palette: palette, Rule: rule}
-	}
-	res, err := net.Run(WaitColorAlgo{}, dist.RunOptions{
-		Inputs:    inputs,
-		Labels:    labels,
-		Active:    active,
-		MaxRounds: length + 2,
+	})
+	res, err := net.Run(newWaitColor(palette, rule), dist.RunOptions{
+		InputWords: col,
+		Labels:     labels,
+		Active:     active,
+		MaxRounds:  length + 2,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for v, o := range res.Outputs {
-		switch x := o.(type) {
-		case int:
-			colors[v] = x
-		case error:
-			// Legacy boxed-plane error smuggling; kept defensively for the
-			// fallback only (the engine's Fail path reports errors now).
-			return nil, fmt.Errorf("forest: vertex %d: %w", v, x)
-		case nil:
-			colors[v] = 0 // inactive
-		default:
-			return nil, fmt.Errorf("forest: vertex %d unexpected output %T", v, o)
-		}
+	if err := dist.IntsFromWords(res, colors); err != nil {
+		return nil, err
 	}
 	return &WaitColorResult{Colors: colors, Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}, nil
 }

@@ -14,14 +14,16 @@ import (
 // flood is a minimal multi-round algorithm for driving the probe.
 type flood struct{ rounds int }
 
-func (f flood) Init(n *dist.Node) { n.SendAll(0) }
-func (f flood) Step(n *dist.Node, inbox []dist.Message) {
+func (flood) MessageWords() int        { return 1 }
+func (flood) InputWidth() int          { return 0 }
+func (flood) OutputWidth() int         { return 0 }
+func (f flood) InitWords(n *dist.Node) { n.SendAllWord(0) }
+func (f flood) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	if n.Round() >= f.rounds {
-		n.Output = n.Round()
 		n.Halt()
 		return
 	}
-	n.SendAll(n.Round())
+	n.SendAllWord(int64(n.Round()))
 }
 
 // TestTraceRoundTrip drives a probed run through the JSONL writer and

@@ -11,65 +11,45 @@ import (
 	"repro/internal/graph"
 )
 
-// Input is the per-node input for the recoloring algorithm. All nodes of
-// the same (sub)graph must receive identical M0, DegBound and TargetDefect
-// so they derive identical schedules and run in lockstep.
-type Input struct {
-	// Color is the node's initial color in [0, M0); a negative value means
-	// "use ID-1" (the trivial legal n-coloring from identifiers).
+// Params are the globally known, vertex-uniform parameters of a
+// recoloring run - the quantities every node of the (sub)graph derives
+// its schedule from, so all of them run in lockstep.
+type Params struct {
+	// Color is the uniform initial color in [0, M0); a negative value
+	// means "use ID-1" (the trivial legal n-coloring from identifiers).
 	Color int
-	// M0 is the size of the initial color space (n when starting from IDs).
+	// M0 is the size of the initial color space (n when starting from
+	// IDs).
 	M0 int
 	// DegBound bounds the number of conflict neighbors of every node:
-	// the maximum degree for the defective variant, the maximum out-degree
-	// of the orientation for the arbdefective variant.
+	// the maximum degree for the defective variant, the maximum
+	// out-degree of the orientation for the arbdefective variant.
 	DegBound int
 	// TargetDefect is the final defect d (0 for a legal coloring).
 	TargetDefect int
-	// ParentPort, when non-nil, flags which visible ports lead to parents;
-	// only parents then count as conflict neighbors (Arb-Kuhn, Section 5).
-	// When nil, every neighbor is a conflict neighbor (Linial/Kuhn).
-	ParentPort []bool
 }
 
-// Params are the globally known, vertex-uniform parameters of a
-// word-I/O recoloring run - the quantities every node of the (sub)graph
-// derives its schedule from. They mirror the scalar fields of Input,
-// which remains the per-vertex form of the boxed fallback plane.
-type Params struct {
-	// Color is the uniform initial color; negative means "use ID-1".
-	Color int
-	// M0, DegBound and TargetDefect are as in Input.
-	M0, DegBound, TargetDefect int
-}
-
-// Algo is the vertex program executing a recoloring schedule.
-//
-// On the boxed []any plane the zero value is ready to use and reads a
-// per-vertex Input struct (the reference fallback). On the typed
-// word-I/O plane (dist.WordIOAlgorithm), construct it with NewAlgo: the
-// schedule, per-step row-table snapshots and step scratch are resolved
-// once per run and shared by all nodes, so the word path performs no
-// per-vertex allocation at all. The shared state hangs off one pointer
+// Algo is the vertex program executing a recoloring schedule. Construct
+// it with NewAlgo: the schedule, per-step row-table snapshots and step
+// scratch are resolved once per run and shared by all nodes, so a run
+// performs no per-vertex allocation at all. The shared state hangs off one pointer
 // (rt), keeping the Algo value the engine copies per node call small.
 // Word layout: the input column is one parent-flag word per visible
 // port (present only for the arbdefective variant); the output column
 // is one word per vertex holding the node's current - and finally
 // legal/defective - color.
 type Algo struct {
-	// P holds the uniform parameters of the word-I/O plane; the boxed
-	// fallback ignores it and reads per-vertex Input structs instead.
+	// P holds the uniform parameters.
 	P Params
 
 	// arb flags the arbdefective variant: conflict neighbors are the
 	// ports flagged nonzero in the per-port input column.
 	arb bool
-	// rt is the shared read-only runtime of the word plane, resolved
-	// once by NewAlgo; nil on the zero-value boxed fallback.
+	// rt is the shared read-only runtime, resolved once by NewAlgo.
 	rt *algoRT
 }
 
-// algoRT is the run-shared runtime state of the word plane: everything
+// algoRT is the run-shared runtime state of the program: everything
 // every node of the run reads but never writes. One pointer per Algo
 // copy keeps the per-node interface-call receiver at three words of
 // parameters plus this pointer.
@@ -90,8 +70,8 @@ type algoRT struct {
 	pool sync.Pool
 }
 
-// NewAlgo prepares the word-I/O form of the recoloring program for the
-// given uniform parameters. arb selects the arbdefective variant, whose
+// NewAlgo prepares the recoloring program for the given uniform
+// parameters. arb selects the arbdefective variant, whose
 // runs take a per-port parent-flag input column.
 func NewAlgo(p Params, arb bool) (Algo, error) {
 	plan := Plan(p.M0, p.DegBound, p.TargetDefect)
@@ -113,11 +93,11 @@ func NewAlgo(p Params, arb bool) (Algo, error) {
 	return Algo{P: p, arb: arb, rt: rt}, nil
 }
 
-// MessageWords implements dist.FixedWidthAlgorithm: every message is one
-// color word.
+// MessageWords implements dist.Algorithm: every message is one color
+// word.
 func (Algo) MessageWords() int { return 1 }
 
-// InputWidth implements dist.WordIOAlgorithm: the arbdefective variant
+// InputWidth implements dist.Algorithm: the arbdefective variant
 // takes one parent-flag word per visible port, the plain variant no
 // input column at all.
 func (a Algo) InputWidth() int {
@@ -127,18 +107,8 @@ func (a Algo) InputWidth() int {
 	return 0
 }
 
-// OutputWidth implements dist.WordIOAlgorithm: one color word per vertex.
+// OutputWidth implements dist.Algorithm: one color word per vertex.
 func (Algo) OutputWidth() int { return 1 }
-
-type nodeState struct {
-	plan      Schedule
-	blocks    []field.RowBlock      // per-step row-table snapshot, shared tables
-	stats     []*field.EvalCounters // shared per-step eval counters; nil when off
-	color     int
-	step      int
-	conflicts []int // reused inbox filter buffer
-	scratch   stepScratch
-}
 
 // counter returns the shared eval counter of the given step, or nil when
 // stats are off - the stats slice is only built when counting is
@@ -150,8 +120,8 @@ func counter(stats []*field.EvalCounters, step int) *field.EvalCounters {
 	return stats[step]
 }
 
-// stepScratch holds the per-node reusable buffers of the recoloring step
-// loop; after Init has sized them, a step performs no allocations.
+// stepScratch holds the reusable buffers of the recoloring step loop;
+// once grown, a step performs no allocations.
 type stepScratch struct {
 	myRow  []int // fallback row buffer for indices beyond the cached table
 	nbrRow []int
@@ -166,28 +136,14 @@ func (sc *stepScratch) grow(q int) {
 	}
 }
 
-// Init derives the node's schedule from its Input and sends the initial
-// color when at least one step is required.
-func (Algo) Init(n *dist.Node) {
-	if c, announce := initNode(n); announce {
-		n.SendAll(c)
-	}
-}
-
-// InitWords is Init on the typed word plane: the schedule is shared via
-// the receiver (NewAlgo), the node's evolving color lives in its output
-// word, and the step index is the round number - so no per-node state
-// object exists at all.
+// InitWords derives nothing per node: the schedule is shared via the
+// receiver (NewAlgo), the node's evolving color lives in its output word,
+// and the step index is the round number - so no per-node state object
+// exists at all. It sends the initial color when at least one step is
+// required.
 //
 //distvet:noalloc
 func (a Algo) InitWords(n *dist.Node) {
-	if a.rt == nil && a.P == (Params{}) {
-		// Zero-value Algo on the word plane mirrors the boxed defensive
-		// default: the trivial legal n-coloring from identifiers.
-		n.SetOutputWord(int64(n.ID() - 1))
-		n.Halt()
-		return
-	}
 	if a.P.TargetDefect >= a.P.DegBound {
 		// A single color class already satisfies the defect bound; the
 		// zeroed output word is the color 0.
@@ -206,60 +162,10 @@ func (a Algo) InitWords(n *dist.Node) {
 	n.SendAllWord(int64(color))
 }
 
-// initNode is the transport-independent part of Init: it derives the
-// schedule and either finishes the node (announce=false) or returns the
-// initial color the caller must broadcast.
-func initNode(n *dist.Node) (int, bool) {
-	in, ok := n.Input.(Input)
-	if !ok {
-		// Defensive default: trivial ID coloring with no recoloring.
-		n.Output = n.ID() - 1
-		n.Halt()
-		return 0, false
-	}
-	color := in.Color
-	if color < 0 {
-		color = n.ID() - 1
-	}
-	plan := Plan(in.M0, in.DegBound, in.TargetDefect)
-	if plan.Truncated {
-		panic(fmt.Sprintf("recolor: schedule for (m0=%d, degBound=%d, target=%d) exceeds %d steps; defect guarantee void",
-			in.M0, in.DegBound, in.TargetDefect, maxScheduleSteps))
-	}
-	st := &nodeState{
-		plan:   plan,
-		blocks: stepBlocks(plan),
-		stats:  stepEvalCounters(plan),
-		color:  color,
-	}
-	if in.TargetDefect >= in.DegBound {
-		// A single color class already satisfies the defect bound.
-		n.Output = 0
-		n.Halt()
-		return 0, false
-	}
-	maxQ := 0
-	for _, step := range plan.Steps {
-		if step.Q > maxQ {
-			maxQ = step.Q
-		}
-	}
-	st.scratch.grow(maxQ)
-	n.State = st
-	if len(st.plan.Steps) == 0 {
-		n.Output = color
-		n.Halt()
-		return 0, false
-	}
-	return color, true
-}
-
 // stepBlocks resolves one row-table snapshot per schedule step: the
 // memoized family (stepFamilies), grown to the step's palette bound and
 // snapshotted once, so the step loop indexes a slice and never touches
-// the family's atomic table pointer. Both the boxed and the word plane
-// resolve their blocks through here, so their eval-counter
-// classifications match exactly.
+// the family's atomic table pointer.
 func stepBlocks(plan Schedule) []field.RowBlock {
 	fams := stepFamilies(plan)
 	if fams == nil {
@@ -274,14 +180,12 @@ func stepBlocks(plan Schedule) []field.RowBlock {
 	return blocks
 }
 
-// stepFamilies resolves the memoized family of every step once, at Init,
-// so the step loop only indexes a slice. Each family's row table is
+// stepFamilies resolves the memoized family of every step once, at
+// construction, so the step loop only indexes a slice. Each family's row table is
 // sized to the step's actual palette bound (field.FamiliesFor): step 0
 // evaluates colors in [0, M0), step i colors in [0, Q_{i-1}^2), so the
 // shared cache grows exactly to what the schedule's evaluation loop
-// will index instead of the fixed construction cap. Both the boxed and
-// the word plane resolve families through here, so their hit rates
-// match.
+// will index instead of the fixed construction cap.
 func stepFamilies(plan Schedule) []*field.Family {
 	if len(plan.Steps) == 0 {
 		return nil
@@ -366,40 +270,17 @@ func (a Algo) bindSession(net *dist.Network) {
 	}
 }
 
-// Step executes one recoloring round.
-func (Algo) Step(n *dist.Node, inbox []dist.Message) {
-	st := n.State.(*nodeState)
-	in := n.Input.(Input)
-
-	// Gather conflict-neighbor colors into the reused buffer.
-	st.conflicts = st.conflicts[:0]
-	for p, m := range inbox {
-		if m == nil {
-			continue
-		}
-		if in.ParentPort != nil && (p >= len(in.ParentPort) || !in.ParentPort[p]) {
-			continue
-		}
-		st.conflicts = append(st.conflicts, m.(int))
-	}
-
-	if c, announce := advance(n, st); announce {
-		n.SendAll(c)
-	}
-}
-
-// wordScratch is the transient per-Step buffer set of the word plane,
-// recycled through Algo.pool: the scratch is only live within one
-// StepWords call, so a handful of pooled instances serve all workers.
+// wordScratch is the transient per-step buffer set, recycled through
+// algoRT.pool: the scratch is only live within one StepWords call, so a
+// handful of pooled instances serve all workers.
 type wordScratch struct {
 	stepScratch
 	conflicts []int
 }
 
-// StepWords is Step on the typed word plane. The step index is
-// Round()-1 (all nodes run the schedule in lockstep) and the current
-// color is the node's own output word, so the call touches no per-node
-// state.
+// StepWords executes one recoloring round. The step index is Round()-1
+// (all nodes run the schedule in lockstep) and the current color is the
+// node's own output word, so the call touches no per-node state.
 //
 //distvet:noalloc
 func (a Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
@@ -430,20 +311,6 @@ func (a Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 		return
 	}
 	n.Halt()
-}
-
-// advance applies one recoloring step to the gathered conflicts and
-// either finishes the node (announce=false) or returns the new color the
-// caller must broadcast.
-func advance(n *dist.Node, st *nodeState) (int, bool) {
-	st.color = st.scratch.recolorOnce(&st.blocks[st.step], st.color, st.conflicts, counter(st.stats, st.step))
-	st.step++
-	if st.step < len(st.plan.Steps) {
-		return st.color, true
-	}
-	n.Output = st.color
-	n.Halt()
-	return 0, false
 }
 
 // recolorOnce applies one Step: pick alpha minimizing agreements with
@@ -507,10 +374,7 @@ type Result struct {
 // parameters p on the label/active-filtered subgraphs, writing each
 // vertex's final color into dst (length n; inactive vertices report 0).
 // parentPorts - per vertex, aligned with its visible ports under the
-// same filters - selects the arbdefective variant when non-nil. It
-// takes the typed word path when the network resolves to the batch
-// transport and the boxed []any fallback otherwise, so forcing
-// dist.DeliveryBoxed on the network shadows the whole phase. The
+// same filters - selects the arbdefective variant when non-nil. The
 // returned RunStats carries the LOCAL cost plus the engine run's wall
 // time and peak live-set size for phase attribution.
 func RunUniform(net *dist.Network, p Params, parentPorts [][]bool, labels []int, active []bool, dst []int) (dist.RunStats, error) {
@@ -524,57 +388,36 @@ func RunUniform(net *dist.Network, p Params, parentPorts [][]bool, labels []int,
 		return dist.RunStats{}, err
 	}
 	algo.bindSession(net)
-	if net.WordIO(algo) {
-		var inWords []int64
-		if parentPorts != nil {
-			// Parent flags in the engine's per-port layout, filled in
-			// parallel against the session's cached topology.
-			inWords = net.PortColumn(labels, active, func(v int, ports []int, out []int64) {
-				flags := parentPorts[v]
-				for i := range ports {
-					if i < len(flags) && flags[i] {
-						out[i] = 1
-					}
+	var inWords []int64
+	if parentPorts != nil {
+		// Parent flags in the engine's per-port layout, filled in
+		// parallel against the session's cached topology.
+		inWords = net.PortColumn(labels, active, func(v int, ports []int, out []int64) {
+			flags := parentPorts[v]
+			for i := range ports {
+				if i < len(flags) && flags[i] {
+					out[i] = 1
 				}
-			})
-		}
-		res, err := net.RunWords(algo, dist.RunOptions{InputWords: inWords, Labels: labels, Active: active})
-		if err != nil {
-			return dist.RunStats{}, err
-		}
-		if err := dist.IntsFromWords(res, dst); err != nil {
-			return dist.RunStats{}, err
-		}
-		return res.Stats(), nil
+			}
+		})
 	}
-	inputs := make([]any, n)
-	for v := 0; v < n; v++ {
-		iv := Input{Color: p.Color, M0: p.M0, DegBound: p.DegBound, TargetDefect: p.TargetDefect}
-		if parentPorts != nil {
-			iv.ParentPort = parentPorts[v]
-		}
-		inputs[v] = iv
-	}
-	res, err := net.Run(algo, dist.RunOptions{Inputs: inputs, Labels: labels, Active: active})
+	res, err := net.Run(algo, dist.RunOptions{InputWords: inWords, Labels: labels, Active: active})
 	if err != nil {
 		return dist.RunStats{}, err
 	}
-	colors, err := dist.IntOutputs(res, 0)
-	if err != nil {
+	if err := dist.IntsFromWords(res, dst); err != nil {
 		return dist.RunStats{}, err
 	}
-	copy(dst, colors)
 	return res.Stats(), nil
 }
 
-// run executes the algorithm with uniform inputs on all (active) vertices.
-func run(net *dist.Network, in Input, parentPorts [][]bool) (Result, error) {
-	plan := Plan(in.M0, in.DegBound, in.TargetDefect)
+// run executes the algorithm with uniform parameters on all vertices.
+func run(net *dist.Network, p Params, parentPorts [][]bool) (Result, error) {
+	plan := Plan(p.M0, p.DegBound, p.TargetDefect)
 	if err := plan.Validate(); err != nil {
 		return Result{}, err
 	}
 	colors := make([]int, net.Graph().N())
-	p := Params{Color: in.Color, M0: in.M0, DegBound: in.DegBound, TargetDefect: in.TargetDefect}
 	st, err := RunUniform(net, p, parentPorts, nil, nil, colors)
 	if err != nil {
 		return Result{}, err
@@ -593,7 +436,7 @@ func run(net *dist.Network, in Input, parentPorts [][]bool) (Result, error) {
 // (Linial FOCS'87, the paper's baseline and Lemma 2.1 ancestor).
 func Linial(net *dist.Network) (Result, error) {
 	g := net.Graph()
-	return run(net, Input{
+	return run(net, Params{
 		Color:        -1,
 		M0:           g.N(),
 		DegBound:     g.MaxDegree(),
@@ -609,7 +452,7 @@ func Defective(net *dist.Network, p int) (Result, error) {
 	}
 	g := net.Graph()
 	delta := g.MaxDegree()
-	return run(net, Input{
+	return run(net, Params{
 		Color:        -1,
 		M0:           g.N(),
 		DegBound:     delta,
@@ -632,7 +475,7 @@ func ArbKuhn(net *dist.Network, sigma *graph.Orientation, d int) (Result, error)
 		return Result{}, fmt.Errorf("recolor: orientation is over a different graph")
 	}
 	parentPorts := ParentPortFlags(g, sigma)
-	return run(net, Input{
+	return run(net, Params{
 		Color:        -1,
 		M0:           g.N(),
 		DegBound:     sigma.MaxOutDegree(),

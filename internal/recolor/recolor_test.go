@@ -203,22 +203,25 @@ func TestDefectiveOnLabelledSubgraphs(t *testing.T) {
 			degBound[labels[v]] = d
 		}
 	}
-	inputs := make([]any, g.N())
-	for v := 0; v < g.N(); v++ {
-		db := degBound[labels[v]]
-		inputs[v] = Input{Color: -1, M0: g.N(), DegBound: db, TargetDefect: db / 2}
-	}
-	// Heterogeneous per-vertex scalar inputs (a different DegBound per
-	// label class) only exist on the boxed plane; the word plane carries
-	// vertex-uniform Params in the algorithm value.
+	// Params are vertex-uniform, so each label class runs with its own
+	// degree bound under an active mask selecting the class.
 	net := dist.NewNetwork(g)
-	res, err := net.Run(Algo{}, dist.RunOptions{Inputs: inputs, Labels: labels, Delivery: dist.DeliveryBoxed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	colors, err := dist.IntOutputs(res, -1)
-	if err != nil {
-		t.Fatal(err)
+	colors := make([]int, g.N())
+	for class, db := range degBound {
+		active := make([]bool, g.N())
+		for v := range active {
+			active[v] = labels[v] == class
+		}
+		dst := make([]int, g.N())
+		p := Params{Color: -1, M0: g.N(), DegBound: db, TargetDefect: db / 2}
+		if _, err := RunUniform(net, p, nil, labels, active, dst); err != nil {
+			t.Fatal(err)
+		}
+		for v := range dst {
+			if active[v] {
+				colors[v] = dst[v]
+			}
+		}
 	}
 	// Check defect within each label class only.
 	for v := 0; v < g.N(); v++ {

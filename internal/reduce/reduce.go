@@ -17,17 +17,6 @@ import (
 	"repro/internal/dist"
 )
 
-// Input is the per-node input of the boxed fallback plane: the node's
-// current color and the globally known parameters (m, t). All nodes of a
-// labelled class must agree on m and t so the phase plan is derived
-// identically everywhere. The typed word plane carries (m, t) in the
-// algorithm value instead and reads the color from the input column.
-type Input struct {
-	Color  int
-	M      int // current number of colors (color values lie in [0, M))
-	Target int // t: final palette size; must exceed every visible degree
-}
-
 // makePlan returns the number of fold rounds per phase derived from (m, t):
 // each phase folds offsets [t, t+folds) of every 2t-sized group into the
 // low half, then renumbers, roughly halving m.
@@ -57,28 +46,19 @@ func Rounds(m, t int) int {
 	return total
 }
 
-type state struct {
-	color     int
-	nbrColors []int // current neighbor colors by port (-1 unknown)
-	phases    []int
-	phase     int
-	fold      int // folds completed within the current phase
-}
-
-// Algo is the vertex program performing the reduction.
-//
-// On the boxed []any plane the zero value is ready to use and reads
-// per-vertex Input structs (the reference fallback). On the typed
-// word-I/O plane, construct it with newWordAlgo: the phase plan is
-// derived once and shared, each node's neighbor-color table is a slice
-// of one flat caller-owned arena, and the fold/phase position is derived
-// from the round number (all nodes run the plan in lockstep) - so the
-// word path performs no per-vertex allocation. Word layout: the input
-// column is one word per vertex (the initial color), the output column
-// one word per vertex (the node's current - and finally legal - color).
+// Algo is the vertex program performing the reduction. Construct it with
+// newAlgo: the phase plan is derived once and shared, each node's
+// neighbor-color table is a slice of one flat caller-owned arena, and the
+// fold/phase position is derived from the round number (all nodes run
+// the plan in lockstep) - so a run performs no per-vertex allocation.
+// Word layout: the input column is one word per vertex (the initial
+// color), the output column one word per vertex (the node's current -
+// and finally legal - color).
 type Algo struct {
-	// M and Target are the uniform globally known parameters of the word
-	// plane; the boxed fallback ignores them and reads Input structs.
+	// M and Target are the uniform globally known parameters (m, t): the
+	// current palette size (color values lie in [0, M)) and the final
+	// one, which must exceed every visible degree. All nodes of a
+	// labelled class derive the phase plan from them identically.
 	M, Target int
 
 	// plan is makePlan(M, Target), shared read-only by all nodes.
@@ -91,9 +71,9 @@ type Algo struct {
 	pool *sync.Pool
 }
 
-// newWordAlgo prepares the word-I/O form for one run. nbrs/off is the
-// per-port arena laid out by KWPooled.
-func newWordAlgo(m, target int, nbrs []int, off []int32) Algo {
+// newAlgo prepares the program for one run. nbrs/off is the per-port
+// arena laid out by KWPooled.
+func newAlgo(m, target int, nbrs []int, off []int32) Algo {
 	return Algo{
 		M: m, Target: target,
 		plan: makePlan(m, target),
@@ -104,23 +84,18 @@ func newWordAlgo(m, target int, nbrs []int, off []int32) Algo {
 
 type takenScratch struct{ taken []bool }
 
-// MessageWords implements dist.FixedWidthAlgorithm.
+// MessageWords implements dist.Algorithm.
 func (Algo) MessageWords() int { return 1 }
 
-// InputWidth implements dist.WordIOAlgorithm: one initial-color word
-// per vertex.
+// InputWidth implements dist.Algorithm: one initial-color word per
+// vertex.
 func (Algo) InputWidth() int { return 1 }
 
-// OutputWidth implements dist.WordIOAlgorithm: one color word per vertex.
+// OutputWidth implements dist.Algorithm: one color word per vertex.
 func (Algo) OutputWidth() int { return 1 }
 
-func (Algo) Init(n *dist.Node) {
-	if c, announce := reduceInit(n); announce {
-		n.SendAll(c)
-	}
-}
-
-// InitWords is Init on the typed word plane.
+// InitWords publishes the initial color and announces it unless the
+// palette is already small enough.
 //
 //distvet:noalloc
 func (a Algo) InitWords(n *dist.Node) {
@@ -133,48 +108,9 @@ func (a Algo) InitWords(n *dist.Node) {
 	n.SendAllWord(color)
 }
 
-func reduceInit(n *dist.Node) (int, bool) {
-	in, ok := n.Input.(Input)
-	if !ok {
-		n.Failf("reduce: bad input %T", n.Input)
-		return 0, false
-	}
-	if in.M <= in.Target {
-		n.Output = in.Color
-		n.Halt()
-		return 0, false
-	}
-	st := &state{
-		color:     in.Color,
-		nbrColors: make([]int, n.Degree()),
-		phases:    makePlan(in.M, in.Target),
-	}
-	for i := range st.nbrColors {
-		st.nbrColors[i] = -1
-	}
-	n.State = st
-	return st.color, true
-}
-
-func (Algo) Step(n *dist.Node, inbox []dist.Message) {
-	in := n.Input.(Input)
-	st := n.State.(*state)
-
-	// Record neighbor color announcements (always in the numbering of the
-	// current phase; see the send ordering below).
-	for p, m := range inbox {
-		if m != nil {
-			st.nbrColors[p] = m.(int)
-		}
-	}
-	if c, announce := reduceAdvance(n, in, st); announce {
-		n.SendAll(c)
-	}
-}
-
-// StepWords is Step on the typed word plane: the same fold/renumber
-// schedule against the flat arena, with the (phase, fold) position
-// derived from the round number instead of per-node counters.
+// StepWords runs one fold/renumber round against the flat arena, with
+// the (phase, fold) position derived from the round number instead of
+// per-node counters.
 //
 //distvet:noalloc
 func (a Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
@@ -227,8 +163,10 @@ func (a Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	}
 
 	if fold == folds-1 {
-		// Phase complete: renumber c -> (c/2t)*t + (c mod 2t); see
-		// reduceAdvance for why this is applied locally everywhere.
+		// Phase complete: renumber c -> (c/2t)*t + (c mod 2t). All
+		// in-group offsets are now < t, so the mapping is injective and
+		// every node applies it locally to its own color and its
+		// neighbor table.
 		color = color/(2*t)*t + color%(2*t)
 		for i, c := range nbr {
 			if c >= 0 {
@@ -261,69 +199,6 @@ func (a Algo) position(round int) (phase, fold int) {
 	}
 	// Unreachable: every node halts on the last fold of the last phase.
 	panic(fmt.Sprintf("reduce: round %d beyond the %d-phase plan", round, len(a.plan)))
-}
-
-// reduceAdvance runs the boxed-plane fold/renumber round; when announce
-// is true the caller broadcasts the node's recolored value.
-func reduceAdvance(n *dist.Node, in Input, st *state) (int, bool) {
-	t := in.Target
-	if n.Round() == 1 {
-		return 0, false // initial exchange round; folding starts next round
-	}
-
-	// Fold round: recolor the color class with in-group offset j.
-	folds := st.phases[st.phase]
-	j := t + folds - 1 - st.fold
-	recolored := false
-	if st.color%(2*t) == j {
-		lo := st.color / (2 * t) * (2 * t)
-		taken := make([]bool, t)
-		for _, c := range st.nbrColors {
-			if c >= lo && c < lo+t {
-				taken[c-lo] = true
-			}
-		}
-		newColor := -1
-		for c := 0; c < t; c++ {
-			if !taken[c] {
-				newColor = lo + c
-				break
-			}
-		}
-		if newColor < 0 {
-			n.Failf("reduce: no free color (visible degree exceeds target-1)")
-			return 0, false
-		}
-		st.color = newColor
-		recolored = true
-	}
-
-	st.fold++
-	if st.fold == st.phases[st.phase] {
-		// Phase complete: renumber c -> (c/2t)*t + (c mod 2t). All in-group
-		// offsets are now < t, so the mapping is injective and every node
-		// applies it locally to its own color and its neighbor table.
-		renumber := func(c int) int {
-			if c < 0 {
-				return c
-			}
-			return c/(2*t)*t + c%(2*t)
-		}
-		st.color = renumber(st.color)
-		for i, c := range st.nbrColors {
-			st.nbrColors[i] = renumber(c)
-		}
-		st.phase++
-		st.fold = 0
-	}
-	if st.phase == len(st.phases) {
-		n.Output = st.color
-		n.Halt()
-	}
-	// Announce (in the caller's transport) after any renumbering so
-	// receivers, who renumber their tables in the same round, record a
-	// consistently-numbered value. Halting sends are still delivered.
-	return st.color, recolored
 }
 
 // Result reports a reduction run.
@@ -367,8 +242,7 @@ func KW(net *dist.Network, colors []int, m, target int, labels []int, active []b
 // KWPooled is KW threading caller-owned scratch: dst (length n) receives
 // the reduced coloring and pool is reused across calls. dst may alias
 // colors - the input column is filled before the run and decoded after.
-// It takes the typed word path when the network resolves to the batch
-// transport and the boxed []any fallback otherwise. The returned
+// The returned
 // RunStats carries the LOCAL cost plus the engine run's wall time and
 // peak live-set size for phase attribution.
 func KWPooled(net *dist.Network, colors []int, m, target int, labels []int, active []bool, pool *Pool, dst []int) (dist.RunStats, error) {
@@ -383,69 +257,44 @@ func KWPooled(net *dist.Network, colors []int, m, target int, labels []int, acti
 	if target < 1 {
 		return dist.RunStats{}, fmt.Errorf("reduce: target %d < 1", target)
 	}
-	if net.WordIO(Algo{}) {
-		// Lay out the per-port arena in the engine's column order (served
-		// from the session's cached topology), then fill the arena and
-		// the input column in parallel.
-		if cap(pool.off) < n {
-			pool.off = make([]int32, n)
-		}
-		off := pool.off[:n]
-		total := 0
-		net.ForEachVisible(labels, active, func(v int, ports []int) {
-			off[v] = int32(total)
-			total += len(ports)
-		})
-		if cap(pool.nbrs) < total {
-			pool.nbrs = make([]int, total)
-		}
-		nbrs := pool.nbrs[:total]
-		dist.ParallelFor(total, net.SweepWorkers(total), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				nbrs[i] = -1
-			}
-		})
-		if cap(pool.col) < n {
-			pool.col = make([]int64, n)
-		}
-		col := pool.col[:n]
-		dist.ParallelFor(n, net.SweepWorkers(n), func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				col[v] = int64(colors[v])
-			}
-		})
-		res, err := net.RunWords(newWordAlgo(m, target, nbrs, off), dist.RunOptions{
-			InputWords: col, Labels: labels, Active: active,
-		})
-		if err != nil {
-			return dist.RunStats{}, err
-		}
-		if err := dist.IntsFromWords(res, dst); err != nil {
-			return dist.RunStats{}, err
-		}
-		return res.Stats(), nil
+	// Lay out the per-port arena in the engine's column order (served
+	// from the session's cached topology), then fill the arena and
+	// the input column in parallel.
+	if cap(pool.off) < n {
+		pool.off = make([]int32, n)
 	}
-	inputs := make([]any, n)
-	for v := 0; v < n; v++ {
-		inputs[v] = Input{Color: colors[v], M: m, Target: target}
+	off := pool.off[:n]
+	total := 0
+	net.ForEachVisible(labels, active, func(v int, ports []int) {
+		off[v] = int32(total)
+		total += len(ports)
+	})
+	if cap(pool.nbrs) < total {
+		pool.nbrs = make([]int, total)
 	}
-	res, err := net.Run(Algo{}, dist.RunOptions{Inputs: inputs, Labels: labels, Active: active})
+	nbrs := pool.nbrs[:total]
+	dist.ParallelFor(total, net.SweepWorkers(total), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			nbrs[i] = -1
+		}
+	})
+	if cap(pool.col) < n {
+		pool.col = make([]int64, n)
+	}
+	col := pool.col[:n]
+	dist.ParallelFor(n, net.SweepWorkers(n), func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			col[v] = int64(colors[v])
+		}
+	})
+	res, err := net.Run(newAlgo(m, target, nbrs, off), dist.RunOptions{
+		InputWords: col, Labels: labels, Active: active,
+	})
 	if err != nil {
 		return dist.RunStats{}, err
 	}
-	for v, o := range res.Outputs {
-		switch x := o.(type) {
-		case int:
-			dst[v] = x
-		case error:
-			// Legacy boxed-plane error smuggling; kept defensively for the
-			// fallback only (the engine's Fail path reports errors now).
-			return dist.RunStats{}, fmt.Errorf("reduce: vertex %d: %w", v, x)
-		case nil:
-			dst[v] = 0
-		default:
-			return dist.RunStats{}, fmt.Errorf("reduce: vertex %d unexpected output %T", v, o)
-		}
+	if err := dist.IntsFromWords(res, dst); err != nil {
+		return dist.RunStats{}, err
 	}
 	return res.Stats(), nil
 }
