@@ -15,7 +15,7 @@
 // pinned), one record each, and the sweep fails unless every point
 // produces bit-for-bit identical colors, rounds and message counts.
 // -scale-shards records the analogous shard-count curve: one run per
-// listed shard count on the shard-structured engine (count 1 is the
+// listed shard count on a sharded engine view (count 1 is the
 // flat baseline), same bit-for-bit gate, and a cross-gate against the
 // core-count runs when both sweeps are requested.
 // -cpuprofile/-memprofile capture pprof profiles of any invocation.
@@ -68,7 +68,7 @@ func run() error {
 	evalGate := flag.Bool("scale-eval-gate", false, "scale run: enable the field eval counters and fail if any pipeline step reports a scalar-Eval fallback")
 	scaleKillResume := flag.Bool("scale-kill-resume", false, "scale run: instead of the measured run, gate checkpoint/resume - run uninterrupted, kill at every refinement iteration after persisting the pipeline checkpoint, resume each from the serialized blob on a fresh network, and fail unless colors/rounds/messages match bit for bit")
 	scaleProcs := flag.String("scale-procs", "", "scale run: comma-separated core counts (e.g. 1,2,4,8); one full run per count with GOMAXPROCS and the worker pool pinned, asserting identical results")
-	scaleShards := flag.String("scale-shards", "", "scale run: comma-separated shard counts (e.g. 1,2,4,8); one full run per count on the shard-structured engine, asserting identical results")
+	scaleShards := flag.String("scale-shards", "", "scale run: comma-separated shard counts (e.g. 1,2,4,8); one full run per count on a sharded engine view, asserting identical results")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on exit")
 	tracePath := flag.String("trace", "", "scale run: write a round-level JSONL trace of the full-size coloring run to this file (see cmd/colortrace)")
@@ -230,7 +230,7 @@ func parseCounts(s, flagName, what string) ([]int, error) {
 // listed core count with GOMAXPROCS and the engine worker pool pinned,
 // requiring bit-for-bit identical colorings and counters across the
 // sweep - and (with -scale-shards) one run per listed shard count on
-// the shard-structured engine with the same bit-for-bit gate, cross-
+// a sharded engine view with the same bit-for-bit gate, cross-
 // gated against the core-count runs. All records go to the JSON-Lines
 // stream (or a readable text line). A nonzero allocBudget gates the
 // (flat) full runs' allocs/vertex - the CI regression check for the
@@ -311,7 +311,7 @@ func runScale(n, a, p int, seed int64, graphPath string, allocBudget, wallBudget
 	}
 
 	// The shard-count curve: same instance and identifier permutation,
-	// one run per shard count on the shard-structured engine, emitted
+	// one run per shard count on a sharded engine view, emitted
 	// next to the core-count records.
 	var shardFulls []*experiments.ScaleResult
 	var shardErr error

@@ -4,16 +4,13 @@
 // Usage:
 //
 //	colorcli [-algo oa|tradeoff|fast|at|oneshot|linial|delta1|be08|mis|luby]
-//	         [-a arboricity] [-p param] [-mu exponent] [-seed s]
-//	         [-shards k] [file]
+//	         [-a arboricity] [-p param] [-mu exponent] [-seed s] [file]
 //
 // The input is either the text edge list — "n m" on the first line then
 // one "u v" edge per line (0-based), '#' comments allowed — or the DCG1
 // binary format written by graphgen -binary; the loader sniffs the
 // magic, and sharded DCG1 files are reported with their shard framing.
-// -shards runs the shard-structured engine with that many vertex shards
-// (identical results, shard-local message columns). Output: one
-// "vertex color" line per vertex plus a summary on stderr.
+// Output: one "vertex color" line per vertex plus a summary on stderr.
 package main
 
 import (
@@ -38,11 +35,7 @@ func run() error {
 	param := flag.Int("p", 8, "parameter p (tradeoff), g (fast) or t (at)")
 	mu := flag.Float64("mu", 2.0/3.0, "round exponent mu for oa/at/mis")
 	seed := flag.Int64("seed", 1, "seed (ID permutation, randomized baselines)")
-	shards := flag.Int("shards", 0, "run the shard-structured engine with this many vertex shards (0 = flat)")
 	flag.Parse()
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
-	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -62,10 +55,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts := distcolor.Options{Seed: *seed, PermuteIDs: true, Shards: *shards}
-	if *shards > 1 {
-		fmt.Fprintf(os.Stderr, "engine: %d vertex shards\n", *shards)
-	}
+	opts := distcolor.Options{Seed: *seed, PermuteIDs: true}
 
 	a := *aFlag
 	if a == 0 {

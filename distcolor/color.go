@@ -10,7 +10,6 @@ import (
 	"repro/internal/deltacolor"
 	"repro/internal/dist"
 	"repro/internal/forest"
-	"repro/internal/graph"
 	"repro/internal/orient"
 	"repro/internal/recolor"
 )
@@ -31,31 +30,13 @@ type Options struct {
 	// higher round cost; otherwise the Linial level coloring is used,
 	// which preserves all theorem-level round bounds (DESIGN.md).
 	FaithfulLemma33 bool
-	// Shards runs the shard-structured engine with this many vertex
-	// shards (clamped to [1, MaxShards]); 0 or 1 keeps the flat engine.
-	// The knob never changes colors, rounds or message counts - sharding
-	// only relocates message words into shard-local columns.
-	Shards int
 }
 
 func (o Options) network(g *Graph) *dist.Network {
-	net := dist.NewNetwork(g)
 	if o.PermuteIDs {
-		net = dist.NewNetworkPermuted(g, rand.New(rand.NewSource(o.Seed)))
+		return dist.NewNetworkPermuted(g, rand.New(rand.NewSource(o.Seed)))
 	}
-	if k := min(o.Shards, MaxShards); k > 1 {
-		sh, err := graph.NewSharding(g.N(), k)
-		if err != nil {
-			// Unreachable: k is clamped to [2, MaxShards] and g.N() >= 0.
-			panic(fmt.Sprintf("distcolor: sharding: %v", err))
-		}
-		net, err = net.Sharded(sh)
-		if err != nil {
-			// Unreachable: the sharding was built for this graph's n.
-			panic(fmt.Sprintf("distcolor: sharding: %v", err))
-		}
-	}
-	return net
+	return dist.NewNetwork(g)
 }
 
 func (o Options) eps() forest.Eps {

@@ -39,7 +39,7 @@ func ReadBinary(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
 func OpenBinary(path string) (*Graph, error) { return graph.OpenBinary(path) }
 
 // Sharding is a contiguous partition of the vertex space into shards,
-// the unit of the shard-structured engine and of streaming binary loads.
+// the unit of sharded engine views and of streaming binary loads.
 type Sharding = graph.Sharding
 
 // BinStat is the header summary of a DCG1 binary graph file.

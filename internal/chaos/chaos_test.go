@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -325,10 +327,38 @@ func TestChaosSnapshotResume(t *testing.T) {
 	}
 }
 
-// TestChaosProbedResume pins the probed twin's resume accounting: with
-// a probe attached, a resumed run's round records carry message deltas
-// relative to the restored counters, and the per-round deltas of the
-// pre-kill and post-resume runs tile the uninterrupted totals exactly.
+// recordSink keeps every flushed record; the probe reuses its slices,
+// so the records are copied out.
+type recordSink struct {
+	mu     sync.Mutex
+	rounds []dist.RoundRecord
+	runs   []dist.RunRecord
+}
+
+func (s *recordSink) FlushRounds(recs []dist.RoundRecord) error {
+	s.mu.Lock()
+	s.rounds = append(s.rounds, recs...)
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *recordSink) FlushRuns(recs []dist.RunRecord) error {
+	s.mu.Lock()
+	s.runs = append(s.runs, recs...)
+	s.mu.Unlock()
+	return nil
+}
+
+// TestChaosProbedResume pins the probe's resume accounting: with a probe
+// on both legs - the run cancelled at boundary k with a snapshot, and its
+// resume on a fresh network - the legs' round records tile the
+// uninterrupted run exactly: ref.Rounds records whose Messages sum to
+// ref.Messages, and on a sharded view per-shard Messages summing to it
+// too. Each leg emits one run record: the cancelled leg's carries its
+// error and the partial Result's Rounds/Messages, the resumed leg's
+// carries ref.Rounds and ref.Messages. Every cut k in 0..R-1 is swept,
+// flat and at 4 shards; k=0 resumes a round-0 snapshot, whose Init sends
+// only the resumed leg's first record can carry.
 func TestChaosProbedResume(t *testing.T) {
 	n := 500
 	mk := waveNet(t, n)
@@ -336,33 +366,70 @@ func TestChaosProbedResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := 2
-	net := mk()
-	res, err := net.Run(CleanWave(), dist.RunOptions{
-		InputWords: WaveInputs(n, 7), Context: RoundCancel(k), SnapshotOnAbort: true,
-	})
-	if !errors.Is(err, dist.ErrCanceled) || res.Snapshot == nil {
-		t.Fatalf("capture failed: %v", err)
-	}
-	sink := &FailingSink{Accept: 1 << 30} // never fails; pure counter
-	p := dist.NewProbe(sink)
-	resumed, err := mk().WithProbe(p).Resume(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)}, res.Snapshot)
-	if err != nil {
-		t.Fatalf("probed resume: %v", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Rounds != ref.Rounds || resumed.Messages != ref.Messages {
-		t.Fatalf("probed resume diverges: rounds/messages %d/%d, want %d/%d",
-			resumed.Rounds, resumed.Messages, ref.Rounds, ref.Messages)
-	}
-	rounds, runs, _ := sink.Counts()
-	if runs != 1 {
-		t.Fatalf("%d run records, want 1", runs)
-	}
-	if rounds != ref.Rounds-k {
-		t.Fatalf("%d round records for a resume of rounds %d..%d", rounds, k+1, ref.Rounds)
+	for _, shards := range []int{1, 4} {
+		view := func() *dist.Network {
+			net := mk()
+			if shards > 1 {
+				sh, err := graph.NewSharding(n, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if net, err = net.Sharded(sh); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return net
+		}
+		for k := 0; k < ref.Rounds; k++ {
+			label := fmt.Sprintf("cancel@%d shards=%d", k, shards)
+			sink := &recordSink{}
+			p := dist.NewProbe(sink)
+			res, err := view().WithProbe(p).Run(CleanWave(), dist.RunOptions{
+				InputWords: WaveInputs(n, 7), Context: RoundCancel(k), SnapshotOnAbort: true,
+			})
+			if !errors.Is(err, dist.ErrCanceled) || res.Snapshot == nil {
+				t.Fatalf("%s: capture failed: %v", label, err)
+			}
+			resumed, err := view().WithProbe(p).Resume(CleanWave(), dist.RunOptions{InputWords: WaveInputs(n, 7)}, res.Snapshot)
+			if err != nil {
+				t.Fatalf("%s: probed resume: %v", label, err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Rounds != ref.Rounds || resumed.Messages != ref.Messages {
+				t.Fatalf("%s: probed resume diverges: rounds/messages %d/%d, want %d/%d",
+					label, resumed.Rounds, resumed.Messages, ref.Rounds, ref.Messages)
+			}
+			if len(sink.rounds) != ref.Rounds {
+				t.Fatalf("%s: %d round records over both legs, want %d", label, len(sink.rounds), ref.Rounds)
+			}
+			var msgs, shardMsgs int64
+			for _, r := range sink.rounds {
+				msgs += r.Messages
+				for _, ss := range r.Shards {
+					shardMsgs += ss.Messages
+				}
+			}
+			if msgs != ref.Messages {
+				t.Fatalf("%s: round records carry %d messages, want %d", label, msgs, ref.Messages)
+			}
+			if shards > 1 && shardMsgs != ref.Messages {
+				t.Fatalf("%s: shard stats carry %d messages, want %d", label, shardMsgs, ref.Messages)
+			}
+			if len(sink.runs) != 2 {
+				t.Fatalf("%s: %d run records over both legs, want 2", label, len(sink.runs))
+			}
+			slices.SortFunc(sink.runs, func(a, b dist.RunRecord) int { return cmp.Compare(a.Run, b.Run) })
+			if cut := sink.runs[0]; cut.Err == "" || cut.Rounds != res.Rounds || cut.Messages != res.Messages {
+				t.Fatalf("%s: cancelled leg's run record err=%q rounds/messages %d/%d, want an error and %d/%d",
+					label, cut.Err, cut.Rounds, cut.Messages, res.Rounds, res.Messages)
+			}
+			if rec := sink.runs[1]; rec.Err != "" || rec.Rounds != ref.Rounds || rec.Messages != ref.Messages {
+				t.Fatalf("%s: resumed leg's run record err=%q rounds/messages %d/%d, want %d/%d",
+					label, rec.Err, rec.Rounds, rec.Messages, ref.Rounds, ref.Messages)
+			}
+		}
 	}
 }
 

@@ -25,58 +25,24 @@ type WordInbox struct {
 	words []int64 // previous parity's full word column
 	sent  []uint8 // previous parity's sent flags, one per slot
 	slots []int32 // per-port slot of the sending neighbor
-	// Sharded delivery (shard.go; both stay zero on flat runs): slots
-	// then hold SHARD-LOCAL indices, shard points at the previous
-	// parity's per-shard column set (one simulation-owned instance per
-	// parity), and inBase positions the node's ports in the boundary
-	// table: shard.inShard[inBase+p] names the shard sending on port p.
-	// Bundling the sharded state behind one pointer keeps the by-value
-	// inbox copy every StepWords call receives at five words.
-	shard  *shardCols
-	inBase int32
-}
-
-// shardCols is one round parity's per-shard delivery state: the
-// per-shard word/flag column segments plus the full boundary table.
-// The simulation owns two instances (one per parity), bound at column
-// setup; WordInbox carries a pointer to the previous parity's instance
-// instead of three inline slice headers.
-type shardCols struct {
-	inShard []uint8
-	wordsBy [][]int64
-	sentBy  [][]uint8
 }
 
 // Ports returns the number of visible ports (the node's degree).
 func (in WordInbox) Ports() int { return len(in.slots) }
 
 // Has reports whether the neighbor on port p sent a message last round.
-func (in WordInbox) Has(p int) bool {
-	if in.shard == nil {
-		return in.sent[in.slots[p]] != 0
-	}
-	return in.shard.sentBy[in.shard.inShard[int(in.inBase)+p]][in.slots[p]] != 0
-}
+func (in WordInbox) Has(p int) bool { return in.sent[in.slots[p]] != 0 }
 
 // Word returns the first word of port p's message. Meaningful only when
 // Has(p); the value is unspecified otherwise.
-func (in WordInbox) Word(p int) int64 {
-	if in.shard == nil {
-		return in.words[int(in.slots[p])*in.width]
-	}
-	return in.shard.wordsBy[in.shard.inShard[int(in.inBase)+p]][int(in.slots[p])*in.width]
-}
+func (in WordInbox) Word(p int) int64 { return in.words[int(in.slots[p])*in.width] }
 
 // Words returns the full W-word message on port p as a view into the
 // engine's column. The slice is valid only during the current StepWords
 // call and must not be retained or written.
 func (in WordInbox) Words(p int) []int64 {
 	s := int(in.slots[p]) * in.width
-	if in.shard == nil {
-		return in.words[s : s+in.width : s+in.width]
-	}
-	col := in.shard.wordsBy[in.shard.inShard[int(in.inBase)+p]]
-	return col[s : s+in.width : s+in.width]
+	return in.words[s : s+in.width : s+in.width]
 }
 
 // SendWords marks the given visible port as sending this round and
@@ -135,10 +101,6 @@ func (n *Node) SendAllWord(w int64) {
 //
 //distvet:noalloc
 func (s *simulation) flushHaltClears() {
-	if st := s.topo.shard; st != nil {
-		s.flushHaltClearsSharded(st)
-		return
-	}
 	for _, v := range s.clearQ {
 		b := s.topo.base[v]
 		deg := len(s.nodes[v].ports)

@@ -204,7 +204,7 @@ type Network struct {
 	// (0 = the auto heuristic); see WithWorkers.
 	workers int
 	// sharding is the vertex partition of a Sharded view (the zero value
-	// on flat networks); the engine-facing copy lives in the session.
+	// on unsharded networks); see shard.go.
 	sharding graph.Sharding
 	// sess is the persistent per-network session: cached topologies and
 	// pooled per-run state. It is a pointer so WithWorkers/WithProbe/
@@ -374,6 +374,10 @@ type simulation struct {
 	// failSlot is the per-run error slot Node.Fail records into.
 	failSlot runFailure
 
+	// tr is the round tracer of a probed run (probe.go), nil unprobed:
+	// the round loop's hooks cost one nil check each per round.
+	tr *roundTracer
+
 	// Run-control state. ctx/deadline are the resolved abort sources,
 	// checked once per round boundary (checkAbort); hasAbort folds both
 	// into the single boolean branch the fast path pays. phase is the
@@ -392,14 +396,6 @@ type simulation struct {
 	width  int
 	wwords [2][]int64
 	wsent  [2][]uint8
-	// shWords/shSent are the per-shard column views of a sharded
-	// run (shard.go); nil on flat runs, where wwords/wsent serve.
-	shWords [2][][]int64
-	shSent  [2][][]uint8
-	// shIn is the per-parity sharded delivery bundle WordInbox points
-	// at (one pointer per inbox instead of three slice headers); bound
-	// alongside shWords/shSent in growShardColumns.
-	shIn   [2]shardCols
 	clearQ []int // nodes halted last round, flags pending a clear
 
 	// outCol is the output column (wordio.go); nil when the algorithm
@@ -473,14 +469,10 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 	// its flags at step start) or halted earlier and had them flushed
 	// (flushHaltClears) - so stale content from a previous run, even one
 	// with a different topology, is never observed.
-	if st := topo.shard; st != nil {
-		s.growShardColumns(rs, st, width)
-	} else {
-		for i := 0; i < 2; i++ {
-			rs.wwords[i] = grown(rs.wwords[i], topo.totalPorts*width)
-			rs.wsent[i] = grown(rs.wsent[i], topo.totalPorts)
-			s.wwords[i], s.wsent[i] = rs.wwords[i], rs.wsent[i]
-		}
+	for i := 0; i < 2; i++ {
+		rs.wwords[i] = grown(rs.wwords[i], topo.totalPorts*width)
+		rs.wsent[i] = grown(rs.wsent[i], topo.totalPorts)
+		s.wwords[i], s.wsent[i] = rs.wwords[i], rs.wsent[i]
 	}
 	s.clearQ = rs.clearQ[:0]
 	if ow != 0 {
@@ -519,24 +511,23 @@ func (s *simulation) close() {
 	s.net.sess.releaseRun(s.rs)
 }
 
+// run is the round loop: InitWords at round 0 (skipped on resume), then
+// StepWords rounds until every node halts, with the fail/abort checks at
+// every round boundary. A probed run attaches a round tracer (probe.go)
+// whose hooks - run start, round start and end, run end - are the only
+// difference from an unprobed one.
 func (s *simulation) run() (*Result, error) {
-	// The probed twin (probe.go) carries the per-round timing and record
-	// emission; this single nil check is the disabled path's entire cost.
-	if s.net.probe != nil {
-		return s.runProbed()
-	}
 	defer s.close()
+	if s.net.probe != nil {
+		s.tr = &s.rs.tr
+		s.tr.runStart(s)
+	}
 	rounds := s.startRound
 	if rounds == 0 && !s.resumed {
 		s.stepRound(0)
 		s.collectHalted(0)
-		if err := s.failSlot.take(); err != nil {
-			return s.partial(0), err
-		}
-		if s.hasAbort {
-			if err := s.checkAbort(); err != nil {
-				return s.abortResult(0, err)
-			}
+		if res, err := s.boundary(0); err != nil {
+			return s.end(res, err)
 		}
 	}
 	budget := s.opts.MaxRounds
@@ -545,30 +536,48 @@ func (s *simulation) run() (*Result, error) {
 	}
 	for r := rounds + 1; len(s.live) > 0; r++ {
 		if r > budget {
-			return nil, fmt.Errorf("dist: %d nodes still running after %d rounds: %w",
-				len(s.live), budget, ErrMaxRounds)
+			return s.end(nil, fmt.Errorf("dist: %d nodes still running after %d rounds: %w",
+				len(s.live), budget, ErrMaxRounds))
+		}
+		if s.tr != nil {
+			s.tr.roundStart(s)
 		}
 		s.stepRound(r)
 		// Halting sends of round r-1 are delivered; drop the flags.
 		s.flushHaltClears()
 		rounds = r
 		s.collectHalted(r)
-		if err := s.failSlot.take(); err != nil {
-			return s.partial(rounds), err
+		if s.tr != nil {
+			s.tr.roundEnd(s, r)
 		}
-		if s.hasAbort {
-			if err := s.checkAbort(); err != nil {
-				return s.abortResult(rounds, err)
-			}
+		if res, err := s.boundary(rounds); err != nil {
+			return s.end(res, err)
 		}
 	}
-	return &Result{
-		OutputWords: s.outCol,
-		Rounds:      rounds,
-		Messages:    s.collectMessages(),
-		Wall:        time.Since(s.start), //distvet:wallclock Result.Wall is host-side observability, documented non-deterministic
-		PeakLive:    len(s.topo.live),
-	}, nil
+	return s.end(s.partial(rounds), nil)
+}
+
+// boundary runs the round-boundary checks after completed round
+// `rounds`: a vertex failure (or contained panic) or an abort ends the
+// run with the partial Result and the error; nil error continues.
+func (s *simulation) boundary(rounds int) (*Result, error) {
+	if err := s.failSlot.take(); err != nil {
+		return s.partial(rounds), err
+	}
+	if s.hasAbort {
+		if err := s.checkAbort(); err != nil {
+			return s.abortResult(rounds, err)
+		}
+	}
+	return nil, nil
+}
+
+// end is the run's single exit: a probed run emits its run record.
+func (s *simulation) end(res *Result, err error) (*Result, error) {
+	if s.tr != nil {
+		s.tr.runEnd(s, res, err)
+	}
+	return res, err
 }
 
 // initAbort resolves the run's abort sources: the explicit
@@ -642,19 +651,13 @@ func (s *simulation) collectMessages() int64 {
 	n := s.net.g.N()
 	w := s.sweepWorkers(n)
 	if w <= 1 {
-		return s.sentTotal()
+		return s.sentTotal(0, n)
 	}
 	s.rs.sums = grown(s.rs.sums, w)
 	sums := s.rs.sums
 	chunk := (n + w - 1) / w
 	parfor(n, w, func(lo, hi int) {
-		var msgs int64
-		for v := lo; v < hi; v++ {
-			if nd := s.nodes[v]; nd != nil {
-				msgs += nd.sent
-			}
-		}
-		sums[lo/chunk] = msgs
+		sums[lo/chunk] = s.sentTotal(lo, hi)
 	})
 	var msgs int64
 	for _, m := range sums[:(n+chunk-1)/chunk] {
@@ -663,26 +666,81 @@ func (s *simulation) collectMessages() int64 {
 	return msgs
 }
 
+// sentTotal sums the cumulative send counters of the vertices [lo, hi).
+func (s *simulation) sentTotal(lo, hi int) int64 {
+	var total int64
+	for _, nd := range s.nodes[lo:hi] {
+		if nd != nil {
+			total += nd.sent
+		}
+	}
+	return total
+}
+
 // stepRound executes round r (round 0 = InitWords) on every live node. Nodes
 // touch only their own state, and message delivery reads the previous
-// round's buffers and between-round haltedAt marks, so the live set can
-// be split across workers without changing results. Long-tail rounds of
+// round's buffers and between-round haltedAt marks, so the live list can
+// be cut into chunks stepped on any number of workers without changing
+// results. The cut is an even split over the w workers, or the shard
+// segments on a probed sharded run; either way the chunks go through
+// parfor, so at most w goroutines step at once. Long-tail rounds of
 // wave-style programs leave only a few live nodes; the auto heuristic
 // then steps inline, where the fan-out would cost more than it saves.
 func (s *simulation) stepRound(r int) {
 	m := len(s.live)
 	w := s.sweepWorkers(m)
+	var cuts []int
+	if s.tr != nil && s.tr.sharded() {
+		cuts = s.tr.shardSegs(s)
+	} else {
+		cuts = s.evenCuts(m, w)
+	}
+	chunks := len(cuts) - 1
+	s.rs.curV = grown(s.rs.curV, chunks)
+	if s.tr != nil {
+		s.tr.chunkNS = grown(s.tr.chunkNS, chunks)
+	}
 	if w <= 1 {
-		s.rs.curV = grown(s.rs.curV, 1)
-		s.stepSliceGuarded(r, 0, m, &s.rs.curV[0])
+		s.stepChunks(r, 0, chunks)
 		return
 	}
-	chunk := (m + w - 1) / w
-	s.rs.curV = grown(s.rs.curV, (m+chunk-1)/chunk)
-	cur := s.rs.curV
-	parfor(m, w, func(lo, hi int) {
-		s.stepSliceGuarded(r, lo, hi, &cur[lo/chunk])
+	parfor(chunks, w, func(lo, hi int) {
+		s.stepChunks(r, lo, hi)
 	})
+}
+
+// evenCuts splits the m live nodes into one contiguous chunk per worker
+// (ceil(m/w) nodes each, the last one shorter) in the pooled cut buffer.
+func (s *simulation) evenCuts(m, w int) []int {
+	chunk := (m + w - 1) / w
+	cuts := append(s.rs.cuts[:0], 0)
+	for lo := chunk; lo < m; lo += chunk {
+		cuts = append(cuts, lo)
+	}
+	s.rs.cuts = append(cuts, m)
+	return s.rs.cuts
+}
+
+// stepChunks steps chunks [lo, hi) of the round's live-list cut, each
+// under the panic guard with its own cursor; a traced run also times
+// every nonempty chunk.
+//
+//distvet:wallclock per-chunk step timing of traced runs; only non-deterministic wall telemetry depends on it
+func (s *simulation) stepChunks(r, lo, hi int) {
+	cuts, cur := s.rs.cuts, s.rs.curV
+	for c := lo; c < hi; c++ {
+		if s.tr == nil {
+			s.stepSliceGuarded(r, cuts[c], cuts[c+1], &cur[c])
+			continue
+		}
+		var ns int64
+		if cuts[c] < cuts[c+1] {
+			t := time.Now()
+			s.stepSliceGuarded(r, cuts[c], cuts[c+1], &cur[c])
+			ns = time.Since(t).Nanoseconds()
+		}
+		s.tr.chunkNS[c] = ns
+	}
 }
 
 // stepSliceGuarded runs stepSlice under the panic guard: a panic out of
@@ -734,15 +792,10 @@ func (s *simulation) recoverStep(r, lo, hi int, cur *int) {
 // pooled, intentionally non-zeroed arrays of the run scratch - every flag
 // a WordInbox reads was cleared this run by its owner's step
 // (clear(nd.wmark) below) or by flushHaltClears, so stale content from
-// earlier runs is never observed. Sharded topologies step against
-// shard-local columns instead (shard.go).
+// earlier runs is never observed.
 //
 //distvet:noalloc
 func (s *simulation) stepSlice(r, lo, hi int, cur *int) {
-	if s.topo.shard != nil {
-		s.stepSliceSharded(r, lo, hi, cur)
-		return
-	}
 	w := s.width
 	par := r % 2
 	words := s.wwords[par]

@@ -87,36 +87,28 @@
 //
 // # Sharded execution
 //
-// Network.Sharded(sh) returns a view running the shard-structured
-// engine: the vertex space is partitioned into graph.Sharding's
-// contiguous shards and the message columns become shard-local
-// (shard.go). Ownership and delivery contract:
+// Network.Sharded(sh) returns a view carrying a partition of the vertex
+// space into graph.Sharding's contiguous shards (shard.go). The view
+// runs on the same round loop and the same global message columns as
+// every other view - a sharding never changes where a message word
+// lives. What it does:
 //
-//   - Column ownership is by SENDER shard: the word a vertex u sends on
-//     a port lives in the column of u's shard, at the shard-local slot
-//     base[u] - slotCuts[shard(u)] + rank. A step writes only its own
-//     vertex's slots in its own shard's column, so shard segments can
-//     step concurrently without sharing cache lines across shards.
-//   - Cross-shard delivery is by boundary table: for each visible port
-//     the topology stores the shard-local slot plus a one-byte sending-
-//     shard index (inShard), and a receiver resolves a word by indexing
-//     the sender shard's previous-parity column directly. There is no
-//     copy step - "exchange" between shards is the read itself, which
-//     touches only previous-round columns.
-//   - Previous-parity columns are immutable during a step (the same
-//     double-buffered round-parity rule as the flat transport), which
-//     is what makes the cross-shard read safe under any worker count.
-//   - Sharding is observationally inert: colors, rounds and message
-//     counts are bit-for-bit identical at every shard count (golden
-//     tests pin this); only WHERE a message word lives changes.
-//     Probed sharded runs additionally record per-shard live counts,
-//     message counts and step wall time per round (ShardRoundStat).
+//   - Per-shard telemetry. Probed runs record per-shard live counts,
+//     message counts and step wall time per round (ShardRoundStat),
+//     and RunRecord.Shards carries the shard count.
+//   - Chunking of probed steps. A probed sharded round is stepped along
+//     the shard segments of the ascending live list (one timed chunk
+//     per shard), on at most the run's worker count of goroutines.
+//     Unprobed rounds split evenly over the workers, sharded or not.
+//   - Streaming loads. The view gets a fresh session, so shard sweeps
+//     measure cold caches at every point, and graph.OpenBinaryShards
+//     pairs with it: it materializes the CSR per shard, so peak load
+//     memory is bounded by one shard's adjacency instead of the whole
+//     edge list.
 //
-// A Sharded view gets a fresh session, so one session never caches two
-// shard layouts; count 1 (or a zero Sharding) normalizes to the flat
-// engine. The streaming loader graph.OpenBinaryShards pairs with this:
-// it materializes the CSR per shard so peak load memory is bounded by
-// one shard's adjacency instead of the whole edge list.
+// Sharding is observationally inert: colors, rounds and message counts
+// are bit-for-bit identical at every shard count (golden tests pin
+// this). Count 1 (or a zero Sharding) carries no per-shard telemetry.
 //
 // # Observability
 //
@@ -138,8 +130,9 @@
 //     bit-for-bit identical colors, rounds and messages, and every
 //     record field except the wall-clock timings (WallNS, chunk
 //     times, SetupNS/ComputeNS) is deterministic across worker
-//     counts. A nil or absent probe costs the round loop one nil
-//     check (BenchmarkRunProbeOff/On pins this).
+//     counts. Probed and unprobed runs share one round loop; without
+//     a probe its tracer hooks cost one nil check each per round and
+//     nothing per vertex (BenchmarkRunProbeOff/On pins this).
 //   - Records only cover rounds 1..Result.Rounds; Init's messages
 //     fold into the first round's record, and a run that halts at
 //     Init emits a RunRecord but no RoundRecords.
@@ -184,10 +177,9 @@
 //     lives entirely in the engine's columns (Node.State unset - the
 //     capture verifies this and refuses otherwise), they serialize to a versioned binary framing (WriteTo /
 //     ReadSnapshot, "DSN1") that rejects truncation and trailing bytes,
-//     and they are portable across shard counts: columns are normalized
-//     to the flat global slot layout on capture and re-localized on
-//     resume. A Snapshot is owned by the caller; the engine never retains
-//     it after Resume.
+//     and they are portable across shard counts, since every view uses
+//     the same global slot layout. A Snapshot is owned by the caller;
+//     the engine never retains it after Resume.
 //
 // The deterministic fault-injection matrix over these guarantees lives in
 // internal/chaos: seeded panics at chosen (vertex, round) steps, cancels
@@ -207,8 +199,8 @@
 //     everything those reads feed is documented non-deterministic.
 //   - //distvet:noalloc - in a function's doc comment: the function is
 //     on the per-vertex hot path and must contain no allocating
-//     constructs. The round loops (stepSlice and its sharded twin,
-//     flushHaltClears), the word-column Node accessors, and every
+//     constructs. The step loop (stepSlice, stepSliceGuarded) and
+//     flushHaltClears, the word-column Node accessors, and every
 //     InitWords/StepWords implementation carry it. cmd/escapecheck
 //     additionally pins the compiler's escape picture of these
 //     functions against ESCAPES.baseline.

@@ -2,17 +2,19 @@ package dist
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
 
 // This file implements the engine's observability hook: an optional Probe
-// a Network view carries into its Runs. When attached, the run loop emits
-// one fixed-width RoundRecord per communication round and one RunRecord
-// per Run, buffered in a preallocated ring and flushed to a ProbeSink off
-// the round loop. With no probe attached the engine takes the plain run
-// loop, whose only extra cost is a single nil check per Run - a benchmark
-// pins the disabled-path overhead at ~0.
+// a Network view carries into its Runs. When attached, the run loop
+// (simulation.run) drives a round tracer that emits one fixed-width
+// RoundRecord per communication round and one RunRecord per Run,
+// buffered in a preallocated ring and flushed to a ProbeSink off the
+// round loop. Probed and unprobed runs share that one loop; without a
+// probe each tracer hook costs one nil check per round and nothing per
+// vertex - a benchmark pins the disabled-path overhead at ~0.
 //
 // Determinism. Everything in a record except the wall-clock and fan-out
 // fields (WallNS, MaxChunkNS, MeanChunkNS, SetupNS, ComputeNS, Workers)
@@ -346,213 +348,169 @@ func (net *Network) WithProbe(p *Probe) *Network {
 // checking.
 func (net *Network) Probe() *Probe { return net.probe }
 
-// runProbed is the traced twin of simulation.run: identical engine
-// semantics (same step / flush / collect order), plus per-round timing
-// and record emission. Keeping it separate leaves the disabled path
-// untouched.
-//
-//distvet:wallclock the probed twin exists to measure rounds; every wall field it feeds is documented non-deterministic
-func (s *simulation) runProbed() (*Result, error) {
-	defer s.close()
-	p := s.net.probe
-	seq, phase := p.beginRun()
-	s.phase = phase
-	compute := time.Now()
-	// fail ends the run early at a round boundary: vertex failures (and
-	// recovered panics) report the partial Result alongside the error;
-	// abort wraps the same path with the optional snapshot capture.
-	fail := func(rounds int, err error) (*Result, error) {
-		res := s.partial(rounds)
-		s.emitRun(p, seq, phase, rounds, res.Messages, time.Since(compute), err)
-		return res, err
-	}
-	abort := func(rounds int, err error) (*Result, error) {
-		res, aerr := s.abortResult(rounds, err)
-		s.emitRun(p, seq, phase, rounds, res.Messages, time.Since(compute), aerr)
-		return res, aerr
-	}
-	rounds := s.startRound
-	if rounds == 0 && !s.resumed {
-		s.stepRound(0)
-		s.collectHalted(0)
-		if err := s.failSlot.take(); err != nil {
-			return fail(0, err)
-		}
-		if s.hasAbort {
-			if err := s.checkAbort(); err != nil {
-				return abort(0, err)
-			}
-		}
-	}
-	budget := s.opts.MaxRounds
-	if budget == 0 {
-		budget = defaultMaxRounds
-	}
-	var prevSent int64
-	// Sharded runs carry per-shard round telemetry: the step is timed
-	// shard-segment by shard-segment (stepRoundShardTimed) and the send
-	// counters are summed per shard, so every record's Shards slice
-	// reports live/messages/wall per shard. The buffers come from the
-	// pooled scratch; only the per-record slices allocate.
-	st := s.topo.shard
-	var segs []int
-	var shardNS, shardCum, shardPrev []int64
-	if st != nil {
-		k := st.k()
-		s.rs.shardSegs = grown(s.rs.shardSegs, k+1)
-		s.rs.shardNS = grown(s.rs.shardNS, k)
-		s.rs.shardCum = grown(s.rs.shardCum, k)
-		s.rs.shardPrev = grown(s.rs.shardPrev, k)
-		segs, shardNS = s.rs.shardSegs, s.rs.shardNS
-		shardCum, shardPrev = s.rs.shardCum, s.rs.shardPrev
-		clear(shardPrev)
-	}
-	if s.resumed {
-		// Resumed run: the restored send counters include every pre-kill
-		// send, so the per-round message deltas must start from them.
-		if st != nil {
-			prevSent = s.sentTotalShards(st, shardPrev)
-		} else {
-			prevSent = s.sentTotal()
-		}
-	}
-	for r := rounds + 1; len(s.live) > 0; r++ {
-		if r > budget {
-			err := fmt.Errorf("dist: %d nodes still running after %d rounds: %w",
-				len(s.live), budget, ErrMaxRounds)
-			s.emitRun(p, seq, phase, 0, 0, time.Since(compute), err)
-			return nil, err
-		}
-		live := len(s.live)
-		roundStart := time.Now()
-		var w int
-		var maxNS, meanNS int64
-		if st != nil {
-			s.liveShardSegs(st, segs)
-			w, maxNS, meanNS = s.stepRoundShardTimed(r, st, segs, shardNS)
-		} else {
-			w, maxNS, meanNS = s.stepRoundTimed(r)
-		}
-		s.flushHaltClears()
-		rounds = r
-		s.collectHalted(r)
-		wall := time.Since(roundStart)
-		var cum int64
-		var shardStats []ShardRoundStat
-		if st != nil {
-			cum = s.sentTotalShards(st, shardCum)
-			shardStats = make([]ShardRoundStat, st.k())
-			for j := range shardStats {
-				shardStats[j] = ShardRoundStat{
-					Live:     segs[j+1] - segs[j],
-					Messages: shardCum[j] - shardPrev[j],
-					WallNS:   shardNS[j],
-				}
-			}
-			copy(shardPrev, shardCum)
-		} else {
-			cum = s.sentTotal()
-		}
-		p.round(RoundRecord{
-			Run:         seq,
-			Round:       r,
-			Live:        live,
-			Messages:    cum - prevSent,
-			Workers:     w,
-			WallNS:      wall.Nanoseconds(),
-			MaxChunkNS:  maxNS,
-			MeanChunkNS: meanNS,
-			Shards:      shardStats,
-		})
-		prevSent = cum
-		if err := s.failSlot.take(); err != nil {
-			return fail(rounds, err)
-		}
-		if s.hasAbort {
-			if err := s.checkAbort(); err != nil {
-				return abort(rounds, err)
-			}
-		}
-	}
-	msgs := s.collectMessages()
-	res := &Result{
-		OutputWords: s.outCol,
-		Rounds:      rounds,
-		Messages:    msgs,
-		Wall:        time.Since(s.start),
-		PeakLive:    len(s.topo.live),
-	}
-	s.emitRun(p, seq, phase, rounds, msgs, time.Since(compute), nil)
-	return res, nil
+// roundTracer is the per-run state of a probed run, pooled in the run
+// scratch: the run's sequence number and phase, the round clock, and the
+// per-range send counters the round records diff. A range is one shard
+// of a sharded view, or the whole vertex space otherwise. The round loop
+// calls its hooks - runStart, roundStart, roundEnd, runEnd - behind one
+// nil check each; none runs per vertex.
+type roundTracer struct {
+	p       *Probe
+	seq     int64
+	phase   string
+	compute time.Time
+	round   time.Time
+	live    int
+	// vcuts are the vertex cuts of the ranges: range j is vertices
+	// [vcuts[j], vcuts[j+1]).
+	vcuts []int
+	// chunkNS is the step wall per chunk of the round's live-list cut
+	// (stepChunks writes it; zero for empty chunks).
+	chunkNS []int64
+	// cum/prev are the cumulative per-range send counters after this
+	// round and the previous one; sent is prev's total.
+	cum, prev []int64
+	sent      int64
 }
 
-// emitRun assembles and stages the run record.
-func (s *simulation) emitRun(p *Probe, seq int64, phase string, rounds int, msgs int64, compute time.Duration, err error) {
+// sharded reports whether the run carries per-shard telemetry.
+func (t *roundTracer) sharded() bool { return len(t.vcuts) > 2 }
+
+// runStart opens the run: sequence number, phase label, compute clock
+// and the send baseline. A resume from round r > 0 starts the baseline at
+// the restored counters, whose pre-kill sends the first leg's records
+// already carry. A round-0 resume starts it at zero, like a fresh run:
+// the first leg emitted no record, so the restored Init sends belong to
+// round 1's record.
+//
+//distvet:wallclock the compute clock feeds RunRecord.ComputeNS, documented non-deterministic
+func (t *roundTracer) runStart(s *simulation) {
+	t.p = s.net.probe
+	t.seq, t.phase = t.p.beginRun()
+	s.phase = t.phase
+	t.compute = time.Now()
+	t.vcuts = append(t.vcuts[:0], 0)
+	if sh := s.net.sharding; sh.NumShards() > 1 {
+		for j := 0; j < sh.NumShards(); j++ {
+			_, hi := sh.Bounds(j)
+			t.vcuts = append(t.vcuts, hi)
+		}
+	} else {
+		t.vcuts = append(t.vcuts, len(s.nodes))
+	}
+	k := len(t.vcuts) - 1
+	t.cum = grown(t.cum, k)
+	t.prev = grown(t.prev, k)
+	clear(t.prev)
+	t.sent = 0
+	if s.startRound > 0 {
+		t.sent = t.sentRanges(s, t.prev)
+	}
+}
+
+// roundStart notes the live count and starts the round clock.
+//
+//distvet:wallclock the round clock feeds RoundRecord.WallNS, documented non-deterministic
+func (t *roundTracer) roundStart(s *simulation) {
+	t.live = len(s.live)
+	t.round = time.Now()
+}
+
+// shardSegs cuts the ascending live list into its shard segments - shard
+// j's live nodes are live[segs[j]:segs[j+1]] - in the pooled cut buffer
+// stepRound steps.
+func (t *roundTracer) shardSegs(s *simulation) []int {
+	live := s.live
+	segs := append(s.rs.cuts[:0], 0)
+	for j := 1; j < len(t.vcuts); j++ {
+		prev := segs[j-1]
+		segs = append(segs, prev+sort.SearchInts(live[prev:], t.vcuts[j]))
+	}
+	s.rs.cuts = segs
+	return segs
+}
+
+// sentRanges writes each range's cumulative sends into out and returns
+// their total.
+func (t *roundTracer) sentRanges(s *simulation, out []int64) int64 {
+	var total int64
+	for j := range out {
+		out[j] = s.sentTotal(t.vcuts[j], t.vcuts[j+1])
+		total += out[j]
+	}
+	return total
+}
+
+// roundEnd stages round r's record: messages are the counter deltas
+// since the previous round, chunk times come from stepChunks, and a
+// sharded run adds one ShardRoundStat per shard.
+//
+//distvet:wallclock the round clock feeds RoundRecord.WallNS, documented non-deterministic
+func (t *roundTracer) roundEnd(s *simulation, r int) {
+	wall := time.Since(t.round).Nanoseconds()
+	cuts := s.rs.cuts
+	var maxNS, sumNS int64
+	nonempty := 0
+	for c, ns := range t.chunkNS[:len(cuts)-1] {
+		if cuts[c] == cuts[c+1] {
+			continue
+		}
+		nonempty++
+		maxNS = max(maxNS, ns)
+		sumNS += ns
+	}
+	cum := t.sentRanges(s, t.cum)
+	var shards []ShardRoundStat
+	if t.sharded() {
+		shards = make([]ShardRoundStat, len(t.cum))
+		for j := range shards {
+			shards[j] = ShardRoundStat{
+				Live:     cuts[j+1] - cuts[j],
+				Messages: t.cum[j] - t.prev[j],
+				WallNS:   t.chunkNS[j],
+			}
+		}
+	}
+	t.p.round(RoundRecord{
+		Run:         t.seq,
+		Round:       r,
+		Live:        t.live,
+		Messages:    cum - t.sent,
+		Workers:     s.sweepWorkers(t.live),
+		WallNS:      wall,
+		MaxChunkNS:  maxNS,
+		MeanChunkNS: sumNS / int64(max(nonempty, 1)),
+		Shards:      shards,
+	})
+	copy(t.prev, t.cum)
+	t.sent = cum
+}
+
+// runEnd stages the run record. res is nil when the run failed without a
+// partial Result (round budget exhausted): the record then reports zero
+// rounds and messages.
+//
+//distvet:wallclock ComputeNS is wall telemetry, documented non-deterministic
+func (t *roundTracer) runEnd(s *simulation, res *Result, err error) {
 	rec := RunRecord{
-		Run:           seq,
-		Phase:         phase,
-		Rounds:        rounds,
-		Messages:      msgs,
+		Run:           t.seq,
+		Phase:         t.phase,
 		PeakLive:      len(s.topo.live),
 		Workers:       s.workers,
 		TopoCached:    s.topoCached,
 		ScratchPooled: s.scratchPooled,
 		SetupNS:       s.setupNS,
-		ComputeNS:     compute.Nanoseconds(),
+		ComputeNS:     time.Since(t.compute).Nanoseconds(),
 	}
-	if st := s.topo.shard; st != nil {
-		rec.Shards = st.k()
+	if res != nil {
+		rec.Rounds, rec.Messages = res.Rounds, res.Messages
+	}
+	if t.sharded() {
+		rec.Shards = len(t.vcuts) - 1
 	}
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	p.endRun(rec)
-}
-
-// stepRoundTimed is stepRound with per-chunk wall measurement; it
-// reports the fan-out used and the max/mean per-chunk step time.
-//
-//distvet:wallclock per-chunk step timing is this function's purpose; only non-deterministic wall telemetry depends on it
-func (s *simulation) stepRoundTimed(r int) (workers int, maxNS, meanNS int64) {
-	m := len(s.live)
-	w := s.sweepWorkers(m)
-	if w <= 1 {
-		s.rs.curV = grown(s.rs.curV, 1)
-		t := time.Now()
-		s.stepSliceGuarded(r, 0, m, &s.rs.curV[0])
-		d := time.Since(t).Nanoseconds()
-		return 1, d, d
-	}
-	chunk := (m + w - 1) / w
-	chunks := (m + chunk - 1) / chunk
-	s.rs.chunkNS = grown(s.rs.chunkNS, chunks)
-	s.rs.curV = grown(s.rs.curV, chunks)
-	ns := s.rs.chunkNS
-	cur := s.rs.curV
-	parfor(m, w, func(lo, hi int) {
-		t := time.Now()
-		s.stepSliceGuarded(r, lo, hi, &cur[lo/chunk])
-		ns[lo/chunk] = time.Since(t).Nanoseconds()
-	})
-	var sum int64
-	for _, d := range ns[:chunks] {
-		if d > maxNS {
-			maxNS = d
-		}
-		sum += d
-	}
-	return w, maxNS, sum / int64(chunks)
-}
-
-// sentTotal sums the cumulative per-node send counters. It runs once per
-// round on the probed path only; the plain path keeps its single
-// end-of-run collection sweep.
-func (s *simulation) sentTotal() int64 {
-	var total int64
-	for _, nd := range s.nodes {
-		if nd != nil {
-			total += nd.sent
-		}
-	}
-	return total
+	t.p.endRun(rec)
+	t.p = nil // the pooled scratch outlives the run; it must not pin the probe
 }

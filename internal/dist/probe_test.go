@@ -83,8 +83,8 @@ func TestProbeRoundAccounting(t *testing.T) {
 	}
 }
 
-// TestProbeOnMatchesProbeOff pins the zero-interference property: the
-// probed twin of the run loop produces the identical Result.
+// TestProbeOnMatchesProbeOff pins the zero-interference property: a
+// probed run produces the identical Result.
 func TestProbeOnMatchesProbeOff(t *testing.T) {
 	plain := runGossip(t, 42, 0)
 	probed, _ := probedGossip(t, 0)
@@ -293,17 +293,18 @@ func BenchmarkRunProbeOn(b *testing.B) {
 }
 
 // TestProbeDisabledOverheadGate is the CI gate on the cost of the probe
-// plumbing for unprobed runs. The disabled path is the pre-probe round
-// loop plus a single nil check (simulation.run), so the one exact,
+// plumbing for unprobed runs. Probed and unprobed runs share one round
+// loop (simulation.run); without a probe its tracer hooks cost one nil
+// check each per round and none per vertex, so the one exact,
 // machine-independent assertion is on allocations: a steady-state run
 // must allocate identically with and without a probe attached (the
-// probe's ring is preallocated and its records are emitted off the
-// round loop). Wall clock is measured on interleaved samples and the
-// disabled-path median must not exceed the probed twin's - the probed
-// twin does strictly more work per round, so on any sane machine the
-// disabled overhead versus the pre-probe loop is bounded well under
-// the probed delta. Opt-in via PROBE_OVERHEAD_GATE=1: wall medians on
-// shared runners are too noisy for an always-on test.
+// tracer and the probe's ring are pooled, and records are flushed off
+// the round loop). Wall clock is measured on interleaved samples and
+// the unprobed median must not exceed the probed one - a probed run
+// does strictly more work per round, so on any sane machine the nil
+// checks cost well under the probed delta. Opt-in via
+// PROBE_OVERHEAD_GATE=1: wall medians on shared runners are too noisy
+// for an always-on test.
 func TestProbeDisabledOverheadGate(t *testing.T) {
 	if os.Getenv("PROBE_OVERHEAD_GATE") == "" {
 		t.Skip("set PROBE_OVERHEAD_GATE=1 to run the overhead gate")
@@ -349,6 +350,6 @@ func TestProbeDisabledOverheadGate(t *testing.T) {
 		t.Errorf("probe changed steady-state allocations: %d without vs %d with", offAllocs, onAllocs)
 	}
 	if offMed > onMed*1.01 {
-		t.Errorf("disabled path (%.0f ns/op) slower than the probed twin (%.0f ns/op)", offMed, onMed)
+		t.Errorf("disabled path (%.0f ns/op) slower than the probed run (%.0f ns/op)", offMed, onMed)
 	}
 }

@@ -72,17 +72,21 @@ func sameRun(t *testing.T, label string, got, want *Result) {
 // aborts: cancel a run at every round boundary k, at several worker
 // counts, flat and sharded, and require (a) a
 // partial Result wrapped in ErrCanceled and (b) that the SAME session's
-// next full run matches a fresh network's bit for bit.
+// next full run matches a fresh network's bit for bit. The probed modes
+// run the cancelled run under a probe and also require (c) a RunRecord
+// carrying the error and the partial Result's Messages, and k round
+// records that, for k >= 1, sum to those Messages.
 func TestCancelAtEveryRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := graph.ForestUnion(800, 4, rng)
 	ids := NewNetworkPermuted(g, rand.New(rand.NewSource(99))).IDs()
 
 	type mode struct {
-		name  string
-		view  func(t *testing.T) *Network
-		opts  RunOptions
-		fresh func(t *testing.T) *Network
+		name   string
+		view   func(t *testing.T) *Network
+		opts   RunOptions
+		fresh  func(t *testing.T) *Network
+		probed bool
 	}
 	build := func(t *testing.T, workers, shards int) *Network {
 		t.Helper()
@@ -121,6 +125,17 @@ func TestCancelAtEveryRound(t *testing.T) {
 			fresh: func(t *testing.T) *Network { return build(t, w, 4) },
 		})
 	}
+	for _, shards := range []int{1, 4} {
+		for _, w := range []int{1, 2} {
+			shards, w := shards, w
+			modes = append(modes, mode{
+				name:   fmt.Sprintf("probed/shards=%d/workers=%d", shards, w),
+				view:   func(t *testing.T) *Network { return build(t, w, shards) },
+				fresh:  func(t *testing.T) *Network { return build(t, w, shards) },
+				probed: true,
+			})
+		}
+	}
 
 	for _, m := range modes {
 		m := m
@@ -128,7 +143,15 @@ func TestCancelAtEveryRound(t *testing.T) {
 			net := m.view(t)
 			ref := runFull(t, m.fresh(t), RunOptions{})
 			for k := 0; k <= ref.Rounds; k++ {
-				res, err := net.Run(wordGossip{rounds: 6}, RunOptions{Context: cancelAtRound(k)})
+				run, sink := net, (*memSink)(nil)
+				if m.probed {
+					sink = &memSink{}
+					run = net.WithProbe(NewProbe(sink))
+				}
+				res, err := run.Run(wordGossip{rounds: 6}, RunOptions{Context: cancelAtRound(k)})
+				if sink != nil {
+					run.Probe().Close()
+				}
 				if k == ref.Rounds {
 					// The run finishes before poll k+1 fires mid-run; whether
 					// the final boundary polls depends on live-set emptiness,
@@ -147,10 +170,39 @@ func TestCancelAtEveryRound(t *testing.T) {
 				if res.Rounds != k {
 					t.Fatalf("cancel@%d: partial result reports %d rounds", k, res.Rounds)
 				}
+				if sink != nil {
+					checkAbortRecords(t, k, res, sink)
+				}
 				// Session reuse after the abort: bit-for-bit normal.
 				sameRun(t, fmt.Sprintf("after cancel@%d", k), runFull(t, net, RunOptions{}), ref)
 			}
 		})
+	}
+}
+
+// checkAbortRecords pins the probe records of a run cancelled after k
+// rounds against its partial Result.
+func checkAbortRecords(t *testing.T, k int, res *Result, sink *memSink) {
+	t.Helper()
+	if len(sink.runs) != 1 {
+		t.Fatalf("cancel@%d: %d run records, want 1", k, len(sink.runs))
+	}
+	if rec := sink.runs[0]; rec.Err == "" || rec.Messages != res.Messages || rec.Rounds != k {
+		t.Fatalf("cancel@%d: run record err=%q rounds=%d messages=%d, want an error, %d rounds and %d messages",
+			k, rec.Err, rec.Rounds, rec.Messages, k, res.Messages)
+	}
+	if len(sink.rounds) != k {
+		t.Fatalf("cancel@%d: %d round records", k, len(sink.rounds))
+	}
+	if k == 0 {
+		return // Init's sends appear only in the run record
+	}
+	var msgs int64
+	for _, r := range sink.rounds {
+		msgs += r.Messages
+	}
+	if msgs != res.Messages {
+		t.Fatalf("cancel@%d: round records carry %d messages, partial result %d", k, msgs, res.Messages)
 	}
 }
 
@@ -274,8 +326,8 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// TestPanicContainmentSharded runs the same containment checks under
-// the shard-structured engine.
+// TestPanicContainmentSharded runs the same containment checks on a
+// sharded view.
 func TestPanicContainmentSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.ForestUnion(900, 3, rng)

@@ -49,15 +49,9 @@ type topology struct {
 	// layout of batch.go / wordio.go.
 	base []int
 	// inSlots[base[v]+p] is the slot neighbor u = ports[v][p] writes for
-	// v. On a flat topology it is global - u's base plus v's position in
-	// u's port list. On a sharded topology (shard != nil) it is
-	// SHARD-LOCAL: the same slot relative to the sending shard's slot
-	// range, with shard.inShard naming the shard (see shard.go).
+	// v: u's base plus v's position in u's port list.
 	inSlots    []int32
 	totalPorts int
-	// shard is the per-topology shard structure of a sharded session
-	// (nil on flat sessions); see shard.go.
-	shard *shardTopo
 }
 
 // slots returns v's per-port delivery-slot view.
@@ -95,7 +89,6 @@ func (sc *session) buildUnfiltered(g *graph.Graph, workers int) *topology {
 	}
 	t.totalPorts = next
 	t.inSlots = make([]int32, next)
-	sc.attachShardTopo(t)
 	fillSlots(t, workers)
 	return t
 }
@@ -150,21 +143,17 @@ func (sc *session) buildFiltered(g *graph.Graph, labels []int, active []bool, wo
 		}
 	})
 	t.inSlots = make([]int32, next)
-	sc.attachShardTopo(t)
 	fillSlots(t, workers)
 	return t
 }
 
 // fillSlots computes the delivery-slot table: visibility is symmetric, so
 // v always appears in its visible neighbors' port lists and the rank
-// lookup is a binary search in the neighbor's sorted ports. On a sharded
-// topology the recorded slot is shard-local and the boundary table
-// (shard.inShard) names the sending shard per slot. A single-worker
-// build takes the counting sweep instead, which replaces every binary
-// search with one increment.
+// lookup is a binary search in the neighbor's sorted ports. A
+// single-worker build takes the counting sweep instead, which replaces
+// every binary search with one increment.
 func fillSlots(t *topology, workers int) {
 	n := len(t.ports)
-	st := t.shard
 	if workers <= 1 || n <= 1 {
 		fillSlotsCounting(t)
 		return
@@ -175,19 +164,9 @@ func fillSlots(t *topology, workers int) {
 			if len(ports) == 0 {
 				continue
 			}
-			b := t.base[v]
-			slots := t.inSlots[b:]
-			if st == nil {
-				for p, u := range ports {
-					slots[p] = int32(t.base[u] + sort.SearchInts(t.ports[u], v))
-				}
-				continue
-			}
-			inShard := st.inShard[b:]
+			slots := t.inSlots[t.base[v]:]
 			for p, u := range ports {
-				k := st.vshard[u]
-				slots[p] = int32(t.base[u] - st.slotCuts[k] + sort.SearchInts(t.ports[u], v))
-				inShard[p] = k
+				slots[p] = int32(t.base[u] + sort.SearchInts(t.ports[u], v))
 			}
 		}
 	})
@@ -202,27 +181,15 @@ func fillSlots(t *topology, workers int) {
 // parfor path (both compute sender ranks); only the work per port
 // differs.
 func fillSlotsCounting(t *topology) {
-	st := t.shard
 	cnt := make([]int32, len(t.ports))
 	for v, ports := range t.ports {
 		if len(ports) == 0 {
 			continue
 		}
-		b := t.base[v]
-		slots := t.inSlots[b:]
-		if st == nil {
-			for p, u := range ports {
-				slots[p] = int32(t.base[u]) + cnt[u]
-				cnt[u]++
-			}
-			continue
-		}
-		inShard := st.inShard[b:]
+		slots := t.inSlots[t.base[v]:]
 		for p, u := range ports {
-			k := st.vshard[u]
-			slots[p] = int32(t.base[u]-st.slotCuts[k]) + cnt[u]
+			slots[p] = int32(t.base[u]) + cnt[u]
 			cnt[u]++
-			inShard[p] = k
 		}
 	}
 }
@@ -306,13 +273,6 @@ type session struct {
 	// session's lifetime; the stored values themselves must be safe for
 	// concurrent use by overlapping runs.
 	values map[any]any
-	// sh/vshard describe the vertex sharding of this session's network
-	// view (zero/nil = flat engine). They are set once when the sharded
-	// view is created (Network.Sharded gives the view a FRESH session, so
-	// one session never caches topologies of two shard layouts) and are
-	// read-only afterwards; every topology built here inherits them.
-	sh     graph.Sharding
-	vshard []uint8
 }
 
 // topology returns the cached wiring for the given filters, building and
@@ -408,30 +368,21 @@ type runScratch struct {
 	clearQ    []int
 	wwords    [2][]int64
 	wsent     [2][]uint8
-	// wshardWords/wshardSent are the pooled per-shard round-parity
-	// message columns of sharded runs, indexed [parity][shard]
-	// (nil and unused on flat sessions); see shard.go.
-	wshardWords [2][][]int64
-	wshardSent  [2][][]uint8
-	// shardSegs/shardNS/shardCum/shardPrev are the per-shard telemetry
-	// buffers of probed sharded runs (live-list segmentation, step wall,
-	// cumulative and previous-round send counters).
-	shardSegs []int
-	shardNS   []int64
-	shardCum  []int64
-	shardPrev []int64
 	// counts/starts are the per-chunk counters of the parallel
 	// collect/collection sweeps.
 	counts []int
 	starts []int
 	sums   []int64
+	// cuts is the live-list chunking of the current round's step
+	// (stepRound): chunk c covers live[cuts[c]:cuts[c+1]].
+	cuts []int
 	// curV holds one live-list cursor per step chunk: stepSlice records
 	// the index it is stepping so the panic guard (stepSliceGuarded) can
 	// attribute a recovered vertex-program panic to the exact vertex.
 	curV []int
-	// chunkNS holds the per-chunk step timings of a probed run
-	// (probe.go); unused and nil on unprobed runs.
-	chunkNS []int64
+	// tr is the round tracer of a probed run (probe.go); unused on
+	// unprobed runs.
+	tr roundTracer
 }
 
 // borrowRun returns the pooled scratch bundle (pooled=true) or a fresh

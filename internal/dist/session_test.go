@@ -402,9 +402,8 @@ func TestSessionValueOwnership(t *testing.T) {
 
 // TestFillSlotsCountingMatchesParallel pins the two delivery-slot fill
 // strategies against each other: the single-worker counting sweep and
-// the parallel binary-search fill must produce identical slot tables
-// (and boundary tables on sharded topologies) on flat, filtered and
-// sharded builds.
+// the parallel binary-search fill must produce identical slot tables on
+// flat and filtered builds.
 func TestFillSlotsCountingMatchesParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := graph.Gnp(300, 0.03, rng)
@@ -413,10 +412,6 @@ func TestFillSlotsCountingMatchesParallel(t *testing.T) {
 	for v := range labels {
 		labels[v] = v % 3
 		active[v] = v%5 != 0
-	}
-	sh, err := graph.NewSharding(g.N(), 4)
-	if err != nil {
-		t.Fatal(err)
 	}
 	builds := []struct {
 		name string
@@ -428,25 +423,12 @@ func TestFillSlotsCountingMatchesParallel(t *testing.T) {
 		{"filtered", func(w int) *topology {
 			return (&session{}).buildFiltered(g, labels, active, w)
 		}},
-		{"sharded", func(w int) *topology {
-			net, err := NewNetwork(g).Sharded(sh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return net.sess.buildUnfiltered(g, w)
-		}},
 	}
 	for _, b := range builds {
 		seq := b.make(1)
 		par := b.make(4)
 		if !slices.Equal(seq.inSlots, par.inSlots) {
 			t.Errorf("%s: counting fill and parallel fill disagree on inSlots", b.name)
-		}
-		if (seq.shard == nil) != (par.shard == nil) {
-			t.Fatalf("%s: shard structure diverges", b.name)
-		}
-		if seq.shard != nil && !slices.Equal(seq.shard.inShard, par.shard.inShard) {
-			t.Errorf("%s: counting fill and parallel fill disagree on inShard", b.name)
 		}
 	}
 }

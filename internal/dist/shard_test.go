@@ -3,13 +3,15 @@ package dist
 import (
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
 
-// The shard shadow suite pins the shard-structured engine (shard.go) to
-// the flat engine bit-for-bit, the way PR 5's worker-count tests pinned
+// The shard shadow suite pins sharded network views (shard.go) to the
+// unsharded network bit-for-bit, the way the worker-count tests pin
 // parallel execution: the same program over the same network must yield
 // identical Results at every shard count, under filters, and across
 // pooled-scratch reuse.
@@ -90,8 +92,7 @@ func TestShardedMatchesFlatUnderFilters(t *testing.T) {
 	shadowShards(t, net, wordGossip{rounds: 5}, RunOptions{Labels: labels, Active: active})
 }
 
-// More shards than vertices: the trailing shards are empty, their column
-// segments zero-length.
+// More shards than vertices: the trailing shards are empty.
 func TestShardedEmptyShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(830))
 	g := graph.Path(9)
@@ -137,8 +138,8 @@ func TestShardedParallelMatchesSequential(t *testing.T) {
 }
 
 // One sharded view across repeated runs and alternating filters: the
-// pooled per-shard columns and the topology cache must reproduce the
-// fresh-session results exactly.
+// pooled columns and the topology cache must reproduce the fresh-session
+// results exactly.
 func TestShardedNetworkReusableAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(850))
 	g := graph.ForestUnion(400, 3, rng)
@@ -182,8 +183,7 @@ func TestShardedWordIO(t *testing.T) {
 	shadowShards(t, net, seedMix{}, RunOptions{InputWords: seedMixInputs(g, rng)})
 }
 
-// Halting sends must deliver exactly once through shard-local columns
-// too (the flush-clear path of shard.go).
+// Halting sends must deliver exactly once on sharded views too.
 func TestShardedHaltingSendDeliveredExactlyOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(870))
 	g := graph.Star(6)
@@ -329,6 +329,73 @@ func TestShardedProbeTelemetry(t *testing.T) {
 		if r.Shards != nil {
 			t.Fatal("flat round record carries shard stats")
 		}
+	}
+}
+
+// stepFanout gossips for a few rounds and records the largest number of
+// goroutines inside StepWords at once. In round 1 every vertex that is a
+// multiple of hold sleeps briefly, so steps running side by side overlap
+// inside StepWords even on one CPU.
+type stepFanout struct {
+	in, peak *atomic.Int64
+	hold     int
+}
+
+func (stepFanout) MessageWords() int { return 1 }
+func (stepFanout) InputWidth() int   { return 0 }
+func (stepFanout) OutputWidth() int  { return 0 }
+func (stepFanout) InitWords(n *Node) { n.SendAllWord(1) }
+
+func (f stepFanout) StepWords(n *Node, inbox WordInbox) {
+	c := f.in.Add(1)
+	defer f.in.Add(-1)
+	for {
+		old := f.peak.Load()
+		if c <= old || f.peak.CompareAndSwap(old, c) {
+			break
+		}
+	}
+	if n.Round() == 1 && n.Vertex()%f.hold == 0 {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n.Round() >= 4 {
+		n.Halt()
+		return
+	}
+	n.SendAllWord(1)
+}
+
+// A pinned worker count bounds the step fan-out of probed sharded runs
+// too: with Workers: 2 on an 8-shard view, the probed step walks the
+// shard segments on at most 2 goroutines, like the unprobed one. Each
+// shard's first vertex holds its step, so a fan-out of one goroutine
+// per shard would show up as 8 steps at once.
+func TestShardedProbeHonorsWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(900))
+	g := graph.ForestUnion(4000, 4, rng)
+	const shards = 8
+	sh, err := graph.NewSharding(g.N(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := NewNetworkPermuted(g, rng).Sharded(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProbe(nullSink{})
+	defer p.Close()
+	const workers = 2
+	fanout := func(net *Network) int64 {
+		var in, peak atomic.Int64
+		prog := stepFanout{in: &in, peak: &peak, hold: g.N() / shards}
+		if _, err := net.Run(prog, RunOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		return peak.Load()
+	}
+	plain, probed := fanout(view), fanout(view.WithProbe(p))
+	if plain > workers || probed > workers {
+		t.Fatalf("steps at once: %d unprobed, %d probed; want at most %d", plain, probed, workers)
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 // nil. The capture verifies this and refuses otherwise; programs that keep
 // algorithm-side arenas (e.g. reduce.Algo) are not snapshotable
 // mid-run, while column-state programs (e.g. forest.WaitColorAlgo) are
-// by design. Sharded runs snapshot fine: the columns are normalized to
-// the flat global slot layout (global slot = shard-local + slot cut),
-// so a snapshot taken at one shard count resumes at any other.
+// by design. Every network view, sharded or not, runs on the same global
+// slot layout, so a snapshot taken at one shard count resumes at any
+// other.
 
 // snapMagic/snapVersion frame the serialized form. The version bumps on
 // any layout change; ReadSnapshot rejects unknown versions.
@@ -63,8 +63,7 @@ type Snapshot struct {
 	// absolute message totals.
 	sent []int64
 	// words/flags are the current-parity (round%2) message column and
-	// sent flags in the FLAT global slot layout, regardless of the
-	// captured run's shard count.
+	// sent flags in the global slot layout.
 	words []int64
 	flags []uint8
 	// inWords/outWords are the input and output column contents
@@ -111,17 +110,8 @@ func (s *simulation) captureSnapshot(rounds int) (*Snapshot, error) {
 		}
 	}
 	par := rounds % 2
-	if st := s.topo.shard; st != nil {
-		// Normalize shard-local segments into the flat layout.
-		for k := 0; k < st.k(); k++ {
-			cut, seg := st.slotCuts[k], st.segLen(k)
-			copy(sn.words[cut*s.width:(cut+seg)*s.width], s.shWords[par][k])
-			copy(sn.flags[cut:cut+seg], s.shSent[par][k])
-		}
-	} else {
-		copy(sn.words, s.wwords[par][:tp*s.width])
-		copy(sn.flags, s.wsent[par][:tp])
-	}
+	copy(sn.words, s.wwords[par][:tp*s.width])
+	copy(sn.flags, s.wsent[par][:tp])
 	return sn, nil
 }
 
@@ -184,24 +174,14 @@ func (s *simulation) restore(sn *Snapshot) error {
 			nd.sent = sn.sent[v]
 		}
 	}
+	// The spent parity's flags hold pooled junk from earlier runs and are
+	// bulk-zeroed: round round+1 writes it fresh, but flushHaltClears and
+	// late-halting readers must find zeros, as they would in the
+	// uninterrupted run.
 	par := sn.round % 2
-	if st := s.topo.shard; st != nil {
-		// Scatter the flat columns into this view's shard segments; the
-		// spent parity's flags hold pooled junk from earlier runs and are
-		// bulk-zeroed (round round+1 writes it fresh, but flushHaltClears
-		// and late-halting readers must find zeros, as they would in the
-		// uninterrupted run).
-		for k := 0; k < st.k(); k++ {
-			cut, seg := st.slotCuts[k], st.segLen(k)
-			copy(s.shWords[par][k], sn.words[cut*s.width:(cut+seg)*s.width])
-			copy(s.shSent[par][k], sn.flags[cut:cut+seg])
-			clear(s.shSent[1-par][k])
-		}
-	} else {
-		copy(s.wwords[par], sn.words)
-		copy(s.wsent[par], sn.flags)
-		clear(s.wsent[1-par])
-	}
+	copy(s.wwords[par], sn.words)
+	copy(s.wsent[par], sn.flags)
+	clear(s.wsent[1-par])
 	copy(s.opts.InputWords, sn.inWords)
 	copy(s.outCol, sn.outWords)
 	return nil

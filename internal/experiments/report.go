@@ -65,7 +65,7 @@ type Record struct {
 	// bit-for-bit identical at every point.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 	Workers    int `json:"workers,omitempty"`
-	// Shards is the shard count of a shard-structured scale run
+	// Shards is the shard count of a sharded scale run
 	// (ScaleOptions.Shards / dist.Network.Sharded); omitted on plain flat
 	// runs, 1 on the flat baseline point of a -scale-shards sweep. The
 	// shard-count curve the nightly sweep archives sits next to the

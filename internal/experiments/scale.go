@@ -43,8 +43,8 @@ type ScaleOptions struct {
 	// paces the worker pool, which is what the -scale-procs speedup
 	// sweep measures.
 	Workers int
-	// Shards runs the shard-structured engine with this many vertex
-	// shards (dist.Network.Sharded); 0 or 1 keeps the flat engine. When
+	// Shards runs the engine on a sharded view with this many vertex
+	// shards (dist.Network.Sharded); 0 or 1 keeps the flat view. When
 	// the instance comes from a DCG1 binary the graph is loaded through
 	// the streaming per-shard reader (graph.OpenBinaryShards), bounding
 	// peak load RSS to one shard's CSR slice plus the degree pass. Like
@@ -102,7 +102,7 @@ func ScaleRun(opt ScaleOptions) (*ScaleResult, error) {
 	return scaleMeasure(net, g, source, opt)
 }
 
-// shardNet applies the shard-structured engine view for k > 1 shards;
+// shardNet applies the sharded engine view for k > 1 shards;
 // k <= 1 returns the flat network unchanged.
 func shardNet(net *dist.Network, g *graph.Graph, k int) (*dist.Network, error) {
 	if k <= 1 {
@@ -166,10 +166,9 @@ func ScaleSweep(opt ScaleOptions, workers []int) ([]*ScaleResult, error) {
 // ScaleShardSweep is the shard-count curve harness, the sharded sibling
 // of ScaleSweep: the instance and the identifier permutation are
 // prepared ONCE, then each listed shard count colors the exact same
-// network through a fresh session - the flat engine at count 1, the
-// shard-structured engine above it. It fails unless colors, rounds and
-// message counts are bit-for-bit identical at every count (sharding
-// only moves message words between columns, it never reorders the
+// network through a fresh session - the flat view at count 1, a sharded
+// view above it. It fails unless colors, rounds and message counts are
+// bit-for-bit identical at every count (sharding never reorders the
 // computation); on error the results measured so far are still
 // returned so harnesses can archive them. A sweep that includes a
 // sharded point loads a DCG1 instance through the streaming per-shard

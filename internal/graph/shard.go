@@ -10,16 +10,15 @@ import (
 )
 
 // Vertex sharding: a partition of [0, n) into contiguous ranges, the unit
-// in which the shard-structured engine (internal/dist) owns topology and
-// message columns and in which ReadBinaryShards materializes CSR storage.
-// Contiguity is load-bearing twice over: the engine maps a vertex to its
-// shard with one table read and a slot to its column with one precomputed
-// byte, and the streaming loader fills each shard's backing array with
-// plain appends because adjacency entries of one shard never interleave
-// with another's allocation.
+// in which ReadBinaryShards materializes CSR storage and in which sharded
+// engine views (internal/dist) report per-shard telemetry. Contiguity is
+// load-bearing for both: the streaming loader fills each shard's backing
+// array with plain appends because adjacency entries of one shard never
+// interleave with another's allocation, and a shard's live vertices form
+// one segment of the engine's ascending live list.
 
-// MaxShards caps the shard count so per-slot shard indices fit in a byte
-// (the engine's boundary tables store one uint8 per delivery slot).
+// MaxShards is the largest supported shard count, an API limit shared by
+// the loaders, the engine views and the harnesses.
 const MaxShards = 256
 
 // Sharding partitions the vertices [0, n) into NumShards contiguous
