@@ -57,3 +57,37 @@ func (v Variant) InputWidth() int {
 func (v Variant) StepWords(n *dist.Node, in dist.WordInbox) {
 	n.SendWord(0, 7)
 }
+
+// FatByValue is a five-word program with value receivers: every
+// per-vertex call would spill it past the register budget.
+type FatByValue struct{ a, b, c, d, e int64 }
+
+func (FatByValue) MessageWords() int { return 1 }
+
+func (f FatByValue) InitWords(n *dist.Node) {} // want `InitWords has a 40-byte value receiver FatByValue, over the 32-byte register budget of the per-vertex call \(9 integer registers minus the \*Node and the 4-word inbox\); use a pointer receiver`
+
+func (f FatByValue) StepWords(n *dist.Node, in dist.WordInbox) {} // want `StepWords has a 40-byte value receiver FatByValue`
+
+// Width methods are called once per run, not per vertex: not reported.
+func (f FatByValue) OutputWidth() int { return 1 }
+
+// FatByPointer is the same five words behind pointer receivers: clean.
+type FatByPointer struct{ a, b, c, d, e int64 }
+
+func (*FatByPointer) MessageWords() int                           { return 1 }
+func (f *FatByPointer) InitWords(n *dist.Node)                    {}
+func (f *FatByPointer) StepWords(n *dist.Node, in dist.WordInbox) {}
+
+// FourWords sits exactly at the budget: value receivers are fine.
+type FourWords struct{ a, b, c, d int64 }
+
+func (FourWords) MessageWords() int                           { return 1 }
+func (f FourWords) InitWords(n *dist.Node)                    {}
+func (f FourWords) StepWords(n *dist.Node, in dist.WordInbox) {}
+
+// Generic has no size until instantiated: not reported.
+type Generic[T any] struct{ v [5]T }
+
+func (Generic[T]) MessageWords() int                           { return 1 }
+func (g Generic[T]) InitWords(n *dist.Node)                    {}
+func (g Generic[T]) StepWords(n *dist.Node, in dist.WordInbox) {}

@@ -25,6 +25,11 @@ import (
 // PerPort for one flavor, 0 for another - are fine; the engine requires
 // only that the width not depend on run-time state). Width methods whose
 // variants disagree are excluded from call-site checking.
+//
+// It also reports InitWords/StepWords methods whose value receiver is
+// wider than maxStepReceiver: such a receiver is copied through the
+// stack on every per-vertex call, so those programs take pointer
+// receivers.
 var WordIOAnalyzer = &analysis.Analyzer{
 	Name: "wordio",
 	Doc:  "check fixed-width vertex programs declare constant widths and use them consistently",
@@ -139,7 +144,66 @@ func runWordIO(pass *analysis.Pass) error {
 			})
 		}
 	}
+	checkStepReceivers(pass)
 	return nil
+}
+
+// maxStepReceiver is the widest value receiver of a per-vertex call that
+// still travels in registers: 9 integer argument registers (amd64 ABI)
+// minus the *Node and the 4-word WordInbox leave 4 words.
+const maxStepReceiver = 4 * 8
+
+// amd64Sizes measures receivers as the gc compiler lays them out on
+// amd64, the platform the register budget is stated for.
+var amd64Sizes = types.SizesFor("gc", "amd64")
+
+// checkStepReceivers reports InitWords/StepWords methods (the per-vertex
+// dist.Algorithm calls) whose value receiver exceeds maxStepReceiver.
+func checkStepReceivers(pass *analysis.Pass) {
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func)
+			if !ok || !isStepSignature(fn.Name.Name, obj.Type().(*types.Signature)) {
+				continue
+			}
+			recv := obj.Type().(*types.Signature).Recv().Type()
+			if _, ptr := recv.(*types.Pointer); ptr {
+				continue
+			}
+			if named, ok := recv.(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue // sized per instantiation
+			}
+			if size := amd64Sizes.Sizeof(recv); size > maxStepReceiver {
+				pass.Reportf(fn.Name.Pos(), "%s has a %d-byte value receiver %s, over the %d-byte register budget of the per-vertex call (9 integer registers minus the *Node and the 4-word inbox); use a pointer receiver",
+					fn.Name.Name, size, types.TypeString(recv, types.RelativeTo(pass.Pkg)), maxStepReceiver)
+			}
+		}
+	}
+}
+
+// isStepSignature reports whether a method is one of the per-vertex
+// dist.Algorithm calls: InitWords(*dist.Node) or
+// StepWords(*dist.Node, dist.WordInbox), without results.
+func isStepSignature(name string, sig *types.Signature) bool {
+	params := sig.Params()
+	if sig.Results().Len() != 0 || params.Len() == 0 {
+		return false
+	}
+	ptr, ok := params.At(0).Type().(*types.Pointer)
+	if !ok || !isDistNamed(ptr.Elem(), "Node") {
+		return false
+	}
+	switch name {
+	case "InitWords":
+		return params.Len() == 1
+	case "StepWords":
+		return params.Len() == 2 && isDistNamed(params.At(1).Type(), "WordInbox")
+	}
+	return false
 }
 
 // isWidthSignature reports whether fn is `func() int`.
@@ -188,12 +252,18 @@ func isNodeMethod(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
+	return isDistNamed(t, "Node")
+}
+
+// isDistNamed reports whether t is the named type `name` of a package
+// whose path ends in "internal/dist" (the engine or its fixture stand-in).
+func isDistNamed(t types.Type, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Name() != "Node" || obj.Pkg() == nil {
+	if obj.Name() != name || obj.Pkg() == nil {
 		return false
 	}
 	path := obj.Pkg().Path()

@@ -15,15 +15,31 @@ import "fmt"
 // reads the neighbor's slot for the previous parity through the
 // precomputed inSlots table (the columnar analogue of a peer table), so
 // a round performs no per-message allocation and no pointer chasing
-// beyond two flat arrays.
+// beyond one column descriptor and its two flat arrays.
 
-// WordInbox is a node's inbox: a by-value view of the previous round's
-// word column restricted to the node's visible ports. Port p of the inbox
-// is the neighbor on the node's visible port p.
-type WordInbox struct {
+// wordColumn is one round parity's message column: W words per slot
+// plus one sent flag per slot. newSimulation builds the two parities'
+// descriptors once per run; the slices never change during the run
+// (restore copies into them), so every inbox of a round can point at
+// the same read-only descriptor.
+type wordColumn struct {
 	width int
-	words []int64 // previous parity's full word column
-	sent  []uint8 // previous parity's sent flags, one per slot
+	words []int64
+	sent  []uint8
+}
+
+// WordInbox is a node's inbox: a view of the previous round's word
+// column restricted to the node's visible ports. Port p of the inbox is
+// the neighbor on the node's visible port p.
+//
+// The view is four words: a pointer to the previous parity's column
+// descriptor plus the node's slot table. The amd64 register ABI passes
+// nine integer arguments; the *Node takes one and a program receiver at
+// most four (distvet's wordio rule), so StepWords receives all of its
+// arguments in registers. An inbox carrying the column slices itself
+// would be ten words and spill to the stack on every per-vertex call.
+type WordInbox struct {
+	col   *wordColumn
 	slots []int32 // per-port slot of the sending neighbor
 }
 
@@ -31,18 +47,19 @@ type WordInbox struct {
 func (in WordInbox) Ports() int { return len(in.slots) }
 
 // Has reports whether the neighbor on port p sent a message last round.
-func (in WordInbox) Has(p int) bool { return in.sent[in.slots[p]] != 0 }
+func (in WordInbox) Has(p int) bool { return in.col.sent[in.slots[p]] != 0 }
 
 // Word returns the first word of port p's message. Meaningful only when
 // Has(p); the value is unspecified otherwise.
-func (in WordInbox) Word(p int) int64 { return in.words[int(in.slots[p])*in.width] }
+func (in WordInbox) Word(p int) int64 { return in.col.words[int(in.slots[p])*in.col.width] }
 
 // Words returns the full W-word message on port p as a view into the
 // engine's column. The slice is valid only during the current StepWords
 // call and must not be retained or written.
 func (in WordInbox) Words(p int) []int64 {
-	s := int(in.slots[p]) * in.width
-	return in.words[s : s+in.width : s+in.width]
+	w := in.col.width
+	s := int(in.slots[p]) * w
+	return in.col.words[s : s+w : s+w]
 }
 
 // SendWords marks the given visible port as sending this round and
@@ -104,8 +121,8 @@ func (s *simulation) flushHaltClears() {
 	for _, v := range s.clearQ {
 		b := s.topo.base[v]
 		deg := len(s.nodes[v].ports)
-		clear(s.wsent[0][b : b+deg])
-		clear(s.wsent[1][b : b+deg])
+		clear(s.cols[0].sent[b : b+deg])
+		clear(s.cols[1].sent[b : b+deg])
 	}
 	s.clearQ = s.clearQ[:0]
 }

@@ -257,6 +257,15 @@ func TestBatchNetworkReusableAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestWordInboxFitsRegisters pins the inbox at the four words the
+// per-vertex register budget assumes (see WordInbox).
+func TestWordInboxFitsRegisters(t *testing.T) {
+	word := reflect.TypeOf(uintptr(0)).Size()
+	if got := reflect.TypeOf(WordInbox{}).Size(); got > 4*word {
+		t.Fatalf("WordInbox is %d bytes, want at most %d (4 words)", got, 4*word)
+	}
+}
+
 // flood is the delivery-path benchmark program: one word per message,
 // the per-node digest kept in the output column, leaving message delivery
 // as the loop's only work besides the add.

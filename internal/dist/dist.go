@@ -392,10 +392,10 @@ type simulation struct {
 	startRound int
 	resumed    bool
 
-	// Message-column state (see batch.go).
+	// Message-column state (see batch.go): the width and the two
+	// round-parity column descriptors every inbox of a round points at.
 	width  int
-	wwords [2][]int64
-	wsent  [2][]uint8
+	cols   [2]wordColumn
 	clearQ []int // nodes halted last round, flags pending a clear
 
 	// outCol is the output column (wordio.go); nil when the algorithm
@@ -472,7 +472,7 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 	for i := 0; i < 2; i++ {
 		rs.wwords[i] = grown(rs.wwords[i], topo.totalPorts*width)
 		rs.wsent[i] = grown(rs.wsent[i], topo.totalPorts)
-		s.wwords[i], s.wsent[i] = rs.wwords[i], rs.wsent[i]
+		s.cols[i] = wordColumn{width: width, words: rs.wwords[i], sent: rs.wsent[i]}
 	}
 	s.clearQ = rs.clearQ[:0]
 	if ow != 0 {
@@ -798,10 +798,13 @@ func (s *simulation) recoverStep(r, lo, hi int, cur *int) {
 func (s *simulation) stepSlice(r, lo, hi int, cur *int) {
 	w := s.width
 	par := r % 2
-	words := s.wwords[par]
-	sent := s.wsent[par]
+	words := s.cols[par].words
+	sent := s.cols[par].sent
 	base := s.topo.base
-	in := WordInbox{width: w, words: s.wwords[1-par], sent: s.wsent[1-par]}
+	// Every inbox of the round shares the previous parity's descriptor;
+	// only the slot table is per node, so concurrent chunks never write
+	// shared state.
+	in := WordInbox{col: &s.cols[1-par]}
 	for i := lo; i < hi; i++ {
 		*cur = i
 		v := s.live[i]
@@ -870,9 +873,10 @@ func (s *simulation) collectHalted(r int) {
 	parfor(m, w, func(lo, hi int) {
 		c := lo / chunk
 		ko := starts[c]
-		// Halted nodes of chunk c land after the halted nodes of earlier
-		// chunks: chunk c dropped (lo - starts[c]) of its predecessors'
-		// entries... i.e. lo-starts[c] halted so far before this chunk.
+		// Halted nodes of chunk c land after those of earlier chunks. The
+		// lo entries before this chunk split into starts[c] kept and
+		// lo-starts[c] halted, so chunk c's first halted node goes to
+		// clearQ[clearBase+lo-starts[c]].
 		ho := clearBase + (lo - starts[c])
 		for i := lo; i < hi; i++ {
 			v := s.live[i]

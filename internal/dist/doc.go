@@ -41,6 +41,14 @@
 // Node.State is the one program-owned slot outside the columns, for
 // state that is not a word (a randomized program's rand.Rand).
 //
+// StepWords runs once per live vertex per round, the engine's hottest
+// call, so nothing is copied into it: the WordInbox is a four-word view
+// (a pointer to the previous parity's column descriptor plus the node's
+// slot table), and a program wider than four words implements
+// InitWords/StepWords on a pointer receiver (reduce.Algo, recolor.Algo).
+// With the *Node, the call then fits the nine integer argument
+// registers of the amd64 ABI; distvet's wordio rule keeps it there.
+//
 // # Sessions and parallelism
 //
 // A Network owns a persistent session (session.go) living as long as the
@@ -189,7 +197,12 @@
 // # Static-analysis annotations
 //
 // The invariants above are machine-checked by the distvet suite
-// (internal/analysis/distvet, run by cmd/distvet and the CI lint job).
+// (internal/analysis/distvet, run by cmd/distvet and the CI lint job):
+// determinism, hotalloc, failpath and wordio. wordio needs no
+// directives: it requires constant message/input/output widths, checks
+// the width-bound Node calls against them, and reports any
+// InitWords/StepWords value receiver wider than four words (32 B on
+// amd64: nine integer registers minus the *Node and the 4-word inbox).
 // Engine code declares its sanctioned exceptions in source with
 // //distvet: directives:
 //

@@ -110,8 +110,8 @@ func (s *simulation) captureSnapshot(rounds int) (*Snapshot, error) {
 		}
 	}
 	par := rounds % 2
-	copy(sn.words, s.wwords[par][:tp*s.width])
-	copy(sn.flags, s.wsent[par][:tp])
+	copy(sn.words, s.cols[par].words[:tp*s.width])
+	copy(sn.flags, s.cols[par].sent[:tp])
 	return sn, nil
 }
 
@@ -179,9 +179,9 @@ func (s *simulation) restore(sn *Snapshot) error {
 	// late-halting readers must find zeros, as they would in the
 	// uninterrupted run.
 	par := sn.round % 2
-	copy(s.wwords[par], sn.words)
-	copy(s.wsent[par], sn.flags)
-	clear(s.wsent[1-par])
+	copy(s.cols[par].words, sn.words)
+	copy(s.cols[par].sent, sn.flags)
+	clear(s.cols[1-par].sent)
 	copy(s.opts.InputWords, sn.inWords)
 	copy(s.outCol, sn.outWords)
 	return nil

@@ -10,9 +10,9 @@ import (
 	"repro/internal/recolor"
 )
 
-// The shard-structured engine must reproduce the seed goldens bit for
-// bit at every shard count: sharding only relocates message words into
-// shard-local columns, it never changes what is delivered. Each golden
+// A sharded engine view must reproduce the seed goldens bit for bit at
+// every shard count: a sharding only partitions the vertices over the
+// same message columns, it never changes what is delivered. Each golden
 // workload below reruns under 2, 4 and the auto shard count and is
 // checked against the exact same hashes/rounds/messages as the flat
 // golden tests.

@@ -155,7 +155,7 @@ func TestScaleSweepMatchesScaleRun(t *testing.T) {
 
 // TestScaleShardSweepMatchesScaleRun pins the shard-count curve to the
 // flat harness: every point of a ScaleShardSweep (flat baseline at
-// count 1, shard-structured engine above it, including a sharded run
+// count 1, a sharded engine view above it, including a sharded run
 // through ScaleRun's streaming-load path) must reproduce the plain
 // flat ScaleRun bit for bit, and records must carry the shard count.
 func TestScaleShardSweepMatchesScaleRun(t *testing.T) {

@@ -31,9 +31,11 @@ type Params struct {
 
 // Algo is the vertex program executing a recoloring schedule. Construct
 // it with NewAlgo: the schedule, per-step row-table snapshots and step
-// scratch are resolved once per run and shared by all nodes, so a run
-// performs no per-vertex allocation at all. The shared state hangs off one pointer
-// (rt), keeping the Algo value the engine copies per node call small.
+// scratch are resolved once per run and shared by all nodes (rt), so a
+// run performs no per-vertex allocation at all. *Algo implements
+// dist.Algorithm: the six-word value is wider than the four words a
+// per-vertex call has left for its receiver, so the engine calls
+// through a pointer and copies nothing per node.
 // Word layout: the input column is one parent-flag word per visible
 // port (present only for the arbdefective variant); the output column
 // is one word per vertex holding the node's current - and finally
@@ -50,9 +52,8 @@ type Algo struct {
 }
 
 // algoRT is the run-shared runtime state of the program: everything
-// every node of the run reads but never writes. One pointer per Algo
-// copy keeps the per-node interface-call receiver at three words of
-// parameters plus this pointer.
+// every node of the run reads but never writes, resolved once by
+// NewAlgo and reached from every Algo value through one pointer.
 type algoRT struct {
 	// blocks is the per-step row-table snapshot (palette-sized via the
 	// kernel resolve in stepBlocks, or the session hot-row cache when
@@ -143,7 +144,7 @@ func (sc *stepScratch) grow(q int) {
 // required.
 //
 //distvet:noalloc
-func (a Algo) InitWords(n *dist.Node) {
+func (a *Algo) InitWords(n *dist.Node) {
 	if a.P.TargetDefect >= a.P.DegBound {
 		// A single color class already satisfies the defect bound; the
 		// zeroed output word is the color 0.
@@ -283,7 +284,7 @@ type wordScratch struct {
 // node's own output word, so the call touches no per-node state.
 //
 //distvet:noalloc
-func (a Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
+func (a *Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	rt := a.rt
 	sc := rt.pool.Get().(*wordScratch)
 	sc.grow(rt.maxQ)
@@ -401,7 +402,7 @@ func RunUniform(net *dist.Network, p Params, parentPorts [][]bool, labels []int,
 			}
 		})
 	}
-	res, err := net.Run(algo, dist.RunOptions{InputWords: inWords, Labels: labels, Active: active})
+	res, err := net.Run(&algo, dist.RunOptions{InputWords: inWords, Labels: labels, Active: active})
 	if err != nil {
 		return dist.RunStats{}, err
 	}

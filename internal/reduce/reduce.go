@@ -51,6 +51,8 @@ func Rounds(m, t int) int {
 // neighbor-color table is a slice of one flat caller-owned arena, and the
 // fold/phase position is derived from the round number (all nodes run
 // the plan in lockstep) - so a run performs no per-vertex allocation.
+// newAlgo returns a pointer and *Algo implements dist.Algorithm: the
+// twelve-word value would otherwise be copied on every per-vertex call.
 // Word layout: the input column is one word per vertex (the initial
 // color), the output column one word per vertex (the node's current -
 // and finally legal - color).
@@ -73,8 +75,8 @@ type Algo struct {
 
 // newAlgo prepares the program for one run. nbrs/off is the per-port
 // arena laid out by KWPooled.
-func newAlgo(m, target int, nbrs []int, off []int32) Algo {
-	return Algo{
+func newAlgo(m, target int, nbrs []int, off []int32) *Algo {
+	return &Algo{
 		M: m, Target: target,
 		plan: makePlan(m, target),
 		nbrs: nbrs, off: off,
@@ -98,7 +100,7 @@ func (Algo) OutputWidth() int { return 1 }
 // palette is already small enough.
 //
 //distvet:noalloc
-func (a Algo) InitWords(n *dist.Node) {
+func (a *Algo) InitWords(n *dist.Node) {
 	color := n.InputWords()[0]
 	n.SetOutputWord(color)
 	if a.M <= a.Target {
@@ -113,7 +115,7 @@ func (a Algo) InitWords(n *dist.Node) {
 // per-node counters.
 //
 //distvet:noalloc
-func (a Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
+func (a *Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	deg := n.Degree()
 	o := int(a.off[n.Vertex()])
 	nbr := a.nbrs[o : o+deg : o+deg]
@@ -189,7 +191,7 @@ func (a Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 // position derives the (phase, fold-within-phase) of the given round
 // from the shared plan: round 2 executes the first fold, and every node
 // advances one fold per round in lockstep.
-func (a Algo) position(round int) (phase, fold int) {
+func (a *Algo) position(round int) (phase, fold int) {
 	k := round - 2
 	for p, folds := range a.plan {
 		if k < folds {

@@ -173,3 +173,28 @@ func TestKWValidation(t *testing.T) {
 		t.Error("infeasible target accepted")
 	}
 }
+
+// BenchmarkKW measures one Kuhn-Wattenhofer fold run - the engine's
+// per-vertex step dispatch under the Δ+1 reductions - on a 16-regular-ish
+// graph, from the identifier coloring (m = n) down to Δ+1 colors. The
+// network, pool and output column are reused, as an orchestrator that
+// reduces once per recursion level reuses them.
+func BenchmarkKW(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := graph.RandomRegularish(2000, 16, rng)
+	net := dist.NewNetworkPermuted(g, rng)
+	colors := net.IDs()
+	for v := range colors {
+		colors[v]--
+	}
+	target := g.MaxDegree() + 1
+	dst := make([]int, g.N())
+	var pool Pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := KWPooled(net, colors, g.N(), target, nil, nil, &pool, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
