@@ -1,5 +1,5 @@
-// Benchmark harness: one benchmark per experiment of DESIGN.md Section 5
-// (E01-E19). Each benchmark executes the experiment end to end on the
+// Benchmark harness: one benchmark per experiment of internal/experiments
+// (E01-E22). Each benchmark executes the experiment end to end on the
 // LOCAL-model simulator and reports, besides wall-clock, the paper's
 // metrics as custom benchmark outputs: simulated rounds and colors used.
 //
@@ -8,7 +8,7 @@
 //	go test -bench=. -benchmem
 //
 // Absolute wall-clock numbers are properties of the simulator; the
-// reproduced quantities are the rounds/colors metrics (see EXPERIMENTS.md).
+// reproduced quantities are the rounds/colors metrics (README, Benchmarks).
 package repro_test
 
 import (

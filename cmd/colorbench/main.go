@@ -1,7 +1,7 @@
-// Colorbench runs the full experiment suite of DESIGN.md (E01-E22),
-// regenerating every theorem-level claim of the paper with measured
-// values next to the predicted bounds. The output is the source of
-// EXPERIMENTS.md; with -json it emits one machine-readable record per
+// Colorbench runs the full experiment suite of internal/experiments
+// (E01-E22), regenerating every theorem-level claim of the paper with
+// measured values next to the predicted bounds, one table row per claim
+// checked (README, Run); with -json it emits one machine-readable record per
 // experiment row (JSON Lines: colors, rounds, messages, wall time) for
 // CI trend tracking.
 //

@@ -28,7 +28,9 @@ type Options struct {
 	// FaithfulLemma33, when set, uses the (Delta+1) level coloring inside
 	// the final Complete-Orientation (exact Lemma 3.3 length bound) at a
 	// higher round cost; otherwise the Linial level coloring is used,
-	// which preserves all theorem-level round bounds (DESIGN.md).
+	// which preserves all theorem-level round bounds: the final subgraphs
+	// have arboricity at most p, and the O(p^2 log n) orientation length
+	// this gives fits each theorem's choice of p (core.Config).
 	FaithfulLemma33 bool
 }
 
@@ -251,14 +253,20 @@ func PartialOrient(g *Graph, a, t int, opts Options) (*OrientResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := orient.MeasureWithin(res.Sigma, nil, nil)
+	return newOrientResult(net, res), nil
+}
+
+// newOrientResult assembles an orientation computed on net for return.
+func newOrientResult(net *dist.Network, res *orient.Result) *OrientResult {
+	sigma := res.Orient.Orientation(net)
+	s := orient.MeasureWithin(sigma, nil, nil)
 	return &OrientResult{
-		Sigma:     res.Sigma,
+		Sigma:     sigma,
 		OutDegree: s.OutDegree,
 		Deficit:   s.Deficit,
 		Length:    s.Length,
 		Rounds:    res.Tally.Rounds(),
-	}, nil
+	}
 }
 
 // CompleteOrient computes Lemma 3.3's complete acyclic orientation with
@@ -272,14 +280,7 @@ func CompleteOrient(g *Graph, a int, opts Options) (*OrientResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := orient.MeasureWithin(res.Sigma, nil, nil)
-	return &OrientResult{
-		Sigma:     res.Sigma,
-		OutDegree: s.OutDegree,
-		Deficit:   s.Deficit,
-		Length:    s.Length,
-		Rounds:    res.Tally.Rounds(),
-	}, nil
+	return newOrientResult(net, res), nil
 }
 
 // HPartitionResult reports the Lemma 2.3 decomposition.
@@ -350,7 +351,7 @@ func Linial(g *Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 	var tally dist.Tally
-	tally.AddRounds("linial", res.Rounds, res.Messages)
+	tally.AddStats("linial", res.RunStats)
 	return newResult(res.Colors, res.Schedule.FinalColors(), &tally), nil
 }
 
@@ -366,7 +367,7 @@ func Defective(g *Graph, p int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	var tally dist.Tally
-	tally.AddRounds("defective", res.Rounds, res.Messages)
+	tally.AddStats("defective", res.RunStats)
 	return newResult(res.Colors, res.Schedule.FinalColors(), &tally), nil
 }
 
@@ -430,7 +431,7 @@ func RandomizedColoring(g *Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 	var tally dist.Tally
-	tally.AddRounds("randcolor", res.Rounds, 0)
+	tally.AddStats("randcolor", dist.RunStats{Rounds: res.Rounds})
 	return newResult(res.Colors, g.MaxDegree()+1, &tally), nil
 }
 
@@ -446,7 +447,7 @@ func ColeVishkinForest(g *Graph, parentOf []int, opts Options) (*Result, error) 
 		return nil, err
 	}
 	var tally dist.Tally
-	tally.AddRounds("cole-vishkin", res.Rounds, 0)
+	tally.AddStats("cole-vishkin", dist.RunStats{Rounds: res.Rounds})
 	return newResult(res.Colors, 3, &tally), nil
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Integration soak: every major entry point on every workload family, with
-// verification after each run. This is the cross-module test matrix of
-// DESIGN.md Section 6.
+// verification after each run - the cross-module test matrix, so a change
+// in any package is exercised through the public API on every family.
 
 type family struct {
 	name string

@@ -17,11 +17,9 @@ package arbdefect
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/forest"
-	"repro/internal/graph"
 	"repro/internal/orient"
 	"repro/internal/recolor"
 )
@@ -29,43 +27,26 @@ import (
 // SimpleResult reports a Simple-Arbdefective run.
 type SimpleResult struct {
 	Colors []int
-	// Bound is the guaranteed arbdefect tau + floor(m/k) derived from the
-	// orientation's measured parameters (Theorem 3.2).
-	Bound    int
-	Rounds   int
-	Messages int64
-	// Wall and PeakLive are host-side observability figures (wait-color
-	// engine wall plus the central measurement sweep); not deterministic.
-	Wall     time.Duration
-	PeakLive int
-}
-
-// Stats returns the run-stat view of the Simple-Arbdefective cost.
-func (r *SimpleResult) Stats() dist.RunStats {
-	return dist.RunStats{Rounds: r.Rounds, Messages: r.Messages, Wall: r.Wall, PeakLive: r.PeakLive}
+	// Bound is the guaranteed arbdefect tau + floor(m/k), from the
+	// orientation's deficit tau and out-degree m (Theorem 3.2).
+	Bound int
+	// RunStats is the wait-for-parents run's cost.
+	dist.RunStats
 }
 
 // Simple runs Procedure Simple-Arbdefective on an acyclic (partial)
-// orientation with k colors (Theorem 3.2). labels/active restrict to
-// subgraphs; sigma must orient only intra-subgraph edges then.
-func Simple(net *dist.Network, sigma *graph.Orientation, k int, labels []int, active []bool) (*SimpleResult, error) {
+// orientation with k colors (Theorem 3.2), within the subgraphs the
+// orientation was computed under. The orientation is not modified, so
+// one orientation can feed several runs.
+func Simple(net *dist.Network, or *forest.OrientResult, k int) (*SimpleResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("arbdefect: k must be >= 1, got %d", k)
 	}
-	start := time.Now()
-	wc, err := forest.WaitColor(net, sigma, k, forest.RuleLeastUsed, labels, active)
+	wc, err := forest.WaitColor(net, or, k, forest.RuleLeastUsed)
 	if err != nil {
 		return nil, err
 	}
-	s := orient.MeasureWithinWorkers(sigma, labels, active, net.SweepWorkers(net.Graph().N()))
-	return &SimpleResult{
-		Colors:   wc.Colors,
-		Bound:    s.Deficit + s.OutDegree/k,
-		Rounds:   wc.Rounds,
-		Messages: wc.Messages,
-		Wall:     time.Since(start),
-		PeakLive: wc.PeakLive,
-	}, nil
+	return &SimpleResult{Colors: wc.Colors, Bound: or.Deficit + or.OutDegree/k, RunStats: wc.RunStats}, nil
 }
 
 // ColoringResult reports a full Arbdefective-Coloring run.
@@ -76,10 +57,10 @@ type ColoringResult struct {
 	// Bound is the guaranteed arbdefect floor(a/t) + floor(theta(a)/k)
 	// (Corollary 3.6; theta = floor((2+eps)a)).
 	Bound int
-	// Sigma is the partial orientation witnessing the bound (Lemma 2.5
+	// Orient is the partial orientation witnessing the bound (Lemma 2.5
 	// after completing each color class's orientation).
-	Sigma *graph.Orientation
-	Tally *dist.Tally
+	Orient *forest.OrientResult
+	Tally  *dist.Tally
 }
 
 // Coloring runs Procedure Arbdefective-Coloring(G, k, t) with arboricity
@@ -97,15 +78,15 @@ func Coloring(net *dist.Network, a, k, t int, eps forest.Eps, labels []int, acti
 	var tally dist.Tally
 	tally.Merge(po.Tally)
 	net.Probe().SetPhase("arbdefect/simple-arbdefective")
-	sr, err := Simple(net, po.Sigma, k, labels, active)
+	sr, err := Simple(net, po.Orient, k)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("simple-arbdefective", sr.Stats())
+	tally.AddStats("simple-arbdefective", sr.RunStats)
 	return &ColoringResult{
 		Colors: sr.Colors,
 		Bound:  a/t + eps.Threshold(a)/k,
-		Sigma:  po.Sigma,
+		Orient: po.Orient,
 		Tally:  &tally,
 	}, nil
 }
@@ -116,9 +97,9 @@ type KuhnResult struct {
 	Colors []int
 	// Defect is the guaranteed arbdefect d.
 	Defect int
-	// Sigma is the complete acyclic orientation witnessing the bound.
-	Sigma *graph.Orientation
-	Tally *dist.Tally
+	// Orient is the complete acyclic orientation witnessing the bound.
+	Orient *forest.OrientResult
+	Tally  *dist.Tally
 }
 
 // Kuhn runs the full Arb-Kuhn pipeline of Section 5 on the whole graph:
@@ -135,18 +116,18 @@ func Kuhn(net *dist.Network, a, t int, eps forest.Eps) (*KuhnResult, error) {
 		return nil, err
 	}
 	var tally dist.Tally
-	tally.AddStats("complete-orientation", or.Stats())
+	tally.AddStats("complete-orientation", or.RunStats)
 	d := a / t
 	net.Probe().SetPhase("arbdefect/arb-recolor")
-	res, err := recolor.ArbKuhn(net, or.Sigma, d)
+	res, err := recolor.ArbKuhn(net, or.Dirs, or.OutDegree, d)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddPhase("arb-recolor", res.Rounds, res.Messages, res.Wall, res.PeakLive)
+	tally.AddStats("arb-recolor", res.RunStats)
 	return &KuhnResult{
 		Colors: res.Colors,
 		Defect: d,
-		Sigma:  or.Sigma,
+		Orient: or,
 		Tally:  &tally,
 	}, nil
 }

@@ -3,6 +3,7 @@ package arbdefect
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -20,8 +21,9 @@ func TestSimpleArbdefectiveTheorem32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sigma := po.Orient.Orientation(net)
 	for _, k := range []int{1, 2, 4, 8} {
-		sr, err := Simple(net, po.Sigma, k, nil, nil)
+		sr, err := Simple(net, po.Orient, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -29,21 +31,51 @@ func TestSimpleArbdefectiveTheorem32(t *testing.T) {
 			t.Errorf("k=%d: %d colors used", k, nc)
 		}
 		// Theorem 3.2: (tau + floor(m/k))-arbdefective, witnessed by sigma.
-		if err := g.CheckArbdefectWitness(sr.Colors, po.Sigma, sr.Bound); err != nil {
+		if err := g.CheckArbdefectWitness(sr.Colors, sigma, sr.Bound); err != nil {
 			t.Errorf("k=%d: %v", k, err)
 		}
 		// Rounds <= length + 1.
-		s := orient.MeasureWithin(po.Sigma, nil, nil)
+		s := orient.MeasureWithin(sigma, nil, nil)
 		if sr.Rounds > s.Length+1 {
 			t.Errorf("k=%d: rounds %d > len+1 = %d", k, sr.Rounds, s.Length+1)
 		}
 	}
 }
 
+// TestSimpleReusesOrientation: Simple-Arbdefective for k = 2, 4, 8 on
+// one Partial-Orientation colors exactly like three runs on fresh ones,
+// so no run leaves its state in the orientation's column.
+func TestSimpleReusesOrientation(t *testing.T) {
+	rng := rand.New(rand.NewSource(605))
+	a := 6
+	g := graph.ForestUnion(400, a, rng)
+	net := dist.NewNetworkPermuted(g, rng)
+	partial := func() *forest.OrientResult {
+		po, err := orient.Partial(net, a, 2, forest.DefaultEps, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return po.Orient
+	}
+	shared := partial()
+	for _, k := range []int{2, 4, 8} {
+		reused, err := Simple(net, shared, k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		fresh, err := Simple(net, partial(), k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !slices.Equal(reused.Colors, fresh.Colors) || reused.Rounds != fresh.Rounds {
+			t.Fatalf("k=%d: the reused orientation colors differently from a fresh one", k)
+		}
+	}
+}
+
 func TestSimpleRejectsBadK(t *testing.T) {
-	g := graph.Path(4)
-	net := dist.NewNetwork(g)
-	if _, err := Simple(net, graph.NewOrientation(g), 0, nil, nil); err == nil {
+	net := dist.NewNetwork(graph.Path(4))
+	if _, err := Simple(net, &forest.OrientResult{}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -65,7 +97,7 @@ func TestArbdefectiveColoringCorollary36(t *testing.T) {
 			if res.Bound != a/kt.t+eps.Threshold(a)/kt.k {
 				t.Errorf("bound formula mismatch: %d", res.Bound)
 			}
-			if err := g.CheckArbdefectWitness(res.Colors, res.Sigma, res.Bound); err != nil {
+			if err := g.CheckArbdefectWitness(res.Colors, res.Orient.Orientation(net), res.Bound); err != nil {
 				t.Errorf("a=%d k=%d t=%d: %v", a, kt.k, kt.t, err)
 			}
 			// Degeneracy-based check too (arboricity <= degeneracy <= 2*arb).
@@ -152,7 +184,7 @@ func TestKuhnSection5(t *testing.T) {
 		if res.Defect != a/tt {
 			t.Errorf("t=%d: defect %d != %d", tt, res.Defect, a/tt)
 		}
-		if err := g.CheckArbdefectWitness(res.Colors, res.Sigma, res.Defect); err != nil {
+		if err := g.CheckArbdefectWitness(res.Colors, res.Orient.Orientation(net), res.Defect); err != nil {
 			t.Errorf("t=%d: %v", tt, err)
 		}
 		// O(t^2)-ish colors: generous constant.
@@ -171,5 +203,26 @@ func TestKuhnRejectsBadT(t *testing.T) {
 	net := dist.NewNetwork(graph.Path(4))
 	if _, err := Kuhn(net, 1, 0, forest.DefaultEps); err == nil {
 		t.Error("t=0 accepted")
+	}
+}
+
+// BenchmarkArbdefectiveColoring runs one Arbdefective-Coloring (a=8,
+// k=t=4) on a forest union of 20000 vertices: Partial-Orientation, then
+// Simple-Arbdefective on its direction column. One warmed network serves
+// every iteration, on one worker, so the figure is the warm sequential
+// cost of the phases themselves.
+func BenchmarkArbdefectiveColoring(b *testing.B) {
+	g := graph.ForestUnion(20000, 8, rand.New(rand.NewSource(606)))
+	net := dist.NewNetwork(g).WithWorkers(1)
+	color := func() {
+		if _, err := Coloring(net, 8, 4, 4, forest.DefaultEps, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	color() // fill the session's topology and scratch caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		color()
 	}
 }

@@ -34,10 +34,10 @@ func BE08Coloring(net *dist.Network, a int, eps forest.Eps) (*BE08Result, error)
 	tally.Merge(co.Tally)
 	palette := eps.Threshold(a) + 1
 	net.Probe().SetPhase("be08/greedy")
-	wc, err := forest.WaitColor(net, co.Sigma, palette, forest.RuleFirstFree, nil, nil)
+	wc, err := forest.WaitColor(net, co.Orient, palette, forest.RuleFirstFree)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("greedy", wc.Stats())
+	tally.AddStats("greedy", wc.RunStats)
 	return &BE08Result{Colors: wc.Colors, Palette: palette, Tally: &tally}, nil
 }

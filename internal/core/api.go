@@ -89,11 +89,11 @@ func OneShot(net *dist.Network, a int, eps forest.Eps) (*Result, error) {
 	}
 	tally.Merge(co.Tally)
 	net.Probe().SetPhase("core/final-greedy")
-	wc, err := forest.WaitColor(net, co.Sigma, gamma, forest.RuleFirstFree, ad.Colors, nil)
+	wc, err := forest.WaitColor(net, co.Orient, gamma, forest.RuleFirstFree)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("final-greedy", wc.Stats())
+	tally.AddStats("final-greedy", wc.RunStats)
 	colors := make([]int, n)
 	for v := 0; v < n; v++ {
 		colors[v] = ad.Colors[v]*gamma + wc.Colors[v]
@@ -128,13 +128,13 @@ func twoPhase(net *dist.Network, a, d, p int, eps forest.Eps) (*FastResult, erro
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("complete-orientation", or.Stats())
+	tally.AddStats("complete-orientation", or.RunStats)
 	net.Probe().SetPhase("core/arb-recolor")
-	kres, err := recolor.ArbKuhn(net, or.Sigma, d)
+	kres, err := recolor.ArbKuhn(net, or.Dirs, or.OutDegree, d)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddPhase("arb-recolor", kres.Rounds, kres.Messages, kres.Wall, kres.PeakLive)
+	tally.AddStats("arb-recolor", kres.RunStats)
 
 	alpha := d
 	if alpha < 1 {

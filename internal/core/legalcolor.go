@@ -42,8 +42,11 @@ type Config struct {
 	Eps forest.Eps
 	// LevelColoring selects the level-coloring method of the final
 	// Complete-Orientation (Lemma 2.2(1) step, line 19). Zero value means
-	// orient.LevelLinial, which preserves every theorem's round bound (see
-	// DESIGN.md) and is much faster at small scales.
+	// orient.LevelLinial, which is much faster at small scales and keeps
+	// every theorem's round bound: the final subgraphs have arboricity at
+	// most p, so its O(p^2 log n) orientation length is O(a^mu log n) at
+	// Theorem 4.3's p = a^(mu/2), and likewise for Theorem 4.5 and
+	// Corollary 4.6.
 	LevelColoring orient.LevelColoring
 	// Labels/Active optionally restrict to base subgraphs, each of
 	// arboricity at most Arboricity. Labels must be dense non-negative
@@ -190,11 +193,11 @@ func LegalColoring(net *dist.Network, cfg Config) (*Result, error) {
 	}
 	tally.Merge(co.Tally)
 	net.Probe().SetPhase("core/final-greedy")
-	wc, err := forest.WaitColor(net, co.Sigma, paletteA, forest.RuleFirstFree, z, cfg.Active)
+	wc, err := forest.WaitColor(net, co.Orient, paletteA, forest.RuleFirstFree)
 	if err != nil {
 		return nil, fmt.Errorf("core: final coloring: %w", err)
 	}
-	tally.AddStats("final-greedy", wc.Stats())
+	tally.AddStats("final-greedy", wc.RunStats)
 
 	// Line 19's palette offset: color = z*A + psi (a free local step).
 	colors := make([]int, n)

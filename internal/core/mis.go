@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dist"
 )
@@ -71,13 +70,8 @@ func misJoin(n *dist.Node) {
 
 // MISResult reports an MIS computation.
 type MISResult struct {
-	InMIS    []bool
-	Rounds   int
-	Messages int64
-	// Wall and PeakLive are host-side observability figures; not
-	// deterministic.
-	Wall     time.Duration
-	PeakLive int
+	InMIS []bool
+	dist.RunStats
 }
 
 // MISFromColoring converts a legal coloring into an MIS in maxColor rounds.
@@ -98,7 +92,7 @@ func MISFromColoring(net *dist.Network, colors []int) (*MISResult, error) {
 	for v, w := range res.OutputWords {
 		inMIS[v] = w == 1
 	}
-	return &MISResult{InMIS: inMIS, Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}, nil
+	return &MISResult{InMIS: inMIS, RunStats: res.Stats()}, nil
 }
 
 // MIS computes a maximal independent set on a graph of arboricity at most
@@ -116,6 +110,6 @@ func MIS(net *dist.Network, cfg Config) (*MISResult, *dist.Tally, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tally.AddPhase("mis-sweep", mr.Rounds, mr.Messages, mr.Wall, mr.PeakLive)
+	tally.AddStats("mis-sweep", mr.RunStats)
 	return mr, &tally, nil
 }

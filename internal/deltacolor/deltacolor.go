@@ -15,13 +15,16 @@
 //     the merged coloring back to (d+1) colors at each level.
 //
 // Total rounds: O(Delta) for the reductions (geometric series) plus
-// O(log* n * log Delta) for the defective splits - the paper's
-// O(Delta + log* n) up to the documented log-factor (DESIGN.md,
-// substitution 1).
+// O(log* n * log Delta) for the defective splits - the cited
+// O(Delta + log* n) up to a log Delta factor on the log* n term, which
+// this recursion pays for splitting with a fresh O(log* n) defective
+// coloring at each of its O(log Delta) levels.
 //
 // The recursion runs "in parallel on all classes" via label-filtered views;
 // labels are compacted centrally between phases, which is pure simulation
-// bookkeeping (nodes would compare label vectors locally; see DESIGN.md).
+// bookkeeping: each node keeps its vector of per-level class labels and
+// compares it with its neighbors' locally, so the compaction costs no
+// round.
 package deltacolor
 
 import (

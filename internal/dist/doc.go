@@ -84,11 +84,11 @@
 //     to larger prefixes of the same monotone (append-only) tables, so
 //     a stale entry is never wrong, only smaller.
 //
-// Rounds, engine setup/collection sweeps, and the orchestrator helpers
-// (Network.PortColumn, ParallelFor) fan out over a worker pool paced by
-// RunOptions.Workers / Network.WithWorkers: 0 means the auto heuristic
-// (GOMAXPROCS, gated by participant count), an explicit count always
-// fans out exactly that wide. Nodes touch only their own state and
+// Rounds, engine setup/collection sweeps, and the orchestrator helper
+// ParallelFor (sized by Network.SweepWorkers) fan out over a worker pool
+// paced by RunOptions.Workers / Network.WithWorkers: 0 means the auto
+// heuristic (GOMAXPROCS, gated by participant count), an explicit count
+// always fans out exactly that wide. Nodes touch only their own state and
 // delivery reads only previous-round data, so results are bit-for-bit
 // identical at every worker count - the speedup sweeps in CI assert
 // exactly that.

@@ -95,29 +95,6 @@ func appendVisible(ports []int, g *graph.Graph, labels []int, active []bool, v i
 	return ports
 }
 
-// PortColumn builds a per-port []int64 column in the engine's visible-
-// port layout for the given filters (wordio.go): fill runs for every
-// active vertex with its visible ports and the column slice the vertex
-// owns, in parallel on the network's worker pool, reusing (and warming)
-// the session's cached topology - so a Run with the same filters that
-// follows pays no topology sweep. fill must only write its own out slice
-// and read shared state; the returned column is caller-owned.
-func (net *Network) PortColumn(labels []int, active []bool, fill func(v int, ports []int, out []int64)) []int64 {
-	w, explicit := net.resolveWorkers(0)
-	topo, _ := net.sess.topology(net.g, labels, active, sweepWorkersFor(net.g.N(), w, explicit))
-	col := make([]int64, topo.totalPorts)
-	live := topo.live
-	parfor(len(live), sweepWorkersFor(len(live), w, explicit), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := live[i]
-			ports := topo.ports[v]
-			b := topo.base[v]
-			fill(v, ports, col[b:b+len(ports):b+len(ports)])
-		}
-	})
-	return col
-}
-
 // ForEachVisible is the package function ForEachVisible bound to the
 // network's session: it serves the port lists from the cached topology
 // (building and caching it on first use) instead of re-filtering the

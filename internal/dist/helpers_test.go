@@ -13,11 +13,11 @@ func TestTallyAccounting(t *testing.T) {
 	if a.Rounds() != 0 || a.Messages() != 0 || len(a.Phases()) != 0 {
 		t.Fatal("zero tally not empty")
 	}
-	a.AddRounds("one", 3, 10)
-	a.AddRounds("two", 4, 0)
+	a.AddStats("one", RunStats{Rounds: 3, Messages: 10})
+	a.AddStats("two", RunStats{Rounds: 4})
 
 	var b Tally
-	b.AddRounds("three", 5, 7)
+	b.AddStats("three", RunStats{Rounds: 5, Messages: 7})
 	b.Merge(&a)
 	b.Merge(nil) // nil-safe
 
@@ -43,7 +43,7 @@ func TestTallyAccounting(t *testing.T) {
 		t.Error("Phases() exposed internal storage")
 	}
 	// Merge copies state, not aliasing: growing a later must not affect b.
-	a.AddRounds("four", 100, 0)
+	a.AddStats("four", RunStats{Rounds: 100})
 	if b.Rounds() != 12 {
 		t.Error("Merge aliased the source tally")
 	}
@@ -51,9 +51,9 @@ func TestTallyAccounting(t *testing.T) {
 
 func TestTallyWallAttribution(t *testing.T) {
 	var a Tally
-	a.AddPhase("timed", 2, 5, 3*time.Millisecond, 100)
+	a.AddStats("timed", RunStats{Rounds: 2, Messages: 5, Wall: 3 * time.Millisecond, PeakLive: 100})
 	a.AddStats("stats", RunStats{Rounds: 1, Messages: 2, Wall: 2 * time.Millisecond, PeakLive: 250})
-	a.AddRounds("legacy", 1, 1) // no wall attribution
+	a.AddStats("unattributed", RunStats{Rounds: 1, Messages: 1}) // no wall attribution
 	if got, want := a.Wall(), 5*time.Millisecond; got != want {
 		t.Errorf("wall = %v, want %v", got, want)
 	}
@@ -77,7 +77,7 @@ func TestTallyWallAttribution(t *testing.T) {
 		}
 	}
 	if b.Phase(2).Wall != 0 || b.Phase(2).PeakLive != 0 {
-		t.Errorf("legacy AddRounds phase gained attribution: %+v", b.Phase(2))
+		t.Errorf("unattributed phase gained attribution: %+v", b.Phase(2))
 	}
 }
 

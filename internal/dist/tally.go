@@ -11,8 +11,7 @@ type PhaseStat struct {
 	Messages int64
 	// Wall is the wall time attributed to the phase - for phases that are
 	// a single engine run, Result.Wall; for composite phases, the sum the
-	// orchestrator recorded. Zero for phases recorded through the legacy
-	// AddRounds (no wall attribution).
+	// orchestrator recorded. Zero for phases recorded without one.
 	Wall time.Duration
 	// PeakLive is the largest live-vertex count any of the phase's runs
 	// started with (0 when unattributed).
@@ -26,24 +25,12 @@ type Tally struct {
 	phases []PhaseStat
 }
 
-// AddRounds records a phase with the given LOCAL cost and no wall
-// attribution. Phases with measured wall time use AddPhase.
-func (t *Tally) AddRounds(name string, rounds int, messages int64) {
-	t.phases = append(t.phases, PhaseStat{Name: name, Rounds: rounds, Messages: messages})
-}
-
-// AddPhase records a phase with full attribution: LOCAL cost plus wall
-// time and peak live-set size.
-func (t *Tally) AddPhase(name string, rounds int, messages int64, wall time.Duration, peakLive int) {
-	t.phases = append(t.phases, PhaseStat{
-		Name: name, Rounds: rounds, Messages: messages, Wall: wall, PeakLive: peakLive,
-	})
-}
-
-// AddStats is AddPhase taking an engine RunStats, for phases that are
-// exactly one engine run.
+// AddStats records a phase with its cost: the LOCAL measures plus wall
+// time and peak live-set size (zero where the phase has none).
 func (t *Tally) AddStats(name string, st RunStats) {
-	t.AddPhase(name, st.Rounds, st.Messages, st.Wall, st.PeakLive)
+	t.phases = append(t.phases, PhaseStat{
+		Name: name, Rounds: st.Rounds, Messages: st.Messages, Wall: st.Wall, PeakLive: st.PeakLive,
+	})
 }
 
 // Merge appends every phase of other (nil-safe) to t. Phases are copied
@@ -75,7 +62,7 @@ func (t *Tally) Messages() int64 {
 }
 
 // Wall returns the total attributed wall time across all phases. Phases
-// recorded with AddRounds contribute zero.
+// recorded without wall time contribute zero.
 func (t *Tally) Wall() time.Duration {
 	var total time.Duration
 	for _, p := range t.phases {

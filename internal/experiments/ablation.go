@@ -11,7 +11,10 @@ import (
 	"repro/internal/orient"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out.
+// Ablation experiments: each isolates one design choice - a partial
+// instead of a complete orientation (E20), coloring through an MIS of the
+// product graph (E21), and independence from the identifier assignment
+// (E22).
 
 // E20AblationOrientation isolates the paper's Section 3 design choice:
 // Corollary 3.4 (Simple-Arbdefective on a COMPLETE orientation, O(a log n)
@@ -25,27 +28,23 @@ func E20AblationOrientation(s Sizes) ([]Row, error) {
 	for _, variant := range []string{"complete(Cor3.4)", "partial(Cor3.6)"} {
 		g, net := s.forestNet(a, 1900)
 		var (
-			sigma  *graph.Orientation
-			rounds int
-			msgs   int64
+			res *orient.Result
+			err error
 		)
 		if variant == "complete(Cor3.4)" {
-			co, err := orient.Complete(net, a, forest.DefaultEps, orient.LevelDeltaPlusOne, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			sigma, rounds, msgs = co.Sigma, co.Tally.Rounds(), co.Tally.Messages()
+			res, err = orient.Complete(net, a, forest.DefaultEps, orient.LevelDeltaPlusOne, nil, nil)
 		} else {
-			po, err := orient.Partial(net, a, k, forest.DefaultEps, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			sigma, rounds, msgs = po.Sigma, po.Tally.Rounds(), po.Tally.Messages()
+			res, err = orient.Partial(net, a, k, forest.DefaultEps, nil, nil)
 		}
-		sr, err := arbdefect.Simple(net, sigma, k, nil, nil)
 		if err != nil {
 			return nil, err
 		}
+		rounds, msgs := res.Tally.Rounds(), res.Tally.Messages()
+		sr, err := arbdefect.Simple(net, res.Orient, k)
+		if err != nil {
+			return nil, err
+		}
+		sigma := res.Orient.Orientation(net)
 		witnessOK := g.CheckArbdefectWitness(sr.Colors, sigma, sr.Bound) == nil
 		st := orient.MeasureWithin(sigma, nil, nil)
 		rows = append(rows, Row{

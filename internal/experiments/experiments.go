@@ -1,9 +1,10 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment of DESIGN.md Section 5 (E01-E19), each regenerating the
-// quantity a theorem or comparison claim of the paper bounds. Rows report
-// measured values side by side with the paper's predicted bound so that
-// EXPERIMENTS.md can be generated mechanically (cmd/colorbench) and each
-// experiment can run as a Go benchmark (bench_test.go).
+// per experiment (E01-E19 here, the ablations E20-E22 in ablation.go),
+// each regenerating the quantity a theorem or comparison claim of the
+// paper bounds. Rows report measured values side by side with the paper's
+// predicted bound so that cmd/colorbench can print the whole claim table
+// mechanically and each experiment can run as a Go benchmark
+// (bench_test.go).
 package experiments
 
 import (
@@ -222,7 +223,7 @@ func E06CompleteOrientation(s Sizes) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := orient.MeasureWithin(res.Sigma, nil, nil)
+		st := orient.MeasureWithin(res.Orient.Orientation(net), nil, nil)
 		lengthBound := float64(res.HP.NumLevels * (res.LevelPalette + 1))
 		rows = append(rows, Row{
 			Exp: "E06", Workload: fmt.Sprintf("forest-union n=%d", g.N()),
@@ -247,14 +248,16 @@ func E07PartialOrientation(s Sizes) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := orient.MeasureWithin(res.Sigma, nil, nil)
+		st := orient.MeasureWithin(res.Orient.Orientation(net), nil, nil)
+		lengthBound := res.HP.NumLevels * (res.LevelPalette + 1)
 		rows = append(rows, Row{
 			Exp: "E07", Workload: fmt.Sprintf("forest-union n=%d a=%d", g.N(), a),
 			Params: fmt.Sprintf("t=%d", t), Rounds: res.Tally.Rounds(), Messages: res.Tally.Messages(),
 			Measured: float64(st.Deficit), Bound: math.Max(float64(a/t), 0.5),
 			Metric: "deficit",
-			OK:     st.Acyclic && st.Deficit <= a/t && st.OutDegree <= forest.DefaultEps.Threshold(a),
-			Note:   fmt.Sprintf("len=%d<=levels*colors=%d", st.Length, res.HP.NumLevels*(res.LevelPalette+1)),
+			OK: st.Acyclic && st.Deficit <= a/t && st.OutDegree <= forest.DefaultEps.Threshold(a) &&
+				st.Length <= lengthBound,
+			Note: fmt.Sprintf("len=%d<=levels*colors=%d", st.Length, lengthBound),
 		})
 	}
 	return rows, nil
@@ -270,13 +273,14 @@ func E08SimpleArbdefective(s Sizes) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := orient.MeasureWithin(po.Sigma, nil, nil)
+	sigma := po.Orient.Orientation(net)
+	st := orient.MeasureWithin(sigma, nil, nil)
 	for _, k := range []int{2, 4, 8} {
-		sr, err := arbdefect.Simple(net, po.Sigma, k, nil, nil)
+		sr, err := arbdefect.Simple(net, po.Orient, k)
 		if err != nil {
 			return nil, err
 		}
-		witnessOK := g.CheckArbdefectWitness(sr.Colors, po.Sigma, sr.Bound) == nil
+		witnessOK := g.CheckArbdefectWitness(sr.Colors, sigma, sr.Bound) == nil
 		rows = append(rows, Row{
 			Exp: "E08", Workload: fmt.Sprintf("forest-union n=%d a=%d", g.N(), a),
 			Params: fmt.Sprintf("k=%d", k), Colors: graph.NumColors(sr.Colors),
@@ -300,7 +304,7 @@ func E09ArbdefectiveColoring(s Sizes) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		arbOK := g.CheckArbdefectWitness(res.Colors, res.Sigma, res.Bound) == nil
+		arbOK := g.CheckArbdefectWitness(res.Colors, res.Orient.Orientation(net), res.Bound) == nil
 		rows = append(rows, Row{
 			Exp: "E09", Workload: fmt.Sprintf("forest-union n=%d a=%d", g.N(), a),
 			Params: fmt.Sprintf("k=t=%d", kt), Colors: graph.NumColors(res.Colors),
@@ -426,7 +430,7 @@ func E14ArbKuhn(s Sizes) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		witnessOK := g.CheckArbdefectWitness(res.Colors, res.Sigma, res.Defect) == nil
+		witnessOK := g.CheckArbdefectWitness(res.Colors, res.Orient.Orientation(net), res.Defect) == nil
 		rows = append(rows, Row{
 			Exp: "E14", Workload: fmt.Sprintf("forest-union n=%d a=%d", g.N(), a),
 			Params: fmt.Sprintf("t=%d", t), Colors: graph.NumColors(res.Colors),
@@ -567,16 +571,15 @@ func E19OrientationColoring(s Sizes) ([]Row, error) {
 	var rows []Row
 	for _, a := range []int{2, 4} {
 		g, net := s.forestNet(a, 1800+int64(a))
-		or, hp, err := forest.CompleteAcyclicOrientation(net, a, forest.DefaultEps)
+		or, _, err := forest.CompleteAcyclicOrientation(net, a, forest.DefaultEps)
 		if err != nil {
 			return nil, err
 		}
-		_ = hp
-		length, err := or.Sigma.Length()
+		length, err := or.Orientation(net).Length()
 		if err != nil {
 			return nil, err
 		}
-		wc, err := forest.WaitColor(net, or.Sigma, length+1, forest.RuleFirstFree, nil, nil)
+		wc, err := forest.WaitColor(net, or, length+1, forest.RuleFirstFree)
 		if err != nil {
 			return nil, err
 		}

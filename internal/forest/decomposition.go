@@ -12,11 +12,13 @@ import (
 // index in [0, NumForests). Each forest is an edge-disjoint acyclic
 // subgraph, and NumForests <= floor((2+eps)a).
 type ForestsDecomposition struct {
-	Sigma      *graph.Orientation
+	// Orient is the complete acyclic orientation the forests follow.
+	Orient     *OrientResult
 	ForestOf   map[[2]int]int
 	NumForests int
 	Rounds     int
 	Messages   int64
+	g          *graph.Graph
 }
 
 // forestAssign: each vertex locally labels its outgoing (parent) edges with
@@ -28,9 +30,9 @@ type forestAssign struct{}
 // local, so no message is ever sent.
 func (forestAssign) MessageWords() int { return 1 }
 
-// InputWidth and OutputWidth implement dist.Algorithm: one parent-flag
-// word in and one forest-index word out per visible port (-1 marks a
-// non-parent edge).
+// InputWidth and OutputWidth implement dist.Algorithm: one direction
+// word (an orientation's Dirs) in and one forest-index word out per
+// visible port (-1 marks a non-parent edge).
 func (forestAssign) InputWidth() int  { return dist.PerPort }
 func (forestAssign) OutputWidth() int { return dist.PerPort }
 
@@ -40,7 +42,7 @@ func (forestAssign) InitWords(n *dist.Node) {
 	out := n.OutputWords()
 	next := int64(0)
 	for p, w := range flags {
-		if w != 0 {
+		if w > 0 {
 			out[p] = next
 			next++
 		} else {
@@ -61,60 +63,34 @@ func Decompose(net *dist.Network, a int, eps Eps) (*ForestsDecomposition, error)
 	if err != nil {
 		return nil, err
 	}
-	return DecomposeWithOrientation(net, or.Sigma, or.Rounds, or.Messages)
-}
-
-// DecomposeWithOrientation derives the forests decomposition from an
-// existing acyclic orientation; baseRounds/baseMessages are added to the
-// reported cost.
-func DecomposeWithOrientation(net *dist.Network, sigma *graph.Orientation, baseRounds int, baseMessages int64) (*ForestsDecomposition, error) {
 	g := net.Graph()
-	n := g.N()
-	forestOf := make(map[[2]int]int, g.M())
-	numForests := 0
-	record := func(v, u, f int) {
-		if f < 0 {
-			return
-		}
-		key := [2]int{v, u}
-		if u < v {
-			key = [2]int{u, v}
-		}
-		forestOf[key] = f
-		if f+1 > numForests {
-			numForests = f + 1
-		}
-	}
 	// Unfiltered run: visible ports coincide with the graph's port
-	// numbering, so the parent flags can be read per port, in parallel
-	// against the cached topology.
-	col := net.PortColumn(nil, nil, func(v int, ports []int, out []int64) {
-		for p := range ports {
-			if sigma.IsParentPort(v, p) {
-				out[p] = 1
-			}
-		}
-	})
-	res, err := net.Run(forestAssign{}, dist.RunOptions{InputWords: col})
+	// numbering, so the output decodes along the adjacency lists.
+	res, err := net.Run(forestAssign{}, dist.RunOptions{InputWords: or.Dirs})
 	if err != nil {
 		return nil, err
 	}
+	fd := &ForestsDecomposition{
+		Orient:   or,
+		ForestOf: make(map[[2]int]int, g.M()),
+		Rounds:   or.Rounds + res.Rounds,
+		Messages: or.Messages + res.Messages,
+		g:        g,
+	}
 	out, off := res.OutputWords, 0
-	for v := 0; v < n; v++ {
+	for v := 0; v < g.N(); v++ {
 		nbrs := g.Neighbors(v)
 		for p, u := range nbrs {
-			record(v, u, int(out[off+p]))
+			f := int(out[off+p])
+			if f < 0 {
+				continue
+			}
+			fd.ForestOf[[2]int{min(u, v), max(u, v)}] = f
+			fd.NumForests = max(fd.NumForests, f+1)
 		}
 		off += len(nbrs)
 	}
-
-	return &ForestsDecomposition{
-		Sigma:      sigma,
-		ForestOf:   forestOf,
-		NumForests: numForests,
-		Rounds:     baseRounds + res.Rounds,
-		Messages:   baseMessages + res.Messages,
-	}, nil
+	return fd, nil
 }
 
 // Forest materializes forest f as a spanning subgraph of the original
@@ -123,7 +99,7 @@ func (fd *ForestsDecomposition) Forest(f int) (*graph.Graph, error) {
 	if f < 0 || f >= fd.NumForests {
 		return nil, fmt.Errorf("forest: index %d out of range [0,%d)", f, fd.NumForests)
 	}
-	b := graph.NewBuilder(fd.Sigma.Graph().N())
+	b := graph.NewBuilder(fd.g.N())
 	for e, fi := range fd.ForestOf {
 		if fi == f {
 			if err := b.AddEdge(e[0], e[1]); err != nil {
@@ -137,9 +113,8 @@ func (fd *ForestsDecomposition) Forest(f int) (*graph.Graph, error) {
 // Validate checks the decomposition invariants: every edge is assigned to
 // exactly one forest, and every forest is acyclic.
 func (fd *ForestsDecomposition) Validate() error {
-	g := fd.Sigma.Graph()
-	if len(fd.ForestOf) != g.M() {
-		return fmt.Errorf("forest: %d of %d edges assigned", len(fd.ForestOf), g.M())
+	if len(fd.ForestOf) != fd.g.M() {
+		return fmt.Errorf("forest: %d of %d edges assigned", len(fd.ForestOf), fd.g.M())
 	}
 	for f := 0; f < fd.NumForests; f++ {
 		fg, err := fd.Forest(f)

@@ -95,7 +95,7 @@ func TestCompleteAcyclicOrientation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sigma := or.Sigma
+		sigma := or.Orientation(net)
 		if !sigma.IsComplete() {
 			t.Fatal("orientation incomplete (ids are unique; no ties possible)")
 		}
@@ -118,10 +118,11 @@ func TestOrientByLevelKeyTiesUnoriented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if or.Sigma.MaxDeficit() != 2 { // middle vertices have both edges unoriented
-		t.Errorf("deficit = %d, want 2", or.Sigma.MaxDeficit())
+	sigma := or.Orientation(net)
+	if sigma.MaxDeficit() != 2 { // middle vertices have both edges unoriented
+		t.Errorf("deficit = %d, want 2", sigma.MaxDeficit())
 	}
-	if or.Sigma.MaxOutDegree() != 0 {
+	if sigma.MaxOutDegree() != 0 {
 		t.Error("tied edges were oriented")
 	}
 }
@@ -136,11 +137,86 @@ func TestOrientRespectsLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !or.Sigma.IsParent(0, 1) || !or.Sigma.IsParent(2, 3) {
+	sigma := or.Orientation(net)
+	if !sigma.IsParent(0, 1) || !sigma.IsParent(2, 3) {
 		t.Error("intra-label edges not oriented")
 	}
-	if or.Sigma.DirOf(1, 2) != graph.Unoriented {
+	if sigma.DirOf(1, 2) != graph.Unoriented {
 		t.Error("cross-label edge was oriented")
+	}
+}
+
+// TestOrientResultCountsAndFilters sweeps graph families and filters with
+// random levels and keys: the out-degree and deficit OrientByLevelKey
+// counts from its column must equal a direct sweep of the assembled
+// orientation over the visible edges, and no cross-label or inactive
+// edge may be oriented.
+func TestOrientResultCountsAndFilters(t *testing.T) {
+	rng := rand.New(rand.NewSource(207))
+	mixture := graph.NewBuilder(23) // star, clique, path, 3 isolated vertices
+	for _, part := range []struct {
+		off int
+		g   *graph.Graph
+	}{{0, graph.Star(8)}, {8, graph.Complete(5)}, {13, graph.Path(7)}} {
+		for _, e := range part.g.Edges() {
+			if err := mixture.AddEdge(part.off+e[0], part.off+e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"forest-union(a=2)", graph.ForestUnion(200, 2, rng)},
+		{"forest-union(a=5)", graph.ForestUnion(200, 5, rng)},
+		{"gnp", graph.Gnp(150, 0.05, rng)},
+		{"star", graph.Star(40)},
+		{"path", graph.Path(60)},
+		{"mixture", mixture.Build()},
+	} {
+		g, n := c.g, c.g.N()
+		net := dist.NewNetworkPermuted(g, rng)
+		levels, keys := make([]int, n), make([]int, n)
+		labels, active := make([]int, n), make([]bool, n)
+		for v := 0; v < n; v++ {
+			levels[v], keys[v] = rng.Intn(3), rng.Intn(5) // small ranges leave ties
+			labels[v], active[v] = rng.Intn(2), rng.Intn(10) > 0
+		}
+		for _, f := range []struct {
+			name   string
+			labels []int
+			active []bool
+		}{{"none", nil, nil}, {"labels", labels, nil}, {"active", nil, active}, {"both", labels, active}} {
+			or, err := OrientByLevelKey(net, levels, keys, f.labels, f.active)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, f.name, err)
+			}
+			sigma := or.Orientation(net)
+			outDeg, deficit := 0, 0
+			for v := 0; v < n; v++ {
+				out, def := 0, 0
+				for _, u := range g.Neighbors(v) {
+					oriented := sigma.DirOf(v, u) != graph.Unoriented
+					visible := (f.labels == nil || f.labels[v] == f.labels[u]) &&
+						(f.active == nil || f.active[v] && f.active[u])
+					switch {
+					case !visible && oriented:
+						t.Fatalf("%s/%s: invisible edge {%d,%d} oriented", c.name, f.name, v, u)
+					case !visible:
+					case sigma.IsParent(v, u):
+						out++
+					case !oriented:
+						def++
+					}
+				}
+				outDeg, deficit = max(outDeg, out), max(deficit, def)
+			}
+			if or.OutDegree != outDeg || or.Deficit != deficit {
+				t.Errorf("%s/%s: counted out-degree %d deficit %d, assembled orientation has %d and %d",
+					c.name, f.name, or.OutDegree, or.Deficit, outDeg, deficit)
+			}
+		}
 	}
 }
 
@@ -188,7 +264,7 @@ func TestWaitColorFirstFreeIsLegal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := WaitColor(net, or.Sigma, hp.Degree+1, RuleFirstFree, nil, nil)
+	wc, err := WaitColor(net, or, hp.Degree+1, RuleFirstFree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +274,7 @@ func TestWaitColorFirstFreeIsLegal(t *testing.T) {
 	if mc := graph.MaxColor(wc.Colors); mc > hp.Degree {
 		t.Errorf("max color %d > %d", mc, hp.Degree)
 	}
-	length, err := or.Sigma.Length()
+	length, err := or.Orientation(net).Length()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,16 +293,17 @@ func TestWaitColorLeastUsedPigeonhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := or.Sigma.MaxOutDegree()
+	sigma := or.Orientation(net)
+	m := sigma.MaxOutDegree()
 	for _, k := range []int{2, 3, 5} {
-		wc, err := WaitColor(net, or.Sigma, k, RuleLeastUsed, nil, nil)
+		wc, err := WaitColor(net, or, k, RuleLeastUsed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Verify per-vertex: same-colored parents <= floor(m/k).
 		for v := 0; v < g.N(); v++ {
 			same := 0
-			for _, u := range or.Sigma.Parents(v) {
+			for _, u := range sigma.Parents(v) {
 				if wc.Colors[u] == wc.Colors[v] {
 					same++
 				}
@@ -235,7 +312,7 @@ func TestWaitColorLeastUsedPigeonhole(t *testing.T) {
 				t.Fatalf("k=%d vertex %d: %d same-colored parents > %d", k, v, same, m/k)
 			}
 		}
-		if err := g.CheckArbdefectWitness(wc.Colors, or.Sigma, m/k); err != nil {
+		if err := g.CheckArbdefectWitness(wc.Colors, sigma, m/k); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 	}
@@ -253,7 +330,7 @@ func TestWaitColorPaletteExhaustion(t *testing.T) {
 		}
 	}
 	net := dist.NewNetwork(g)
-	if _, err := WaitColor(net, sigma, 1, RuleFirstFree, nil, nil); err == nil {
+	if _, err := WaitColor(net, resultOf(sigma), 1, RuleFirstFree); err == nil {
 		t.Error("palette exhaustion not reported")
 	}
 }
@@ -268,9 +345,52 @@ func TestWaitColorRejectsCyclicOrientation(t *testing.T) {
 		_ = sigma.Orient(v, (v+1)%4)
 	}
 	net := dist.NewNetwork(cyc)
-	if _, err := WaitColor(net, sigma, 3, RuleFirstFree, nil, nil); err == nil {
+	if _, err := WaitColor(net, resultOf(sigma), 3, RuleFirstFree); err == nil {
 		t.Error("cyclic orientation accepted")
 	}
+}
+
+// TestWaitColorFailsBeyondLengthBound: the run's budget is the
+// orientation's LengthBound, so an orientation longer than its bound
+// fails like a cyclic one instead of running on.
+func TestWaitColorFailsBeyondLengthBound(t *testing.T) {
+	g := graph.Path(6)
+	sigma := graph.NewOrientation(g)
+	for v := 0; v+1 < g.N(); v++ {
+		if err := sigma.Orient(v, v+1); err != nil { // towards the larger end
+			t.Fatal(err)
+		}
+	}
+	net := dist.NewNetwork(g)
+	or := resultOf(sigma)
+	if _, err := WaitColor(net, or, 2, RuleFirstFree); err != nil {
+		t.Fatalf("length 5 within the n-1 bound: %v", err)
+	}
+	or.LengthBound = 2
+	if _, err := WaitColor(net, or, 2, RuleFirstFree); !errors.Is(err, dist.ErrMaxRounds) {
+		t.Fatalf("length 5 under bound 2: err = %v, want dist.ErrMaxRounds", err)
+	}
+}
+
+// resultOf is a hand-built orientation in the form OrientByLevelKey
+// returns: sigma's direction column in the unfiltered engine layout,
+// with the n-1 length bound of any (level, key) orientation.
+func resultOf(sigma *graph.Orientation) *OrientResult {
+	g := sigma.Graph()
+	or := &OrientResult{Dirs: []int64{}, LengthBound: g.N() - 1}
+	for v := 0; v < g.N(); v++ {
+		for p, u := range g.Neighbors(v) {
+			var d int64
+			switch {
+			case sigma.IsParentPort(v, p):
+				d = +1
+			case sigma.IsParent(u, v):
+				d = -1
+			}
+			or.Dirs = append(or.Dirs, d)
+		}
+	}
+	return or
 }
 
 func TestChoiceRuleUnknown(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/dist"
 )
@@ -52,14 +51,11 @@ type HPartition struct {
 	NumLevels int
 	// Degree is the guaranteed bound floor((2+eps)*a) on the number of
 	// same-or-higher-level neighbors of any vertex.
-	Degree   int
-	Rounds   int
-	Messages int64
-	// Wall and PeakLive are host-side observability figures (engine wall
-	// time of the peeling run and its initial live-set size); they are not
-	// deterministic and not part of the algorithmic result.
-	Wall     time.Duration
-	PeakLive int
+	Degree int
+	// RunStats is the peeling run's cost. Its Wall and PeakLive are
+	// host-side observability figures, as in every phase result; they are
+	// not deterministic and not part of the algorithmic result.
+	dist.RunStats
 }
 
 // hpartitionAlgo implements the peeling: every active vertex beacons each
@@ -138,10 +134,7 @@ func ComputeHPartition(net *dist.Network, a int, eps Eps, labels []int, active [
 		Level:     levels,
 		NumLevels: numLevels,
 		Degree:    threshold,
-		Rounds:    res.Rounds,
-		Messages:  res.Messages,
-		Wall:      res.Wall,
-		PeakLive:  res.PeakLive,
+		RunStats:  res.Stats(),
 	}, nil
 }
 
@@ -153,13 +146,13 @@ func EstimateArboricity(net *dist.Network, eps Eps) (int, *HPartition, *dist.Tal
 	for a := 1; a <= net.Graph().N(); a *= 2 {
 		hp, err := ComputeHPartition(net, a, eps, nil, nil)
 		if err == nil {
-			tally.AddRounds(fmt.Sprintf("hpartition(a=%d)", a), hp.Rounds, 0)
+			tally.AddStats(fmt.Sprintf("hpartition(a=%d)", a), dist.RunStats{Rounds: hp.Rounds})
 			return a, hp, &tally, nil
 		}
 		if !errors.Is(err, ErrArboricityTooSmall) {
 			return 0, nil, nil, err
 		}
-		tally.AddRounds(fmt.Sprintf("hpartition(a=%d,failed)", a), eps.MaxLevels(net.Graph().N())+2, 0)
+		tally.AddStats(fmt.Sprintf("hpartition(a=%d,failed)", a), dist.RunStats{Rounds: eps.MaxLevels(net.Graph().N()) + 2})
 	}
 	return 0, nil, nil, fmt.Errorf("forest: estimation failed up to n")
 }

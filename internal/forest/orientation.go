@@ -2,7 +2,7 @@ package forest
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -22,7 +22,8 @@ import (
 // (deficit <= per-level defect, length O(#colors * #levels)).
 
 // orientExchange is the one-round exchange in which every vertex learns
-// its neighbors' (level, key) pairs and derives parent-port flags locally.
+// its neighbors' (level, key) pairs and derives its port directions
+// locally.
 type orientExchange struct{}
 
 // orientDir compares a neighbor's (level, key) with ours: +1 parent,
@@ -72,34 +73,43 @@ func (orientExchange) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	n.Halt()
 }
 
-// OrientResult bundles the distributed orientation with its cost.
+// OrientResult is a (partial) orientation in the one format every phase
+// consumes: the direction column of the orientation exchange, i.e. what
+// each vertex knows about its own ports after the exchange.
 type OrientResult struct {
-	Sigma    *graph.Orientation
-	Rounds   int
-	Messages int64
-	// Wall and PeakLive are host-side observability figures; see
-	// HPartition.
-	Wall     time.Duration
-	PeakLive int
-}
-
-// Stats returns the run-stat view of the orientation cost.
-func (r *OrientResult) Stats() dist.RunStats {
-	return dist.RunStats{Rounds: r.Rounds, Messages: r.Messages, Wall: r.Wall, PeakLive: r.PeakLive}
+	// Dirs holds one word per visible port in the engine's per-port
+	// layout under the filters the orientation ran under (active
+	// vertices ascending, visible ports ascending): +1 parent, -1 child,
+	// 0 unoriented. A run with the same filters takes it as its per-port
+	// input column as is when its program only reads its input;
+	// WaitColor, whose program writes its input, runs on a copy.
+	Dirs []int64
+	// labels and active are the orientation's own copies of those
+	// filters (nil when unfiltered), so a caller that rewrites its labels
+	// afterwards cannot shift the layout of Dirs.
+	labels []int
+	active []bool
+	// OutDegree and Deficit are the largest number of parent and of
+	// unoriented ports at any vertex (Section 2.1).
+	OutDegree, Deficit int
+	// LengthBound bounds the orientation's length: every directed path
+	// strictly increases (level, key), so n-1 always holds; Procedures
+	// Partial- and Complete-Orientation tighten it (orient.Result).
+	LengthBound int
+	dist.RunStats
 }
 
 // OrientByLevelKey runs the one-round orientation exchange. levels and keys
 // are per-vertex; labels/active optionally restrict to subgraphs (edges
-// across labels are not oriented). The orientation is assembled centrally
-// from the per-node outputs for verification and later phases; each node
-// only ever used its own (level, key) and its neighbors' messages.
+// across labels are not oriented). Each node only ever uses its own
+// (level, key) and its neighbors' messages; the result is its per-port
+// output column, copied out of the engine-owned output, with the
+// out-degree and deficit counted in the same pass.
 func OrientByLevelKey(net *dist.Network, levels, keys []int, labels []int, active []bool) (*OrientResult, error) {
-	g := net.Graph()
-	n := g.N()
+	n := net.Graph().N()
 	if len(levels) != n || len(keys) != n {
 		return nil, fmt.Errorf("forest: levels/keys length mismatch")
 	}
-	sigma := graph.NewOrientation(g)
 	col := make([]int64, 2*n)
 	dist.ParallelFor(n, net.SweepWorkers(n), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -107,29 +117,46 @@ func OrientByLevelKey(net *dist.Network, levels, keys []int, labels []int, activ
 			col[2*v+1] = int64(keys[v])
 		}
 	})
-	res, err := net.Run(orientExchange{}, dist.RunOptions{InputWords: col, Labels: labels, Active: active})
+	or := &OrientResult{labels: slices.Clone(labels), active: slices.Clone(active), LengthBound: max(n-1, 0)}
+	res, err := net.Run(orientExchange{}, dist.RunOptions{InputWords: col, Labels: or.labels, Active: or.active})
 	if err != nil {
 		return nil, err
 	}
-	// Decode the per-port direction column in the engine's layout
-	// order (active vertices ascending, visible ports ascending),
-	// served from the session's cached topology. The central sigma
-	// assembly stays serial: Orient mutates both endpoints' entries.
-	out, off := res.OutputWords, 0
-	var orientErr error
-	net.ForEachVisible(labels, active, func(v int, ports []int) {
-		dirs := out[off : off+len(ports)]
-		off += len(ports)
-		for p, d := range dirs {
-			if d == +1 && orientErr == nil {
-				orientErr = sigma.Orient(v, ports[p])
+	or.Dirs = slices.Clone(res.OutputWords)
+	or.RunStats = res.Stats()
+	off := 0
+	net.ForEachVisible(or.labels, or.active, func(_ int, ports []int) {
+		out, def := 0, 0
+		for _, d := range or.Dirs[off : off+len(ports)] {
+			switch d {
+			case +1:
+				out++
+			case 0:
+				def++
 			}
 		}
+		off += len(ports)
+		or.OutDegree = max(or.OutDegree, out)
+		or.Deficit = max(or.Deficit, def)
 	})
-	if orientErr != nil {
-		return nil, orientErr
-	}
-	return &OrientResult{Sigma: sigma, Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}, nil
+	return or, nil
+}
+
+// Orientation assembles the column into a graph.Orientation of net's
+// graph, for callers that verify or return one. net must be the network
+// the orientation was computed on.
+func (or *OrientResult) Orientation(net *dist.Network) *graph.Orientation {
+	sigma := graph.NewOrientation(net.Graph())
+	off := 0
+	net.ForEachVisible(or.labels, or.active, func(v int, ports []int) {
+		for p, d := range or.Dirs[off : off+len(ports)] {
+			if d == +1 {
+				_ = sigma.Orient(v, ports[p]) // ports are v's neighbors
+			}
+		}
+		off += len(ports)
+	})
+	return sigma
 }
 
 // CompleteAcyclicOrientation implements Lemma 2.4: an acyclic complete
@@ -147,8 +174,6 @@ func CompleteAcyclicOrientation(net *dist.Network, a int, eps Eps) (*OrientResul
 	}
 	or.Rounds += hp.Rounds
 	or.Wall += hp.Wall
-	if hp.PeakLive > or.PeakLive {
-		or.PeakLive = hp.PeakLive
-	}
+	or.PeakLive = max(or.PeakLive, hp.PeakLive)
 	return or, hp, nil
 }

@@ -130,7 +130,7 @@ func TestWaitColorLegalQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		wc, err := WaitColor(net, or.Sigma, hp.Degree+1, RuleFirstFree, nil, nil)
+		wc, err := WaitColor(net, or, hp.Degree+1, RuleFirstFree)
 		if err != nil {
 			return false
 		}

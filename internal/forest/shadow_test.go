@@ -103,9 +103,10 @@ func TestOrientByLevelKeyWordShadowsBoxed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sigma := or.Orientation(net)
 		var dirs []int
 		for v := 0; v < g.N(); v++ {
-			for _, d := range or.Sigma.PortDirs(v) {
+			for _, d := range sigma.PortDirs(v) {
 				dirs = append(dirs, int(d))
 			}
 		}
@@ -136,7 +137,7 @@ func TestWaitColorWordShadowsBoxed(t *testing.T) {
 		{RuleFirstFree, runGolden{0xe3a4f8094978eb46, 20, 3182}},
 		{RuleLeastUsed, runGolden{0xe3a4f8094978eb46, 20, 3182}},
 	} {
-		wc, err := WaitColor(net, sigma, palette, c.rule, nil, nil)
+		wc, err := WaitColor(net, resultOf(sigma), palette, c.rule)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestWaitColorPaletteExhaustedFailsOnBothPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "dist: vertex 1 (id 3): forest: palette of size 1 exhausted"
-	_, err := WaitColor(net, sigma, 1, RuleFirstFree, nil, nil)
+	_, err := WaitColor(net, resultOf(sigma), 1, RuleFirstFree)
 	if err == nil || err.Error() != want {
 		t.Fatalf("got %v, want the frozen failure %q", err, want)
 	}

@@ -2,11 +2,10 @@ package forest
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/dist"
-	"repro/internal/graph"
 )
 
 // This file implements the wait-for-parents coloring engine: given an
@@ -59,13 +58,13 @@ func (r ChoiceRule) choose(counts []int) (int, error) {
 }
 
 // WaitColorAlgo is the vertex program of the engine; construct it with
-// newWaitColor. Word layout: the input column holds one word per visible
-// port and doubles as the node's per-run state - 0 marks a non-parent
-// port, 1 a parent not yet heard from, and c+2 a parent that announced
-// color c (so callers must not reuse the column expecting the original
-// flags). The output column is one word per vertex, the chosen color.
-// With the waiting state folded into the input column a run allocates
-// nothing per vertex.
+// newWaitColor. Word layout: the input column is an orientation's Dirs
+// (one word per visible port) and doubles as the node's per-run state -
+// a word <= 0 marks a non-parent port, 1 a parent not yet heard from,
+// and c+2 a parent that announced color c (so the run rewrites the
+// column it is given). The output column is one word per vertex, the
+// chosen color. With the waiting state folded into the input column a
+// run allocates nothing per vertex.
 type WaitColorAlgo struct {
 	// Palette is the number of available colors k and Rule selects the
 	// color choice rule; both are uniform and globally known.
@@ -92,7 +91,7 @@ type countScratch struct{ counts []int }
 // chosen color.
 func (WaitColorAlgo) MessageWords() int { return 1 }
 
-// InputWidth and OutputWidth implement dist.Algorithm: one parent-flag
+// InputWidth and OutputWidth implement dist.Algorithm: one direction
 // word per visible port in, one color word per vertex out.
 func (WaitColorAlgo) InputWidth() int  { return dist.PerPort }
 func (WaitColorAlgo) OutputWidth() int { return 1 }
@@ -168,55 +167,30 @@ func (a WaitColorAlgo) finishWords(n *dist.Node) {
 
 // WaitColorResult reports a wait-for-parents run.
 type WaitColorResult struct {
-	Colors   []int
-	Rounds   int
-	Messages int64
-	// Wall and PeakLive are host-side observability figures; see
-	// HPartition.
-	Wall     time.Duration
-	PeakLive int
+	Colors []int
+	dist.RunStats
 }
 
-// Stats returns the run-stat view of the wait-color cost.
-func (r *WaitColorResult) Stats() dist.RunStats {
-	return dist.RunStats{Rounds: r.Rounds, Messages: r.Messages, Wall: r.Wall, PeakLive: r.PeakLive}
-}
-
-// WaitColor runs the engine over an orientation. palette is the number of
-// colors k; rule selects the per-vertex choice. labels/active optionally
-// restrict to subgraphs (sigma must then orient only intra-subgraph edges,
-// as produced by OrientByLevelKey with the same filters). Running time is
-// len(sigma)+1 rounds.
-func WaitColor(net *dist.Network, sigma *graph.Orientation, palette int, rule ChoiceRule, labels []int, active []bool) (*WaitColorResult, error) {
-	g := net.Graph()
-	n := g.N()
-	length, err := sigma.Length()
-	if err != nil {
-		return nil, fmt.Errorf("forest: wait-color needs acyclic orientation: %w", err)
-	}
-	colors := make([]int, n)
-	// Parent flags in the engine's per-port column order, filled in
-	// parallel against the session's cached topology. Note: these
-	// are VISIBLE ports (label/active-filtered), so they do not align
-	// with sigma's graph ports; query by neighbor vertex.
-	col := net.PortColumn(labels, active, func(v int, ports []int, out []int64) {
-		for p, u := range ports {
-			if sigma.IsParent(v, u) {
-				out[p] = 1
-			}
-		}
-	})
+// WaitColor runs the engine over an acyclic (partial) orientation, within
+// the subgraphs the orientation was computed under. palette is the number
+// of colors k; rule selects the per-vertex choice. Running time is
+// len(sigma)+1 rounds; the run gets or.LengthBound+2, so an orientation
+// longer than its bound, or a cyclic one, fails with dist.ErrMaxRounds.
+func WaitColor(net *dist.Network, or *OrientResult, palette int, rule ChoiceRule) (*WaitColorResult, error) {
+	// The program keeps its state in its input column, so it runs on a
+	// copy: one orientation may feed several runs.
 	res, err := net.Run(newWaitColor(palette, rule), dist.RunOptions{
-		InputWords: col,
-		Labels:     labels,
-		Active:     active,
-		MaxRounds:  length + 2,
+		InputWords: slices.Clone(or.Dirs),
+		Labels:     or.labels,
+		Active:     or.active,
+		MaxRounds:  or.LengthBound + 2,
 	})
 	if err != nil {
 		return nil, err
 	}
+	colors := make([]int, net.Graph().N())
 	if err := dist.IntsFromWords(res, colors); err != nil {
 		return nil, err
 	}
-	return &WaitColorResult{Colors: colors, Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}, nil
+	return &WaitColorResult{Colors: colors, RunStats: res.Stats()}, nil
 }

@@ -15,7 +15,6 @@ package orient
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/deltacolor"
 	"repro/internal/dist"
@@ -41,12 +40,15 @@ const (
 // Result bundles an orientation with the partition that produced it and
 // the accumulated cost.
 type Result struct {
-	Sigma *graph.Orientation
-	HP    *forest.HPartition
+	// Orient is the orientation's direction column. Its LengthBound is
+	// the paper's NumLevels * (LevelPalette + 1): a directed path rises
+	// through the levels and, within one, through distinct level colors
+	// (Lemma 3.3, Theorem 3.5).
+	Orient *forest.OrientResult
+	HP     *forest.HPartition
 	// LevelColors is the per-level coloring used as the orientation key.
 	LevelColors []int
-	// LevelPalette is the number of colors used within each level; the
-	// orientation length is at most NumLevels * (LevelPalette + 1).
+	// LevelPalette is the number of colors used within each level.
 	LevelPalette int
 	Tally        *dist.Tally
 }
@@ -128,7 +130,7 @@ func run(net *dist.Network, a int, eps forest.Eps, labels []int, active []bool,
 	if err != nil {
 		return nil, err
 	}
-	tally.AddPhase("h-partition", hp.Rounds, hp.Messages, hp.Wall, hp.PeakLive)
+	tally.AddStats("h-partition", hp.RunStats)
 
 	levelLabels := hp.Level
 	if labels != nil {
@@ -146,10 +148,11 @@ func run(net *dist.Network, a int, eps forest.Eps, labels []int, active []bool,
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("orientation", or.Stats())
+	or.LengthBound = hp.NumLevels * (palette + 1)
+	tally.AddStats("orientation", or.RunStats)
 
 	return &Result{
-		Sigma:        or.Sigma,
+		Orient:       or,
 		HP:           hp,
 		LevelColors:  colors,
 		LevelPalette: palette,
@@ -168,67 +171,31 @@ type Stats struct {
 
 // MeasureWithin measures out-degree, deficit and length of sigma counting
 // only intra-label edges between active vertices. With nil labels/active
-// it measures the whole graph. The O(m) per-vertex sweep fans out over
-// the available cores under the auto heuristic; pipelines that pin a
-// worker count use MeasureWithinWorkers so the knob paces this sweep too.
+// it measures the whole graph. It reads sigma alone, so it verifies an
+// orientation independently of the engine that computed it.
 func MeasureWithin(sigma *graph.Orientation, labels []int, active []bool) Stats {
-	return MeasureWithinWorkers(sigma, labels, active, 0)
-}
-
-// MeasureWithinWorkers is MeasureWithin on an explicit worker pool: a
-// positive count is honored exactly (callers pass
-// dist.Network.SweepWorkers), <= 0 means the auto heuristic. Per-chunk
-// maxima merge deterministically and each vertex's figures depend only
-// on read-only orientation state, so the result is identical at every
-// worker count.
-func MeasureWithinWorkers(sigma *graph.Orientation, labels []int, active []bool, workers int) Stats {
 	g := sigma.Graph()
 	var s Stats
-	visible := func(v, u int) bool {
-		if active != nil && (!active[v] || !active[u]) {
-			return false
+	for v := 0; v < g.N(); v++ {
+		if active != nil && !active[v] {
+			continue
 		}
-		return labels == nil || labels[v] == labels[u]
-	}
-	n := g.N()
-	var mu sync.Mutex
-	dist.ParallelFor(n, workers, func(lo, hi int) {
-		maxOut, maxDef := 0, 0
-		for v := lo; v < hi; v++ {
-			if active != nil && !active[v] {
+		out, def := 0, 0
+		dirs := sigma.PortDirs(v)
+		for p, u := range g.Neighbors(v) {
+			if (active != nil && !active[u]) || (labels != nil && labels[v] != labels[u]) {
 				continue
 			}
-			out, def := 0, 0
-			dirs := sigma.PortDirs(v)
-			for p, u := range g.Neighbors(v) {
-				if !visible(v, u) {
-					continue
-				}
-				switch {
-				case dirs[p] == graph.Unoriented:
-					def++
-				case sigma.IsParentPort(v, p):
-					out++
-				default:
-					// incoming
-				}
-			}
-			if out > maxOut {
-				maxOut = out
-			}
-			if def > maxDef {
-				maxDef = def
+			switch {
+			case dirs[p] == graph.Unoriented:
+				def++
+			case sigma.IsParentPort(v, p):
+				out++
 			}
 		}
-		mu.Lock()
-		if maxOut > s.OutDegree {
-			s.OutDegree = maxOut
-		}
-		if maxDef > s.Deficit {
-			s.Deficit = maxDef
-		}
-		mu.Unlock()
-	})
+		s.OutDegree = max(s.OutDegree, out)
+		s.Deficit = max(s.Deficit, def)
+	}
 	length, err := sigma.Length()
 	s.Acyclic = err == nil
 	if s.Acyclic {

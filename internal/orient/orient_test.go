@@ -1,6 +1,7 @@
 package orient
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,7 +22,7 @@ func TestPartialOrientationTheorem35(t *testing.T) {
 			if err != nil {
 				t.Fatalf("a=%d t=%d: %v", a, tt, err)
 			}
-			s := MeasureWithin(res.Sigma, nil, nil)
+			s := MeasureWithin(res.Orient.Orientation(net), nil, nil)
 			if !s.Acyclic {
 				t.Fatalf("a=%d t=%d: cyclic orientation", a, tt)
 			}
@@ -61,7 +62,7 @@ func TestCompleteOrientationLemma33(t *testing.T) {
 		if err != nil {
 			t.Fatalf("method %d: %v", method, err)
 		}
-		s := MeasureWithin(res.Sigma, nil, nil)
+		s := MeasureWithin(res.Orient.Orientation(net), nil, nil)
 		if !s.Acyclic {
 			t.Fatal("cyclic orientation (Lemma 3.3 violated)")
 		}
@@ -126,7 +127,8 @@ func TestPartialWithinLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := MeasureWithin(res.Sigma, labels, nil)
+	sigma := res.Orient.Orientation(net)
+	s := MeasureWithin(sigma, labels, nil)
 	if s.OutDegree > forest.DefaultEps.Threshold(a) {
 		t.Errorf("out-degree %d too large", s.OutDegree)
 	}
@@ -134,7 +136,7 @@ func TestPartialWithinLabels(t *testing.T) {
 		t.Errorf("within-label deficit %d > %d", s.Deficit, a/2)
 	}
 	for _, e := range g.Edges() {
-		if labels[e[0]] != labels[e[1]] && res.Sigma.DirOf(e[0], e[1]) != graph.Unoriented {
+		if labels[e[0]] != labels[e[1]] && sigma.DirOf(e[0], e[1]) != graph.Unoriented {
 			t.Fatalf("cross-label edge %v oriented", e)
 		}
 	}
@@ -170,5 +172,53 @@ func TestPartialLengthScalesWithT(t *testing.T) {
 			t.Errorf("t=%d: palette %d shrank from %d", tt, res.LevelPalette, prevPalette)
 		}
 		prevPalette = res.LevelPalette
+	}
+}
+
+// TestOrientationsWithinLengthBound: every Partial- and
+// Complete-Orientation, with and without labels, assembles into an
+// acyclic orientation no longer than the LengthBound its wait-for-parents
+// runs are budgeted on.
+func TestOrientationsWithinLengthBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(505))
+	a := 4
+	g := graph.ForestUnion(300, a, rng)
+	net := dist.NewNetworkPermuted(g, rng)
+	labels := make([]int, g.N())
+	for v := range labels {
+		labels[v] = rng.Intn(3)
+	}
+	type orientCase struct {
+		name string
+		run  func(labels []int) (*Result, error)
+	}
+	var cases []orientCase
+	for _, tt := range []int{1, 2, 4} {
+		cases = append(cases, orientCase{fmt.Sprintf("partial(t=%d)", tt), func(labels []int) (*Result, error) {
+			return Partial(net, a, tt, forest.DefaultEps, labels, nil)
+		}})
+	}
+	for _, m := range []LevelColoring{LevelLinial, LevelDeltaPlusOne} {
+		cases = append(cases, orientCase{fmt.Sprintf("complete(%d)", m), func(labels []int) (*Result, error) {
+			return Complete(net, a, forest.DefaultEps, m, labels, nil)
+		}})
+	}
+	for _, c := range cases {
+		name := c.name
+		for _, ls := range [][]int{nil, labels} {
+			res, err := c.run(ls)
+			if err != nil {
+				t.Fatalf("%s labels=%t: %v", name, ls != nil, err)
+			}
+			s := MeasureWithin(res.Orient.Orientation(net), ls, nil)
+			if !s.Acyclic || s.Length > res.Orient.LengthBound {
+				t.Errorf("%s labels=%t: acyclic=%t length %d, bound %d",
+					name, ls != nil, s.Acyclic, s.Length, res.Orient.LengthBound)
+			}
+			if want := res.HP.NumLevels * (res.LevelPalette + 1); res.Orient.LengthBound != want {
+				t.Errorf("%s labels=%t: LengthBound %d, want levels*(palette+1) = %d",
+					name, ls != nil, res.Orient.LengthBound, want)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/graph"
 )
 
 // Shared benchmark shape: a realistic terminal recoloring step (q=23, d=1
@@ -149,21 +148,5 @@ func BenchmarkRecolorOnceFirstStepRef(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recolorOnceRef(step, 54321, conflicts)
-	}
-}
-
-// BenchmarkParentPortFlags measures the orientation-to-port-flags
-// translation every Arb-Kuhn run performs, dominated by orientation
-// queries.
-func BenchmarkParentPortFlags(b *testing.B) {
-	g := graph.Grid(40, 40)
-	o := graph.NewOrientation(g)
-	for _, e := range g.Edges() {
-		_ = o.Orient(e[0], e[1])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParentPortFlags(g, o)
 	}
 }

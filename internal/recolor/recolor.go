@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/field"
-	"repro/internal/graph"
 )
 
 // Params are the globally known, vertex-uniform parameters of a
@@ -36,16 +34,16 @@ type Params struct {
 // dist.Algorithm: the six-word value is wider than the four words a
 // per-vertex call has left for its receiver, so the engine calls
 // through a pointer and copies nothing per node.
-// Word layout: the input column is one parent-flag word per visible
-// port (present only for the arbdefective variant); the output column
-// is one word per vertex holding the node's current - and finally
-// legal/defective - color.
+// Word layout: the input column is an orientation's direction column,
+// one word per visible port with +1 marking a parent (present only for
+// the arbdefective variant); the output column is one word per vertex
+// holding the node's current - and finally legal/defective - color.
 type Algo struct {
 	// P holds the uniform parameters.
 	P Params
 
 	// arb flags the arbdefective variant: conflict neighbors are the
-	// ports flagged nonzero in the per-port input column.
+	// parent ports (positive words) of the per-port input column.
 	arb bool
 	// rt is the shared read-only runtime, resolved once by NewAlgo.
 	rt *algoRT
@@ -73,7 +71,7 @@ type algoRT struct {
 
 // NewAlgo prepares the recoloring program for the given uniform
 // parameters. arb selects the arbdefective variant, whose
-// runs take a per-port parent-flag input column.
+// runs take a per-port direction input column.
 func NewAlgo(p Params, arb bool) (Algo, error) {
 	plan := Plan(p.M0, p.DegBound, p.TargetDefect)
 	if err := plan.Validate(); err != nil {
@@ -99,7 +97,7 @@ func NewAlgo(p Params, arb bool) (Algo, error) {
 func (Algo) MessageWords() int { return 1 }
 
 // InputWidth implements dist.Algorithm: the arbdefective variant
-// takes one parent-flag word per visible port, the plain variant no
+// takes one direction word per visible port, the plain variant no
 // input column at all.
 func (a Algo) InputWidth() int {
 	if a.arb {
@@ -297,7 +295,7 @@ func (a *Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 		if !inbox.Has(p) {
 			continue
 		}
-		if flags != nil && flags[p] == 0 {
+		if flags != nil && flags[p] <= 0 {
 			continue
 		}
 		conflicts = append(conflicts, int(inbox.Word(p))) //distvet:alloc-ok amortized growth of the pooled scratch's conflicts buffer
@@ -363,46 +361,27 @@ func recolorOnce(step Step, x int, conflictColors []int) int {
 type Result struct {
 	Colors   []int
 	Schedule Schedule
-	Rounds   int
-	Messages int64
-	// Wall and PeakLive attribute the engine run host-side (see
-	// dist.Result); Wall is not deterministic.
-	Wall     time.Duration
-	PeakLive int
+	dist.RunStats
 }
 
 // RunUniform executes the recoloring program with the uniform
 // parameters p on the label/active-filtered subgraphs, writing each
 // vertex's final color into dst (length n; inactive vertices report 0).
-// parentPorts - per vertex, aligned with its visible ports under the
-// same filters - selects the arbdefective variant when non-nil. The
-// returned RunStats carries the LOCAL cost plus the engine run's wall
-// time and peak live-set size for phase attribution.
-func RunUniform(net *dist.Network, p Params, parentPorts [][]bool, labels []int, active []bool, dst []int) (dist.RunStats, error) {
-	g := net.Graph()
-	n := g.N()
-	if len(dst) != n {
+// dirs - an orientation's direction column under the same filters
+// (forest.OrientResult.Dirs) - selects the arbdefective variant when
+// non-nil: only parent ports count as conflicts. The returned RunStats
+// carries the LOCAL cost plus the engine run's wall time and peak
+// live-set size for phase attribution.
+func RunUniform(net *dist.Network, p Params, dirs []int64, labels []int, active []bool, dst []int) (dist.RunStats, error) {
+	if n := net.Graph().N(); len(dst) != n {
 		return dist.RunStats{}, fmt.Errorf("recolor: %d color slots for %d vertices", len(dst), n)
 	}
-	algo, err := NewAlgo(p, parentPorts != nil)
+	algo, err := NewAlgo(p, dirs != nil)
 	if err != nil {
 		return dist.RunStats{}, err
 	}
 	algo.bindSession(net)
-	var inWords []int64
-	if parentPorts != nil {
-		// Parent flags in the engine's per-port layout, filled in
-		// parallel against the session's cached topology.
-		inWords = net.PortColumn(labels, active, func(v int, ports []int, out []int64) {
-			flags := parentPorts[v]
-			for i := range ports {
-				if i < len(flags) && flags[i] {
-					out[i] = 1
-				}
-			}
-		})
-	}
-	res, err := net.Run(&algo, dist.RunOptions{InputWords: inWords, Labels: labels, Active: active})
+	res, err := net.Run(&algo, dist.RunOptions{InputWords: dirs, Labels: labels, Active: active})
 	if err != nil {
 		return dist.RunStats{}, err
 	}
@@ -413,24 +392,17 @@ func RunUniform(net *dist.Network, p Params, parentPorts [][]bool, labels []int,
 }
 
 // run executes the algorithm with uniform parameters on all vertices.
-func run(net *dist.Network, p Params, parentPorts [][]bool) (Result, error) {
+func run(net *dist.Network, p Params, dirs []int64) (Result, error) {
 	plan := Plan(p.M0, p.DegBound, p.TargetDefect)
 	if err := plan.Validate(); err != nil {
 		return Result{}, err
 	}
 	colors := make([]int, net.Graph().N())
-	st, err := RunUniform(net, p, parentPorts, nil, nil, colors)
+	st, err := RunUniform(net, p, dirs, nil, nil, colors)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Colors:   colors,
-		Schedule: plan,
-		Rounds:   st.Rounds,
-		Messages: st.Messages,
-		Wall:     st.Wall,
-		PeakLive: st.PeakLive,
-	}, nil
+	return Result{Colors: colors, Schedule: plan, RunStats: st}, nil
 }
 
 // Linial computes a legal O(Delta^2)-coloring in O(log* n) rounds
@@ -462,39 +434,25 @@ func Defective(net *dist.Network, p int) (Result, error) {
 }
 
 // ArbKuhn computes a d-arbdefective O((A/d)^2)-coloring, where A is the
-// maximum out-degree of the given complete acyclic orientation (Section 5,
-// Algorithm Arb-Kuhn). Each color class, with edges oriented as in sigma,
-// has out-degree at most d, certifying arboricity at most d (Lemma 2.5).
-// The orientation itself is typically produced by Lemma 2.4 in O(log n)
-// rounds; this routine adds only O(log* n) rounds.
-func ArbKuhn(net *dist.Network, sigma *graph.Orientation, d int) (Result, error) {
+// maximum out-degree of a complete acyclic orientation of the whole graph
+// (Section 5, Algorithm Arb-Kuhn). dirs is that orientation's direction
+// column (forest.OrientResult.Dirs) and outDegree its A. Each color
+// class, with edges oriented as in dirs, has out-degree at most d,
+// certifying arboricity at most d (Lemma 2.5). The orientation itself is
+// typically produced by Lemma 2.4 in O(log n) rounds; this routine adds
+// only O(log* n) rounds.
+func ArbKuhn(net *dist.Network, dirs []int64, outDegree, d int) (Result, error) {
 	if d < 0 {
 		return Result{}, fmt.Errorf("recolor: negative arbdefect target %d", d)
 	}
 	g := net.Graph()
-	if sigma.Graph() != g {
-		return Result{}, fmt.Errorf("recolor: orientation is over a different graph")
+	if len(dirs) != 2*g.M() {
+		return Result{}, fmt.Errorf("recolor: %d direction words for a graph with %d ports", len(dirs), 2*g.M())
 	}
-	parentPorts := ParentPortFlags(g, sigma)
 	return run(net, Params{
 		Color:        -1,
 		M0:           g.N(),
-		DegBound:     sigma.MaxOutDegree(),
+		DegBound:     outDegree,
 		TargetDefect: d,
-	}, parentPorts)
-}
-
-// ParentPortFlags encodes, for each vertex, which of its ports lead to
-// parents under sigma. This is the distributed knowledge each node holds
-// after an orientation has been computed.
-func ParentPortFlags(g *graph.Graph, sigma *graph.Orientation) [][]bool {
-	out := make([][]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		flags := make([]bool, len(g.Neighbors(v)))
-		for p := range flags {
-			flags[p] = sigma.IsParentPort(v, p)
-		}
-		out[v] = flags
-	}
-	return out
+	}, dirs)
 }

@@ -100,6 +100,26 @@ func orientTowardsLarger(g *graph.Graph) *graph.Orientation {
 	return o
 }
 
+// dirsOf is sigma's direction column in the unfiltered engine layout
+// (forest.OrientResult.Dirs): +1 parent, -1 child, 0 unoriented.
+func dirsOf(sigma *graph.Orientation) []int64 {
+	g := sigma.Graph()
+	var dirs []int64
+	for v := 0; v < g.N(); v++ {
+		for p, u := range g.Neighbors(v) {
+			var d int64
+			switch {
+			case sigma.IsParentPort(v, p):
+				d = +1
+			case sigma.IsParent(u, v):
+				d = -1
+			}
+			dirs = append(dirs, d)
+		}
+	}
+	return dirs
+}
+
 func TestArbKuhnProducesWitnessedArbdefect(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	g := graph.ForestUnion(300, 6, rng)
@@ -107,7 +127,7 @@ func TestArbKuhnProducesWitnessedArbdefect(t *testing.T) {
 	net := dist.NewNetworkPermuted(g, rng)
 	a := sigma.MaxOutDegree()
 	for _, d := range []int{1, 2, a / 2} {
-		res, err := ArbKuhn(net, sigma, d)
+		res, err := ArbKuhn(net, dirsOf(sigma), a, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +149,7 @@ func TestArbKuhnZeroDefectIsLegal(t *testing.T) {
 	g := graph.ForestUnion(200, 3, rng)
 	sigma := orientTowardsLarger(g)
 	net := dist.NewNetworkPermuted(g, rng)
-	res, err := ArbKuhn(net, sigma, 0)
+	res, err := ArbKuhn(net, dirsOf(sigma), sigma.MaxOutDegree(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +160,11 @@ func TestArbKuhnZeroDefectIsLegal(t *testing.T) {
 
 func TestArbKuhnValidation(t *testing.T) {
 	g := graph.Path(5)
-	other := graph.Path(5)
 	net := dist.NewNetwork(g)
-	if _, err := ArbKuhn(net, graph.NewOrientation(other), 1); err == nil {
-		t.Error("mismatched orientation accepted")
+	if _, err := ArbKuhn(net, dirsOf(orientTowardsLarger(graph.Path(4))), 1, 1); err == nil {
+		t.Error("a column that does not fit this network accepted")
 	}
-	if _, err := ArbKuhn(net, graph.NewOrientation(g), -1); err == nil {
+	if _, err := ArbKuhn(net, dirsOf(orientTowardsLarger(g)), 1, -1); err == nil {
 		t.Error("negative defect accepted")
 	}
 }
@@ -161,23 +180,6 @@ func TestRecolorOnceDeterministicAndInRange(t *testing.T) {
 	}
 	if a < 0 || a >= step.Q*step.Q {
 		t.Errorf("new color %d outside [0,%d)", a, step.Q*step.Q)
-	}
-}
-
-func TestParentPortFlags(t *testing.T) {
-	g := graph.Path(3)
-	o := graph.NewOrientation(g)
-	_ = o.Orient(0, 1)
-	_ = o.Orient(2, 1)
-	flags := ParentPortFlags(g, o)
-	if !flags[0][0] { // 0's only neighbor 1 is its parent
-		t.Error("vertex 0 should see port 0 as parent")
-	}
-	if flags[1][0] || flags[1][1] { // 1 has no parents
-		t.Error("vertex 1 should have no parent ports")
-	}
-	if !flags[2][0] {
-		t.Error("vertex 2 should see port 0 as parent")
 	}
 }
 

@@ -162,11 +162,13 @@ func minDeltaForQ(q, d, degBound, dIn int) int {
 // a graph whose conflict-neighborhood size is at most degBound, targeting
 // final defect targetDefect.
 //
-// Strategy (see DESIGN.md substitution 2): while the color count is large,
-// the family-size constraint q^(D+1) >= M dominates, so greedy steps spend
-// the minimum defect budget compatible with the q forced by M; once no
-// cheap step makes progress, a final step spends the entire remaining
-// budget, reaching ~( (degBound-dIn) / (remaining+1) )^2 colors. For
+// Strategy (planned greedily per step rather than by the closed-form
+// parameter choices of Lemma 2.1; the bounds below are what the plan
+// reaches): while the color count is large, the family-size constraint
+// q^(D+1) >= M dominates, so greedy steps spend the minimum defect
+// budget compatible with the q forced by M; once no cheap step makes
+// progress, a final step spends the entire remaining budget, reaching
+// ~( (degBound-dIn) / (remaining+1) )^2 colors. For
 // targetDefect = 0 this degenerates to Linial's algorithm with terminal
 // color count ~NextPrime(degBound+1)^2 = O(degBound^2); for targetDefect =
 // floor(degBound/p) it gives O(p^2) colors. Steps number O(log* m0).

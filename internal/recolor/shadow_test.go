@@ -39,11 +39,11 @@ type uniformGolden struct {
 
 // goldenRunUniform runs RunUniform on the shadow tests' permuted network
 // and fails unless colors, rounds and messages match the frozen run.
-func goldenRunUniform(t *testing.T, g *graph.Graph, p Params, parentPorts [][]bool, labels []int, active []bool, want uniformGolden) []int {
+func goldenRunUniform(t *testing.T, g *graph.Graph, p Params, dirs []int64, labels []int, active []bool, want uniformGolden) []int {
 	t.Helper()
 	net := dist.NewNetworkPermuted(g, rand.New(rand.NewSource(42)))
 	dst := make([]int, g.N())
-	st, err := RunUniform(net, p, parentPorts, labels, active, dst)
+	st, err := RunUniform(net, p, dirs, labels, active, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +92,8 @@ func TestRunUniformArbShadowsBoxed(t *testing.T) {
 			}
 		}
 	}
-	flags := ParentPortFlags(g, sigma)
 	p := Params{Color: -1, M0: g.N(), DegBound: sigma.MaxOutDegree(), TargetDefect: 1}
-	colors := goldenRunUniform(t, g, p, flags, nil, nil, uniformGolden{0x15b6746721cf8137, 1, 1778})
+	colors := goldenRunUniform(t, g, p, dirsOf(sigma), nil, nil, uniformGolden{0x15b6746721cf8137, 1, 1778})
 	if len(colors) != g.N() {
 		t.Fatal("missing colors")
 	}

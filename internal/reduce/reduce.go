@@ -12,7 +12,6 @@ package reduce
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/dist"
 )
@@ -205,13 +204,8 @@ func (a *Algo) position(round int) (phase, fold int) {
 
 // Result reports a reduction run.
 type Result struct {
-	Colors   []int
-	Rounds   int
-	Messages int64
-	// Wall and PeakLive attribute the engine run host-side (see
-	// dist.Result); Wall is not deterministic.
-	Wall     time.Duration
-	PeakLive int
+	Colors []int
+	dist.RunStats
 }
 
 // Pool holds the reusable scratch of KWPooled - the per-port
@@ -235,10 +229,7 @@ func KW(net *dist.Network, colors []int, m, target int, labels []int, active []b
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Colors: out, Rounds: st.Rounds, Messages: st.Messages,
-		Wall: st.Wall, PeakLive: st.PeakLive,
-	}, nil
+	return &Result{Colors: out, RunStats: st}, nil
 }
 
 // KWPooled is KW threading caller-owned scratch: dst (length n) receives
