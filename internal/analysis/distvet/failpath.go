@@ -35,10 +35,9 @@ func runFailPath(pass *analysis.Pass) error {
 			if !ok || decl.Body == nil || decl.Name.Name != "StepWords" {
 				continue
 			}
-			if !hasNodeParam(pass, decl) {
-				continue
+			if obj, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func); ok && isStepSignature("StepWords", obj.Type().(*types.Signature)) {
+				checkStepPanics(pass, ann, decl)
 			}
-			checkStepPanics(pass, ann, decl)
 		}
 	}
 	return nil
@@ -66,37 +65,4 @@ func checkStepPanics(pass *analysis.Pass, ann *annots, decl *ast.FuncDecl) {
 		pass.Reportf(call.Pos(), "raw panic in vertex program %s (the engine contains it, but the run reports an engine abort, not your diagnosis); use n.Fail(err) / n.Failf, or sanction with //distvet:panic-ok <why>", decl.Name.Name)
 		return true
 	})
-}
-
-// hasNodeParam reports whether decl takes a *dist.Node parameter - the
-// signature shape marking it a vertex-program entry point.
-func hasNodeParam(pass *analysis.Pass, decl *ast.FuncDecl) bool {
-	for _, field := range decl.Type.Params.List {
-		tv, ok := pass.TypesInfo.Types[field.Type]
-		if ok && isNodeType(tv.Type) {
-			return true
-		}
-	}
-	return false
-}
-
-// isNodeType reports whether t is dist.Node or a pointer to it.
-func isNodeType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Node" || obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "internal/dist" || isSuffix(path, "/internal/dist")
-}
-
-func isSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
 }

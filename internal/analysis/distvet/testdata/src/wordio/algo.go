@@ -91,3 +91,78 @@ type Generic[T any] struct{ v [5]T }
 func (Generic[T]) MessageWords() int                           { return 1 }
 func (g Generic[T]) InitWords(n *dist.Node)                    {}
 func (g Generic[T]) StepWords(n *dist.Node, in dist.WordInbox) {}
+
+// kept is a package-level variable a program might stash a Node in.
+var kept *dist.Node
+
+// keptIDs is a package-level variable a program may write freely.
+var keptIDs []int
+
+// Keeper keeps its *dist.Node past the call in every reported form.
+type Keeper struct {
+	last  *dist.Node
+	all   []*dist.Node
+	byID  map[int]*dist.Node
+	ch    chan *dist.Node
+	hold  holder
+	later func()
+}
+
+type holder struct{ n *dist.Node }
+
+func (*Keeper) MessageWords() int { return 1 }
+
+func (k *Keeper) InitWords(n *dist.Node) {
+	k.last = n                       // want `InitWords stores its \*dist.Node in a struct field, which outlives the call`
+	kept = n                         // want `InitWords stores its \*dist.Node in a package-level variable`
+	k.all[0] = n                     // want `InitWords stores its \*dist.Node in a slice or map element`
+	k.byID[n.ID()] = n               // want `InitWords stores its \*dist.Node in a slice or map element`
+	n.State = n                      // want `InitWords stores its \*dist.Node in a struct field`
+	k.ch <- n                        // want `InitWords sends its \*dist.Node on a channel`
+	go func() { n.SendWord(0, 1) }() // want `InitWords hands its \*dist.Node to a goroutine`
+}
+
+func (k *Keeper) StepWords(n *dist.Node, in dist.WordInbox) {
+	m := n
+	k.all = append(k.all, m)      // want `StepWords stores its \*dist.Node in a struct field`
+	k.hold = holder{n: m}         // want `StepWords stores its \*dist.Node in a struct field`
+	n.State = any(m)              // want `StepWords stores its \*dist.Node in a struct field`
+	k.byID[0] = (m)               // want `StepWords stores its \*dist.Node in a slice or map element`
+	k.later = func() { m.Halt() } // want `StepWords stores its \*dist.Node in a struct field`
+}
+
+// User touches its *dist.Node only during the call: every form above has
+// a legal counterpart.
+type User struct {
+	last  int
+	ids   []int
+	byID  map[int]int
+	ch    chan int
+	count int
+}
+
+func (*User) MessageWords() int { return 1 }
+
+func (u *User) InitWords(n *dist.Node) {
+	u.last = n.ID()
+	keptIDs = append(keptIDs, n.ID())
+	u.ids[0] = n.Degree()
+	u.byID[n.ID()] = n.Round()
+	n.State = u.count
+	u.ch <- n.ID()
+	id := n.ID()
+	go func() { _ = id }()
+}
+
+func (u *User) StepWords(n *dist.Node, in dist.WordInbox) {
+	m := n
+	u.count += helper(m)
+	visit(n)
+	local := []*dist.Node{n}
+	_ = local
+	defer func() { m.Halt() }()
+}
+
+func helper(n *dist.Node) int { return n.ID() }
+
+func visit(n *dist.Node) { n.SendWord(0, 1) }

@@ -3,6 +3,7 @@ package distvet
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -30,6 +31,11 @@ import (
 // wider than maxStepReceiver: such a receiver is copied through the
 // stack on every per-vertex call, so those programs take pointer
 // receivers.
+//
+// Finally, it reports InitWords/StepWords statements that keep the
+// *dist.Node past the call (checkKeptNode): the engine re-points one Node
+// per step chunk at every vertex it steps, so a kept pointer silently
+// names another vertex on the next step.
 var WordIOAnalyzer = &analysis.Analyzer{
 	Name: "wordio",
 	Doc:  "check fixed-width vertex programs declare constant widths and use them consistently",
@@ -144,7 +150,7 @@ func runWordIO(pass *analysis.Pass) error {
 			})
 		}
 	}
-	checkStepReceivers(pass)
+	checkStepMethods(pass)
 	return nil
 }
 
@@ -157,9 +163,10 @@ const maxStepReceiver = 4 * 8
 // amd64, the platform the register budget is stated for.
 var amd64Sizes = types.SizesFor("gc", "amd64")
 
-// checkStepReceivers reports InitWords/StepWords methods (the per-vertex
-// dist.Algorithm calls) whose value receiver exceeds maxStepReceiver.
-func checkStepReceivers(pass *analysis.Pass) {
+// checkStepMethods checks the per-vertex dist.Algorithm calls
+// (InitWords/StepWords): the body must not keep its *dist.Node, and a
+// value receiver must fit maxStepReceiver.
+func checkStepMethods(pass *analysis.Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -170,7 +177,9 @@ func checkStepReceivers(pass *analysis.Pass) {
 			if !ok || !isStepSignature(fn.Name.Name, obj.Type().(*types.Signature)) {
 				continue
 			}
-			recv := obj.Type().(*types.Signature).Recv().Type()
+			sig := obj.Type().(*types.Signature)
+			checkKeptNode(pass, fn, sig.Params().At(0))
+			recv := sig.Recv().Type()
 			if _, ptr := recv.(*types.Pointer); ptr {
 				continue
 			}
@@ -183,6 +192,115 @@ func checkStepReceivers(pass *analysis.Pass) {
 			}
 		}
 	}
+}
+
+// checkKeptNode reports the statements of a step body that keep its
+// *dist.Node - the parameter, or a local assigned a value holding it -
+// past the call: a store into a struct field (Node.State included), a
+// package-level variable or a slice or map element, a channel send, or a
+// go statement. Passing the Node to a helper is legal.
+func checkKeptNode(pass *analysis.Pass, fn *ast.FuncDecl, node *types.Var) {
+	if fn.Body == nil {
+		return
+	}
+	info := pass.TypesInfo
+	alias := map[types.Object]bool{node: true}
+	mentions := func(n ast.Node) (found bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			found = found || ok && alias[info.Uses[id]]
+			return !found
+		})
+		return found
+	}
+	// holds reports whether the value of e is or contains the Node: an
+	// alias (converted or not), or a composite literal, address-of,
+	// append or closure holding one. Any other call's result does not.
+	var holds func(e ast.Expr) bool
+	holds = func(e ast.Expr) bool {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return alias[info.Uses[e]]
+		case *ast.UnaryExpr:
+			return e.Op == token.AND && holds(e.X)
+		case *ast.FuncLit:
+			return mentions(e.Body)
+		case *ast.CompositeLit:
+			for _, elt := range e.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				if holds(elt) {
+					return true
+				}
+			}
+		case *ast.CallExpr:
+			if info.Types[e.Fun].IsType() {
+				return len(e.Args) == 1 && holds(e.Args[0])
+			}
+			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && info.Uses[id] == types.Universe.Lookup("append") {
+				for _, a := range e.Args[1:] {
+					if holds(a) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	report := func(pos token.Pos, what string) {
+		pass.Reportf(pos, "%s %s, which outlives the call: the engine re-points the Node at another vertex after it returns (keep per-vertex state in the word columns)", fn.Name.Name, what)
+	}
+	// One pass in source order: a local joins the aliases when assigned.
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range st.Lhs {
+				if len(st.Rhs) != len(st.Lhs) || !holds(st.Rhs[i]) {
+					continue
+				}
+				if where := keptIn(info, lhs); where != "" {
+					report(st.Pos(), "stores its *dist.Node in "+where)
+				} else if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+					alias[info.ObjectOf(id)] = true
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range st.Names {
+				if i < len(st.Values) && holds(st.Values[i]) {
+					alias[info.Defs[name]] = true
+				}
+			}
+		case *ast.SendStmt:
+			if holds(st.Value) {
+				report(st.Pos(), "sends its *dist.Node on a channel")
+			}
+		case *ast.GoStmt:
+			if mentions(st.Call) {
+				report(st.Pos(), "hands its *dist.Node to a goroutine")
+			}
+		}
+		return true
+	})
+}
+
+// keptIn names where a value stored into lhs outlives the call, or
+// returns "" for a local variable.
+func keptIn(info *types.Info, lhs ast.Expr) string {
+	switch lhs := ast.Unparen(lhs).(type) {
+	case *ast.IndexExpr:
+		return "a slice or map element"
+	case *ast.SelectorExpr:
+		if info.Selections[lhs] != nil {
+			return "a struct field" // Node.State included
+		}
+		return keptIn(info, lhs.Sel) // a qualified package variable
+	case *ast.Ident:
+		if v, ok := info.ObjectOf(lhs).(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return "a package-level variable"
+		}
+	}
+	return ""
 }
 
 // isStepSignature reports whether a method is one of the per-vertex

@@ -120,7 +120,7 @@ func (n *Node) SendAllWord(w int64) {
 func (s *simulation) flushHaltClears() {
 	for _, v := range s.clearQ {
 		b := s.topo.base[v]
-		deg := len(s.nodes[v].ports)
+		deg := len(s.topo.ports[v])
 		clear(s.cols[0].sent[b : b+deg])
 		clear(s.cols[1].sent[b : b+deg])
 	}

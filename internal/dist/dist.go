@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -47,7 +47,8 @@ const defaultMaxRounds = 1 << 20
 // fixed-width word columns (wordio.go). InitWords runs once per node at
 // round 0 and sends the opening messages. StepWords runs once per round on
 // every node that has not halted; the inbox holds the words each visible
-// neighbor sent in the previous round (batch.go).
+// neighbor sent in the previous round (batch.go). Neither may keep the
+// *Node (see Node).
 type Algorithm interface {
 	// MessageWords returns the fixed per-message word count W >= 1. It
 	// must be constant across the run.
@@ -86,7 +87,7 @@ type RunOptions struct {
 	// reuse its own slots as scratch.
 	InputWords []int64
 	// Workers paces the run's worker pool - the per-round step fan-out
-	// and the engine's setup/collection sweeps. Zero resolves to the
+	// and the engine's setup sweeps. Zero resolves to the
 	// Network default (WithWorkers), else to the auto heuristic:
 	// GOMAXPROCS workers whenever at least 512 participants remain, at
 	// least 64 nodes per goroutine. An explicitly pinned count (here or
@@ -144,14 +145,16 @@ type Result struct {
 	Snapshot *Snapshot
 }
 
-// Node is the per-vertex view an Algorithm operates on. State is the one
-// program-owned slot; everything else is engine state, reached through
-// the word-column accessors.
+// Node is the per-vertex view an Algorithm operates on: its step chunk's
+// cursor, re-pointed at every vertex the chunk steps, so a *Node and every
+// slice it hands out are valid only during the call they are passed to.
+// State is the one program-owned slot; everything else is engine state,
+// reached through the word-column accessors.
 type Node struct {
 	// State holds arbitrary per-node algorithm state across rounds (e.g.
-	// a randomized program's per-node rand.Rand). Programs that keep
-	// their state in the word columns leave it nil, which is what makes
-	// their runs snapshotable.
+	// a randomized program's per-node rand.Rand), kept between steps in a
+	// run-scratch column. Programs that keep their state in the word
+	// columns leave it nil, which is what makes their runs snapshotable.
 	State any
 
 	id     int
@@ -169,7 +172,7 @@ type Node struct {
 	win    []int64
 	wob    []int64
 	fail   *runFailure
-	sent   int64
+	sent   int64 // the call's sends, added to the run's sent column
 	halted bool
 }
 
@@ -347,16 +350,17 @@ type simulation struct {
 	// rs is the borrowed per-run scratch bundle, released on completion.
 	rs *runScratch
 
-	nodes []*Node // indexed by vertex; nil for inactive vertices
-	// haltedAt[v] is the round at which v halted (math.MaxInt while
-	// running). It is written only between rounds, so workers may read
-	// neighbors' entries without synchronization.
-	haltedAt []int
-	// live is the mutable live list (collectHalted prunes it);
-	// liveSpare is the equal-capacity double buffer the parallel
-	// compaction writes into before the two swap.
+	// live is the mutable live list: each step chunk compacts its range
+	// in place, parking halted vertices in liveSpare at the same offsets,
+	// and joinChunks concatenates the chunks.
 	live      []int
 	liveSpare []int
+	// sent[v] is v's cumulative send count; states[v] is v's Node.State
+	// between its steps, a column the step loop touches only once the run
+	// has stored a State (hasState).
+	sent     []int64
+	states   []any
+	hasState bool
 
 	// workers/explicit are the resolved pool size and whether it was
 	// pinned (see resolveWorkers); sweepWorkers applies them per sweep.
@@ -398,8 +402,10 @@ type simulation struct {
 	cols   [2]wordColumn
 	clearQ []int // nodes halted last round, flags pending a clear
 
-	// outCol is the output column (wordio.go); nil when the algorithm
-	// declares no output.
+	// inCol/outCol are the input and output columns and iw/ow their
+	// declared widths (wordio.go); a column is nil when its width is 0.
+	iw, ow int
+	inCol  []int64
 	outCol []int64
 }
 
@@ -407,8 +413,8 @@ type simulation struct {
 const maxSlots = 1 << 31
 
 // newSimulation assembles a run: resolve the (cached) topology, validate
-// the algorithm's declared shape against it, borrow the pooled per-run
-// state and wire every live node in one parallel sweep.
+// the algorithm's declared shape against it and borrow the pooled per-run
+// columns. Nothing is wired per vertex; stepSlice binds each vertex.
 func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, error) {
 	n := net.g.N()
 	// The topology's delivery-slot table is int32: guard the whole-graph
@@ -438,7 +444,7 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 		return nil, fmt.Errorf("dist: %d input words for width %d (want %d)", len(inCol), iw, want)
 	}
 	if inCol == nil {
-		inCol = emptyWords
+		inCol = []int64{} // InputWords of an empty column is non-nil
 	}
 
 	rs, pooled := net.sess.borrowRun()
@@ -454,15 +460,18 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 		topoCached:    topoHit,
 		scratchPooled: pooled,
 		width:         width,
+		iw:            iw,
+		ow:            ow,
+		inCol:         inCol,
 	}
-	rs.nodes = grown(rs.nodes, n)
-	rs.arr = grown(rs.arr, n)
-	rs.haltedAt = grown(rs.haltedAt, n)
 	rs.live = grown(rs.live, len(topo.live))
 	rs.liveSpare = grown(rs.liveSpare, len(topo.live))
-	s.nodes, s.haltedAt = rs.nodes, rs.haltedAt
 	s.live, s.liveSpare = rs.live, rs.liveSpare
 	copy(s.live, topo.live)
+	rs.sent = grown(rs.sent, n)
+	clear(rs.sent)
+	rs.states = grown(rs.states, n) // all nil: close clears it after use
+	s.sent, s.states = rs.sent, rs.states
 	// The pooled message columns are NOT zeroed between runs: a WordInbox
 	// only reads slots whose sent flag is set, and every flag read at
 	// round r belongs to a sender that either stepped round r-1 (clearing
@@ -478,24 +487,6 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 	if ow != 0 {
 		s.outCol = net.sess.borrowOut(columnLen(ow, n, topo.totalPorts), setupW)
 	}
-
-	// One parallel sweep wires every vertex: node reset and the input and
-	// output column views.
-	parfor(n, setupW, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			ports := topo.ports[v]
-			if ports == nil { // inactive under the Active mask
-				s.nodes[v] = nil
-				s.haltedAt[v] = math.MaxInt
-				continue
-			}
-			nd := &rs.arr[v]
-			*nd = Node{id: net.ids[v], vertex: v, total: n, ports: ports, fail: &s.failSlot, width: width}
-			wireWordIO(nd, s, iw, ow, inCol, v)
-			s.haltedAt[v] = math.MaxInt
-			s.nodes[v] = nd
-		}
-	})
 	return s, nil
 }
 
@@ -508,6 +499,9 @@ func (s *simulation) close() {
 	// Slices the run grew in place flow back into the scratch so their
 	// capacity survives into the next run.
 	s.rs.clearQ = s.clearQ[:0]
+	if s.hasState {
+		clear(s.states) // the next run starts from nil States
+	}
 	s.net.sess.releaseRun(s.rs)
 }
 
@@ -525,7 +519,7 @@ func (s *simulation) run() (*Result, error) {
 	rounds := s.startRound
 	if rounds == 0 && !s.resumed {
 		s.stepRound(0)
-		s.collectHalted(0)
+		s.joinChunks()
 		if res, err := s.boundary(0); err != nil {
 			return s.end(res, err)
 		}
@@ -543,10 +537,8 @@ func (s *simulation) run() (*Result, error) {
 			s.tr.roundStart(s)
 		}
 		s.stepRound(r)
-		// Halting sends of round r-1 are delivered; drop the flags.
-		s.flushHaltClears()
 		rounds = r
-		s.collectHalted(r)
+		s.joinChunks()
 		if s.tr != nil {
 			s.tr.roundEnd(s, r)
 		}
@@ -623,7 +615,7 @@ func (s *simulation) partial(rounds int) *Result {
 	return &Result{
 		OutputWords: s.outCol,
 		Rounds:      rounds,
-		Messages:    s.collectMessages(),
+		Messages:    s.sentTotal(0, len(s.sent)),
 		Wall:        time.Since(s.start), //distvet:wallclock Result.Wall is host-side observability, documented non-deterministic
 		PeakLive:    len(s.topo.live),
 	}
@@ -645,47 +637,25 @@ func (s *simulation) abortResult(rounds int, abortErr error) (*Result, error) {
 	return res, abortErr
 }
 
-// collectMessages sums the per-node send counters in one parallel sweep
-// (per-chunk partial sums, deterministically reduced).
-func (s *simulation) collectMessages() int64 {
-	n := s.net.g.N()
-	w := s.sweepWorkers(n)
-	if w <= 1 {
-		return s.sentTotal(0, n)
-	}
-	s.rs.sums = grown(s.rs.sums, w)
-	sums := s.rs.sums
-	chunk := (n + w - 1) / w
-	parfor(n, w, func(lo, hi int) {
-		sums[lo/chunk] = s.sentTotal(lo, hi)
-	})
-	var msgs int64
-	for _, m := range sums[:(n+chunk-1)/chunk] {
-		msgs += m
-	}
-	return msgs
-}
-
 // sentTotal sums the cumulative send counters of the vertices [lo, hi).
 func (s *simulation) sentTotal(lo, hi int) int64 {
 	var total int64
-	for _, nd := range s.nodes[lo:hi] {
-		if nd != nil {
-			total += nd.sent
-		}
+	for _, m := range s.sent[lo:hi] {
+		total += m
 	}
 	return total
 }
 
-// stepRound executes round r (round 0 = InitWords) on every live node. Nodes
-// touch only their own state, and message delivery reads the previous
-// round's buffers and between-round haltedAt marks, so the live list can
-// be cut into chunks stepped on any number of workers without changing
-// results. The cut is an even split over the w workers, or the shard
-// segments on a probed sharded run; either way the chunks go through
-// parfor, so at most w goroutines step at once. Long-tail rounds of
-// wave-style programs leave only a few live nodes; the auto heuristic
-// then steps inline, where the fan-out would cost more than it saves.
+// stepRound executes round r (round 0 = InitWords) on every live node. A
+// step writes only its own vertex's column slots, through its chunk's
+// cursor, and its chunk's range of the live list and its spare; delivery
+// reads only the previous round's buffers. So the live list can be cut
+// into chunks stepped on any number of workers without changing results.
+// The cut is an even split over the w workers, or the shard segments on a
+// probed sharded run; either way the chunks go through parfor, so at most
+// w goroutines step at once. Long-tail rounds of wave-style programs leave
+// only a few live nodes; the auto heuristic then steps inline, where the
+// fan-out would cost more than it saves.
 func (s *simulation) stepRound(r int) {
 	m := len(s.live)
 	w := s.sweepWorkers(m)
@@ -696,7 +666,7 @@ func (s *simulation) stepRound(r int) {
 		cuts = s.evenCuts(m, w)
 	}
 	chunks := len(cuts) - 1
-	s.rs.curV = grown(s.rs.curV, chunks)
+	s.rs.cursors = grown(s.rs.cursors, chunks)
 	if s.tr != nil {
 		s.tr.chunkNS = grown(s.tr.chunkNS, chunks)
 	}
@@ -721,22 +691,44 @@ func (s *simulation) evenCuts(m, w int) []int {
 	return s.rs.cuts
 }
 
+// cacheLine is the cache-line size cursors are padded to.
+const cacheLine = 64
+
+// chunkCursor is one step chunk's Node and its halt collection so far:
+// kept vertices compact in place from the chunk's first live index, halted
+// ones fill liveSpare from the same offset. stored reports that a vertex
+// of the chunk set Node.State this round.
+type chunkCursor struct {
+	Node
+	kept, halts int
+	stored      bool
+}
+
+// cursor is a chunkCursor padded to whole cache lines, so the cursors of
+// chunks stepped on different workers never share one.
+type cursor struct {
+	chunkCursor
+	_ [cacheLine - unsafe.Sizeof(chunkCursor{})%cacheLine]byte
+}
+
 // stepChunks steps chunks [lo, hi) of the round's live-list cut, each
 // under the panic guard with its own cursor; a traced run also times
 // every nonempty chunk.
 //
 //distvet:wallclock per-chunk step timing of traced runs; only non-deterministic wall telemetry depends on it
 func (s *simulation) stepChunks(r, lo, hi int) {
-	cuts, cur := s.rs.cuts, s.rs.curV
+	cuts, curs := s.rs.cuts, s.rs.cursors
 	for c := lo; c < hi; c++ {
+		cur := &curs[c]
+		cur.chunkCursor = chunkCursor{Node: Node{vertex: -1, total: s.net.g.N(), round: r, width: s.width, fail: &s.failSlot}}
 		if s.tr == nil {
-			s.stepSliceGuarded(r, cuts[c], cuts[c+1], &cur[c])
+			s.stepSliceGuarded(r, cuts[c], cuts[c+1], cur)
 			continue
 		}
 		var ns int64
 		if cuts[c] < cuts[c+1] {
 			t := time.Now()
-			s.stepSliceGuarded(r, cuts[c], cuts[c+1], &cur[c])
+			s.stepSliceGuarded(r, cuts[c], cuts[c+1], cur)
 			ns = time.Since(t).Nanoseconds()
 		}
 		s.tr.chunkNS[c] = ns
@@ -747,8 +739,7 @@ func (s *simulation) stepChunks(r, lo, hi int) {
 // a vertex program (or an engine misuse panic raised inside one, e.g. a
 // bad SendWord port) is recovered on this worker goroutine and converted
 // into the Node.Fail path so the run degrades to a deterministic failed
-// run instead of a crashed process. cur points at this chunk's pooled
-// cursor slot; stepSlice keeps it on the live-list index being stepped.
+// run instead of a crashed process.
 //
 // Determinism: the live list ascends and a panic only skips the REST of
 // its own chunk, so the globally smallest panicking vertex always gets
@@ -758,144 +749,118 @@ func (s *simulation) stepChunks(r, lo, hi int) {
 // totals of panicked runs are not pinned across worker counts.)
 //
 //distvet:noalloc
-func (s *simulation) stepSliceGuarded(r, lo, hi int, cur *int) {
-	*cur = lo
-	defer s.recoverStep(r, lo, hi, cur)
-	s.stepSlice(r, lo, hi, cur)
+func (s *simulation) stepSliceGuarded(r, lo, hi int, c *cursor) {
+	defer s.recoverStep(r, lo, hi, c)
+	s.stepSlice(r, lo, hi, c)
 }
 
-// recoverStep is stepSliceGuarded's deferred recovery: it attributes the
-// panic to the vertex under the chunk cursor and records it into the
-// run's failure slot wrapped in ErrVertexPanic.
-func (s *simulation) recoverStep(r, lo, hi int, cur *int) {
+// recoverStep is stepSliceGuarded's deferred recovery: it fails the vertex
+// the chunk's cursor is bound to with ErrVertexPanic, counting its partial
+// sends, and closes the chunk's halt collection with the unstepped rest
+// kept live.
+func (s *simulation) recoverStep(r, lo, hi int, c *cursor) {
 	rec := recover()
 	if rec == nil {
 		return
 	}
 	err := fmt.Errorf("vertex program panic at round %d phase %q: %v: %w", r, s.phase, rec, ErrVertexPanic)
-	if i := *cur; i >= lo && i < hi && i < len(s.live) {
-		if nd := s.nodes[s.live[i]]; nd != nil {
-			nd.Fail(err)
-			return
-		}
+	nd := &c.Node
+	if nd.vertex < 0 {
+		// An engine bug: record it unattributed rather than crash.
+		s.failSlot.record(-1, -1, err)
+		return
 	}
-	// A panic outside any node iteration would be an engine bug; record
-	// it without a vertex attribution rather than crash the process.
-	s.failSlot.record(-1, -1, err)
+	s.sent[nd.vertex] += nd.sent
+	nd.Fail(err)
+	next := lo + c.kept + c.halts + 1
+	s.liveSpare[lo+c.halts] = nd.vertex
+	c.halts++
+	c.kept += copy(s.live[lo+c.kept:], s.live[next:hi])
 }
 
-// stepSlice steps the live nodes in [lo, hi): per-round outbox binding
-// and the InitWords/StepWords dispatch. This is the per-node round loop;
-// the only allocations on a steady-state round are the vertex program's
-// own. The slot bases and the inSlots delivery table come from the
-// session-cached topology (session.go); the round-parity columns are the
-// pooled, intentionally non-zeroed arrays of the run scratch - every flag
-// a WordInbox reads was cleared this run by its owner's step
-// (clear(nd.wmark) below) or by flushHaltClears, so stale content from
-// earlier runs is never observed.
+// stepSlice steps the live nodes in [lo, hi) through the chunk's cursor:
+// bind the vertex (identifier, ports, outbox, input and output views),
+// dispatch InitWords/StepWords, collect the step's sends, State and halt.
+// The only allocations on a steady-state round are the vertex program's
+// own. The round-parity columns are pooled and intentionally not zeroed:
+// every flag a WordInbox reads was cleared this run by its owner's step
+// (clear(nd.wmark) below) or by flushHaltClears.
 //
 //distvet:noalloc
-func (s *simulation) stepSlice(r, lo, hi int, cur *int) {
+func (s *simulation) stepSlice(r, lo, hi int, c *cursor) {
 	w := s.width
 	par := r % 2
 	words := s.cols[par].words
-	sent := s.cols[par].sent
-	base := s.topo.base
+	flags := s.cols[par].sent
+	topo := s.topo
+	ids := s.net.ids
+	live, spare := s.live, s.liveSpare
+	sent, states := s.sent, s.states
+	hasState := s.hasState
+	inCol, iw, outCol, ow := s.inCol, s.iw, s.outCol, s.ow
 	// Every inbox of the round shares the previous parity's descriptor;
 	// only the slot table is per node, so concurrent chunks never write
 	// shared state.
 	in := WordInbox{col: &s.cols[1-par]}
+	nd := &c.Node
 	for i := lo; i < hi; i++ {
-		*cur = i
-		v := s.live[i]
-		nd := s.nodes[v]
-		nd.round = r
-		b := base[v]
-		deg := len(nd.ports)
+		v := live[i]
+		b := topo.base[v]
+		ports := topo.ports[v]
+		deg := len(ports)
+		nd.vertex, nd.id, nd.ports = v, ids[v], ports
 		nd.wout = words[b*w : (b+deg)*w : (b+deg)*w]
-		nd.wmark = sent[b : b+deg : b+deg]
+		nd.wmark = flags[b : b+deg : b+deg]
 		clear(nd.wmark)
+		nd.win = colView(inCol, iw, v, b, deg)
+		nd.wob = colView(outCol, ow, v, b, deg)
+		if hasState {
+			nd.State = states[v]
+		}
 		if r == 0 {
 			s.algo.InitWords(nd)
-			continue
+		} else {
+			in.slots = topo.inSlots[b : b+deg : b+deg]
+			s.algo.StepWords(nd, in)
 		}
-		in.slots = s.topo.slots(v)
-		s.algo.StepWords(nd, in)
+		sent[v] += nd.sent
+		nd.sent = 0
+		if hasState || nd.State != nil {
+			states[v] = nd.State
+			nd.State = nil
+			c.stored = true
+		}
+		if nd.halted {
+			nd.halted = false
+			spare[lo+c.halts] = v
+			c.halts++
+		} else {
+			live[lo+c.kept] = v
+			c.kept++
+		}
 	}
 }
 
-// collectHalted prunes nodes that halted during round r from the live
-// set, preserving order so later rounds process nodes deterministically.
-// Large live sets compact in parallel: per-chunk counts, a serial prefix
-// sum, then an order-preserving parallel copy into the spare buffer.
-func (s *simulation) collectHalted(r int) {
-	m := len(s.live)
-	w := s.sweepWorkers(m)
-	if w <= 1 {
-		kept := s.live[:0]
-		for _, v := range s.live {
-			if s.nodes[v].halted {
-				s.haltedAt[v] = r
-				s.clearQ = append(s.clearQ, v)
-			} else {
-				kept = append(kept, v)
-			}
-		}
-		s.live = kept
-		return
+// joinChunks ends a round's halt collection: the previous round's halting
+// sends are delivered, so it flushes their flags, then concatenates the
+// chunks' kept vertices into the live list, in order, and queues their
+// halted vertices for the next flush.
+func (s *simulation) joinChunks() {
+	s.flushHaltClears()
+	cuts, curs := s.rs.cuts, s.rs.cursors
+	k := 0
+	for c := range curs {
+		cur := &curs[c]
+		lo := cuts[c]
+		k += copy(s.live[k:], s.live[lo:lo+cur.kept])
+		s.clearQ = append(s.clearQ, s.liveSpare[lo:lo+cur.halts]...)
+		s.hasState = s.hasState || cur.stored
 	}
-	s.rs.counts = grown(s.rs.counts, w)
-	s.rs.starts = grown(s.rs.starts, w+1)
-	counts, starts := s.rs.counts, s.rs.starts
-	chunk := (m + w - 1) / w
-	chunks := (m + chunk - 1) / chunk
-	parfor(m, w, func(lo, hi int) {
-		kept := 0
-		for i := lo; i < hi; i++ {
-			v := s.live[i]
-			if s.nodes[v].halted {
-				s.haltedAt[v] = r
-			} else {
-				kept++
-			}
-		}
-		counts[lo/chunk] = kept
-	})
-	keptTotal := 0
-	for c := 0; c < chunks; c++ {
-		starts[c] = keptTotal
-		keptTotal += counts[c]
-	}
-	starts[chunks] = keptTotal
-	clearBase := len(s.clearQ)
-	s.clearQ = grownKeep(s.clearQ, clearBase+(m-keptTotal))
-	dst := s.liveSpare
-	parfor(m, w, func(lo, hi int) {
-		c := lo / chunk
-		ko := starts[c]
-		// Halted nodes of chunk c land after those of earlier chunks. The
-		// lo entries before this chunk split into starts[c] kept and
-		// lo-starts[c] halted, so chunk c's first halted node goes to
-		// clearQ[clearBase+lo-starts[c]].
-		ho := clearBase + (lo - starts[c])
-		for i := lo; i < hi; i++ {
-			v := s.live[i]
-			if s.nodes[v].halted {
-				s.clearQ[ho] = v
-				ho++
-			} else {
-				dst[ko] = v
-				ko++
-			}
-		}
-	})
-	// Swap the buffers: the pruned list becomes live, the old backing
-	// becomes the next compaction's destination.
-	s.live, s.liveSpare = dst[:keptTotal], s.live[:cap(s.live)]
+	s.live = s.live[:k]
 }
 
 // sweepWorkersFor is sweepWorkers for code running before the simulation
-// exists (topology builds, the setup sweep).
+// exists (topology builds, the output column's re-zeroing).
 func sweepWorkersFor(m, workers int, explicit bool) int {
 	s := simulation{workers: workers, explicit: explicit}
 	return s.sweepWorkers(m)

@@ -18,8 +18,8 @@
 // canonical (NewNetwork) or randomly permuted (NewNetworkPermuted) to
 // stress identifier-dependent symmetry breaking. For a fixed rng seed the
 // whole simulation is bit-for-bit deterministic: node steps touch only
-// their own Node, so the engine may execute each round on a worker pool
-// without affecting results.
+// their own column slots, through the chunk's cursor, so the engine may
+// execute each round on a worker pool without affecting results.
 //
 // Cost accounting follows the paper: Result reports the number of
 // communication rounds (the LOCAL measure) and messages sent; Tally
@@ -40,6 +40,12 @@
 // Node.Fail, which aborts the run with a deterministic per-run error.
 // Node.State is the one program-owned slot outside the columns, for
 // state that is not a word (a randomized program's rand.Rand).
+//
+// The engine keeps no Node per vertex: each step chunk re-points one
+// cursor at every vertex it steps, and the step's sends and State land in
+// per-vertex run-scratch columns. A *Node, and every slice it hands out,
+// is valid only during the InitWords/StepWords call it is passed to
+// (distvet's wordio rule reports a program that keeps one).
 //
 // StepWords runs once per live vertex per round, the engine's hottest
 // call, so nothing is copied into it: the WordInbox is a four-word view
@@ -64,8 +70,9 @@
 //     filtered topologies live in a small content-keyed LRU, sized for
 //     orchestrators that revisit one filter a few runs apart. Cached
 //     tables are immutable and engine-owned; callers never see them.
-//   - Run scratch. The mutable per-run state (node array, halt marks,
-//     live list, message columns, the word output column) is pooled:
+//   - Run scratch. The mutable per-run state (live list and its spare,
+//     send counters, the State column, step cursors, message columns,
+//     the word output column) is pooled:
 //     a repeated unfiltered run performs no setup allocations at all (a
 //     regression test pins this). Concurrent runs on one
 //     network are safe - whoever finds the pool busy falls back to
@@ -84,14 +91,14 @@
 //     to larger prefixes of the same monotone (append-only) tables, so
 //     a stale entry is never wrong, only smaller.
 //
-// Rounds, engine setup/collection sweeps, and the orchestrator helper
+// Rounds, engine setup sweeps, and the orchestrator helper
 // ParallelFor (sized by Network.SweepWorkers) fan out over a worker pool
 // paced by RunOptions.Workers / Network.WithWorkers: 0 means the auto
 // heuristic (GOMAXPROCS, gated by participant count), an explicit count
-// always fans out exactly that wide. Nodes touch only their own state and
-// delivery reads only previous-round data, so results are bit-for-bit
-// identical at every worker count - the speedup sweeps in CI assert
-// exactly that.
+// always fans out exactly that wide. Node steps touch only their own
+// column slots, through the chunk's cursor, and delivery reads only
+// previous-round data, so results are bit-for-bit identical at every
+// worker count - the speedup sweeps in CI assert exactly that.
 //
 // # Sharded execution
 //
@@ -200,9 +207,12 @@
 // (internal/analysis/distvet, run by cmd/distvet and the CI lint job):
 // determinism, hotalloc, failpath and wordio. wordio needs no
 // directives: it requires constant message/input/output widths, checks
-// the width-bound Node calls against them, and reports any
+// the width-bound Node calls against them, reports any
 // InitWords/StepWords value receiver wider than four words (32 B on
-// amd64: nine integer registers minus the *Node and the 4-word inbox).
+// amd64: nine integer registers minus the *Node and the 4-word inbox),
+// and reports an InitWords/StepWords body that keeps its *Node past the
+// call (a store into a field, package variable, slice or map element or
+// Node.State, a channel send, a go statement).
 // Engine code declares its sanctioned exceptions in source with
 // //distvet: directives:
 //

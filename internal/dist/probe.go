@@ -88,7 +88,7 @@ type RunRecord struct {
 	// runs, where no per-shard telemetry is emitted).
 	Shards int `json:"shards,omitempty"`
 	// SetupNS is the wall time of simulation assembly (topology resolve +
-	// node wiring); ComputeNS is the wall time of the round loop and
+	// column borrow); ComputeNS is the wall time of the round loop and
 	// result collection.
 	SetupNS   int64 `json:"setup_ns"`
 	ComputeNS int64 `json:"compute_ns"`
@@ -396,7 +396,7 @@ func (t *roundTracer) runStart(s *simulation) {
 			t.vcuts = append(t.vcuts, hi)
 		}
 	} else {
-		t.vcuts = append(t.vcuts, len(s.nodes))
+		t.vcuts = append(t.vcuts, len(s.sent))
 	}
 	k := len(t.vcuts) - 1
 	t.cum = grown(t.cum, k)

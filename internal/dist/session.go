@@ -14,9 +14,10 @@ import (
 // lists, live sets, columnar slot bases and the delivery table - is
 // built once (in parallel) and cached, so the dozens of phase runs a
 // coloring pipeline performs on one network stop re-sweeping the graph.
-// The session also pools the per-run mutable state (node array, halt
-// marks, live list, message columns), which makes the setup of a repeated
-// run allocation-free; see the ownership notes in doc.go.
+// The session also pools the per-run mutable state (live list, send
+// counters, State column, step cursors, message columns), which makes
+// the setup of a repeated run allocation-free; see the ownership notes
+// in doc.go.
 //
 // Cache structure. The unfiltered topology (nil Labels/Active - or
 // filters equivalent to it: uniform labels, all-true active) is cached
@@ -52,12 +53,6 @@ type topology struct {
 	// v: u's base plus v's position in u's port list.
 	inSlots    []int32
 	totalPorts int
-}
-
-// slots returns v's per-port delivery-slot view.
-func (t *topology) slots(v int) []int32 {
-	b := t.base[v]
-	return t.inSlots[b : b+len(t.ports[v]) : b+len(t.ports[v])]
 }
 
 // emptyPorts marks active degree-0 vertices in filtered topologies
@@ -360,26 +355,18 @@ func (sc *session) topology(g *graph.Graph, labels []int, active []bool, workers
 // simulation keeps the per-run header itself off the heap on reuse.
 type runScratch struct {
 	sim       simulation
-	nodes     []*Node
-	arr       []Node
-	haltedAt  []int
 	live      []int
 	liveSpare []int
 	clearQ    []int
+	sent      []int64
+	states    []any
 	wwords    [2][]int64
 	wsent     [2][]uint8
-	// counts/starts are the per-chunk counters of the parallel
-	// collect/collection sweeps.
-	counts []int
-	starts []int
-	sums   []int64
 	// cuts is the live-list chunking of the current round's step
-	// (stepRound): chunk c covers live[cuts[c]:cuts[c+1]].
-	cuts []int
-	// curV holds one live-list cursor per step chunk: stepSlice records
-	// the index it is stepping so the panic guard (stepSliceGuarded) can
-	// attribute a recovered vertex-program panic to the exact vertex.
-	curV []int
+	// (stepRound): chunk c covers live[cuts[c]:cuts[c+1]], stepped
+	// through cursors[c].
+	cuts    []int
+	cursors []cursor
 	// tr is the round tracer of a probed run (probe.go); unused on
 	// unprobed runs.
 	tr roundTracer
@@ -439,20 +426,6 @@ func grown[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// grownKeep is grown preserving the existing prefix on reallocation.
-func grownKeep(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	c := 2 * cap(s)
-	if c < n {
-		c = n
-	}
-	t := make([]int, n, c)
-	copy(t, s)
-	return t
 }
 
 // parfor splits [0, n) into one contiguous chunk per worker and runs fn

@@ -205,8 +205,8 @@ func TestTopologyCacheReuseAndNormalization(t *testing.T) {
 
 // TestSecondUnfilteredRunZeroSetupAllocs pins the pooling contract: once
 // a network has run a word-I/O program, repeating it reuses the cached
-// topology, the pooled node array, the message columns and the output
-// column, so a whole run performs only O(1) bookkeeping allocations -
+// topology, the pooled send and State columns, the message columns and
+// the output column, so a whole run performs only O(1) bookkeeping allocations -
 // independent of n.
 func TestSecondUnfilteredRunZeroSetupAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(630))

@@ -82,9 +82,9 @@ func (sn *Snapshot) Round() int { return sn.round }
 func (s *simulation) captureSnapshot(rounds int) (*Snapshot, error) {
 	// Verify the column-state contract: a program that stashed anything
 	// in Node.State cannot be rebuilt from columns alone.
-	for _, nd := range s.nodes {
-		if nd != nil && nd.State != nil {
-			return nil, fmt.Errorf("dist: snapshot requires column-only state, but vertex %d holds Node.State", nd.vertex)
+	for v, st := range s.states {
+		if st != nil {
+			return nil, fmt.Errorf("dist: snapshot requires column-only state, but vertex %d holds Node.State", v)
 		}
 	}
 	n := s.net.g.N()
@@ -98,16 +98,11 @@ func (s *simulation) captureSnapshot(rounds int) (*Snapshot, error) {
 		round:      rounds,
 		live:       append([]int(nil), s.live...),
 		clearQ:     append([]int(nil), s.clearQ...),
-		sent:       make([]int64, n),
+		sent:       append([]int64(nil), s.sent...),
 		words:      make([]int64, tp*s.width),
 		flags:      make([]uint8, tp),
 		inWords:    append([]int64(nil), s.opts.InputWords...),
 		outWords:   append([]int64(nil), s.outCol...),
-	}
-	for v, nd := range s.nodes {
-		if nd != nil {
-			sn.sent[v] = nd.sent
-		}
 	}
 	par := rounds % 2
 	copy(sn.words, s.cols[par].words[:tp*s.width])
@@ -155,12 +150,12 @@ func (s *simulation) restore(sn *Snapshot) error {
 		return fmt.Errorf("dist: snapshot carries %d input words, options carry %d", len(sn.inWords), len(s.opts.InputWords))
 	}
 	for _, v := range sn.live {
-		if v < 0 || v >= sn.n || s.nodes[v] == nil {
+		if v < 0 || v >= sn.n || s.topo.ports[v] == nil {
 			return fmt.Errorf("dist: snapshot live vertex %d is not active here", v)
 		}
 	}
 	for _, v := range sn.clearQ {
-		if v < 0 || v >= sn.n || s.nodes[v] == nil {
+		if v < 0 || v >= sn.n || s.topo.ports[v] == nil {
 			return fmt.Errorf("dist: snapshot clear-queue vertex %d is not active here", v)
 		}
 	}
@@ -169,10 +164,8 @@ func (s *simulation) restore(sn *Snapshot) error {
 	s.live = s.live[:len(sn.live)]
 	copy(s.live, sn.live)
 	s.clearQ = append(s.clearQ[:0], sn.clearQ...)
-	for v, nd := range s.nodes {
-		if nd != nil {
-			nd.sent = sn.sent[v]
-		}
+	for _, v := range s.topo.live {
+		s.sent[v] = sn.sent[v]
 	}
 	// The spent parity's flags hold pooled junk from earlier runs and are
 	// bulk-zeroed: round round+1 writes it fresh, but flushHaltClears and

@@ -162,46 +162,18 @@ func (f *runFailure) take() error {
 	return fmt.Errorf("dist: vertex %d (id %d): %w", f.vertex, f.id, f.err)
 }
 
-// wireWordIO binds one live node's input/output column views. The widths
-// and column lengths were validated by newSimulation, which calls this
-// from the parallel setup sweep; the slot base comes from the cached
-// topology.
+// colView is vertex v's view of a word column of the given width: nil for
+// width 0, its slots [b, b+deg) for PerPort (non-nil even when empty, as
+// the column is), else its fixed words.
 //
 //distvet:noalloc
-func wireWordIO(nd *Node, s *simulation, iw, ow int, inCol []int64, v int) {
-	deg := len(nd.ports)
-	switch iw {
+func colView(col []int64, width, v, b, deg int) []int64 {
+	switch width {
 	case 0:
-		// no input plane
+		return nil
 	case PerPort:
-		if deg == 0 {
-			// A canonical non-nil empty view: degree-0 vertices have
-			// no slots, but InputWords must still work for them.
-			nd.win = emptyWords
-		} else {
-			b := s.topo.base[v]
-			nd.win = inCol[b : b+deg : b+deg]
-		}
-	default:
-		o := v * iw
-		nd.win = inCol[o : o+iw : o+iw]
+		return col[b : b+deg : b+deg]
 	}
-	switch ow {
-	case 0:
-		// no output plane
-	case PerPort:
-		if deg == 0 {
-			nd.wob = emptyWords
-		} else {
-			b := s.topo.base[v]
-			nd.wob = s.outCol[b : b+deg : b+deg]
-		}
-	default:
-		o := v * ow
-		nd.wob = s.outCol[o : o+ow : o+ow]
-	}
+	o := v * width
+	return col[o : o+width : o+width]
 }
-
-// emptyWords is the shared non-nil zero-length column view of degree-0
-// vertices under PerPort widths (and of empty input columns).
-var emptyWords = make([]int64, 0)
