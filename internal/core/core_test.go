@@ -309,3 +309,19 @@ func TestPParameterHelpers(t *testing.T) {
 		t.Errorf("PForTheorem45(100) = %d, want 10", p)
 	}
 }
+
+// BenchmarkLegalColoring runs one Legal-Coloring (a=8, p=4) on a forest
+// union of 20000 vertices. Every iteration gets a fresh network on one
+// worker, so no session carries pooled columns or cached topologies
+// over: the figure is what one coloring of a new graph pays, as in
+// perfbench's coloring_s.
+func BenchmarkLegalColoring(b *testing.B) {
+	g := graph.ForestUnion(20000, 8, rand.New(rand.NewSource(707)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LegalColoring(dist.NewNetwork(g).WithWorkers(1), Config{Arboricity: 8, P: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

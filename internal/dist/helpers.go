@@ -27,9 +27,9 @@ func IntsFromWords(res *Result, dst []int) error {
 // class iff they agree on both. Classes are renumbered densely from 0 in
 // order of first appearance by vertex index, so the result is
 // deterministic and directly usable as RunOptions.Labels. The slices
-// must have equal length.
+// must have equal length. The renumbering map grows with the classes.
 func ComposeLabels(a, b []int) []int {
-	return ComposeLabelsInto(make([]int, len(a)), a, b, make(map[[2]int]int, len(a)))
+	return ComposeLabelsInto(make([]int, len(a)), a, b, make(map[[2]int]int))
 }
 
 // ComposeLabelsInto is ComposeLabels writing the composition into dst

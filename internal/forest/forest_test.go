@@ -2,8 +2,10 @@ package forest
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -217,6 +219,140 @@ func TestOrientResultCountsAndFilters(t *testing.T) {
 					c.name, f.name, or.OutDegree, or.Deficit, outDeg, deficit)
 			}
 		}
+	}
+}
+
+// TestOrientPackedOrder draws levels and keys over the whole int32
+// range: a clique holds every (level, key) combination of MinInt32, -1,
+// 0 and MaxInt32 plus copies of four of them (equal levels with
+// different keys, and equal pairs), and a G(n,p) part holds uniform
+// int32 draws with ties forced on some edges. Under no filter, labels
+// and an active filter, every visible port's direction must equal a
+// host-side lexicographic comparison of the endpoints' (level, key).
+func TestOrientPackedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(208))
+	extremes := []int{math.MinInt32, -1, 0, math.MaxInt32}
+	const clique = 20
+	random := graph.Gnp(200, 0.04, rng)
+	b := graph.NewBuilder(clique + random.N())
+	for u := 0; u < clique; u++ {
+		for v := u + 1; v < clique; v++ {
+			if err := b.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, e := range random.Edges() {
+		if err := b.AddEdge(clique+e[0], clique+e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	n := g.N()
+	levels, keys := make([]int, n), make([]int, n)
+	for v := 0; v < n; v++ {
+		switch {
+		case v < 16:
+			levels[v], keys[v] = extremes[v/4], extremes[v%4]
+		case v < clique:
+			levels[v], keys[v] = levels[v-16], keys[v-16]
+		default:
+			levels[v], keys[v] = int(int32(rng.Uint32())), int(int32(rng.Uint32()))
+		}
+	}
+	for i, e := range random.Edges() {
+		u, v := clique+e[0], clique+e[1]
+		switch i % 4 {
+		case 0:
+			levels[v] = levels[u]
+		case 1:
+			levels[v], keys[v] = levels[u], keys[u]
+		}
+	}
+	labels, active := make([]int, n), make([]bool, n)
+	for v := 0; v < n; v++ {
+		labels[v], active[v] = rng.Intn(2), rng.Intn(8) > 0
+	}
+	want := func(v, u int) int64 {
+		switch {
+		case levels[u] > levels[v] || levels[u] == levels[v] && keys[u] > keys[v]:
+			return +1
+		case levels[u] < levels[v] || levels[u] == levels[v] && keys[u] < keys[v]:
+			return -1
+		}
+		return 0
+	}
+	net := dist.NewNetworkPermuted(g, rng)
+	for _, f := range []struct {
+		name   string
+		labels []int
+		active []bool
+	}{{"none", nil, nil}, {"labels", labels, nil}, {"active", nil, active}} {
+		or, err := OrientByLevelKey(net, levels, keys, f.labels, f.active)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		off, ties := 0, 0
+		dist.ForEachVisible(g, f.labels, f.active, func(v int, ports []int) {
+			for p, u := range ports {
+				if off+p >= len(or.Dirs) {
+					t.Fatalf("%s: Dirs has %d words, vertex %d port %d is past it", f.name, len(or.Dirs), v, p)
+				}
+				w := want(v, u)
+				if got := or.Dirs[off+p]; got != w {
+					t.Errorf("%s: %d (%d, %d) -> %d (%d, %d): direction %d, want %d",
+						f.name, v, levels[v], keys[v], u, levels[u], keys[u], got, w)
+				}
+				if w == 0 {
+					ties++
+				}
+			}
+			off += len(ports)
+		})
+		if off != len(or.Dirs) {
+			t.Errorf("%s: Dirs has %d words for %d visible ports", f.name, len(or.Dirs), off)
+		}
+		if ties == 0 {
+			t.Errorf("%s: no tied edge was checked", f.name)
+		}
+	}
+}
+
+// countRuns is a probe sink; the probe's totals count the runs.
+type countRuns struct{}
+
+func (countRuns) FlushRounds([]dist.RoundRecord) error { return nil }
+func (countRuns) FlushRuns([]dist.RunRecord) error     { return nil }
+
+// TestOrientRejectsOutOfRangePair: a level or key outside int32 is an
+// error naming the vertex, and no run starts.
+func TestOrientRejectsOutOfRangePair(t *testing.T) {
+	g := graph.Path(4)
+	p := dist.NewProbe(countRuns{})
+	defer p.Close()
+	net := dist.NewNetwork(g).WithProbe(p)
+	zeros := make([]int, g.N())
+	if _, err := OrientByLevelKey(net, zeros, zeros, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if runs := p.Totals().Runs; runs != 1 {
+		t.Fatalf("in-range pairs: %d runs, want 1", runs)
+	}
+	for _, c := range []struct{ v, level, key int }{
+		{2, math.MaxInt32 + 1, 0},
+		{1, math.MinInt32 - 1, 0},
+		{3, 0, math.MaxInt32 + 1},
+		{0, 0, math.MinInt32 - 1},
+	} {
+		levels, keys := make([]int, g.N()), make([]int, g.N())
+		levels[c.v], keys[c.v] = c.level, c.key
+		_, err := OrientByLevelKey(net, levels, keys, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vertex %d:", c.v)) {
+			t.Errorf("level %d key %d at vertex %d: err = %v, want one naming the vertex", c.level, c.key, c.v, err)
+		}
+	}
+	if runs := p.Totals().Runs; runs != 1 {
+		t.Errorf("out-of-range pairs started %d runs", runs-1)
 	}
 }
 

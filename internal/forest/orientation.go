@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -20,55 +21,64 @@ import (
 // Complete-Orientation (length O(#colors * #levels)); with key = a
 // defective per-level coloring it is Procedure Partial-Orientation
 // (deficit <= per-level defect, length O(#colors * #levels)).
+//
+// The pair is one O(log n)-bit value and travels as one word. The
+// exchange writes each port's direction over the per-port input column
+// that carried it, so that column is the orientation's Dirs: there is
+// no output column and no copy.
 
 // orientExchange is the one-round exchange in which every vertex learns
 // its neighbors' (level, key) pairs and derives its port directions
-// locally.
+// locally: Init sends the packed pair its input slots hold, and round 1
+// overwrites each slot with that port's direction.
 type orientExchange struct{}
 
-// orientDir compares a neighbor's (level, key) with ours: +1 parent,
-// -1 child, 0 tie (unoriented).
-func orientDir(myLevel, myKey, level, key int64) int64 {
-	switch {
-	case level > myLevel || (level == myLevel && key > myKey):
-		return +1 // neighbor is our parent
-	case level < myLevel || (level == myLevel && key < myKey):
-		return -1 // neighbor is our child
-	default:
-		return 0
-	}
+// packLevelKey encodes a (level, key) pair of int32 values as one word
+// whose int64 order is the pair's lexicographic order: the level fills
+// the high 32 bits, and the key the low 32 with its sign bit flipped, so
+// that int32 order becomes uint32 order.
+func packLevelKey(level, key int) int64 {
+	return int64(level)<<32 | int64(uint32(int32(key))^1<<31)
 }
 
-// MessageWords implements dist.Algorithm: a message carries the sender's
-// level and key.
-func (orientExchange) MessageWords() int { return 2 }
+// fitsInt32 reports whether x survives packLevelKey's int32 conversion.
+func fitsInt32(x int) bool { return x == int(int32(x)) }
 
-// InputWidth and OutputWidth implement dist.Algorithm: two input words
-// per vertex (level, key) and one direction word per visible port
-// (+1 parent, -1 child, 0 unoriented/silent).
-func (orientExchange) InputWidth() int  { return 2 }
-func (orientExchange) OutputWidth() int { return dist.PerPort }
+// MessageWords implements dist.Algorithm: a message is the sender's
+// packed (level, key).
+func (orientExchange) MessageWords() int { return 1 }
 
+// InputWidth and OutputWidth implement dist.Algorithm: one word per
+// visible port, the packed pair rewritten in place to the port's
+// direction (+1 parent, -1 child, 0 unoriented/silent); no output.
+func (orientExchange) InputWidth() int  { return dist.PerPort }
+func (orientExchange) OutputWidth() int { return 0 }
+
+// InitWords sends the packed pair; a degree-0 vertex has no slot.
+//
 //distvet:noalloc
 func (orientExchange) InitWords(n *dist.Node) {
-	in := n.InputWords()
-	for p := 0; p < n.Degree(); p++ {
-		w := n.SendWords(p)
-		w[0] = in[0]
-		w[1] = in[1]
+	if n.Degree() > 0 {
+		n.SendAllWord(n.InputWords()[0])
 	}
 }
 
+// StepWords reads the node's own word from slot 0 before overwriting
+// the slots with directions: +1 when the neighbor's pair is larger (a
+// parent), -1 when smaller (a child), 0 on a tie or a silent port.
+//
 //distvet:noalloc
 func (orientExchange) StepWords(n *dist.Node, inbox dist.WordInbox) {
-	in := n.InputWords()
-	out := n.OutputWords()
-	for p := range out {
-		if !inbox.Has(p) {
-			continue
+	ports := n.InputWords()
+	if len(ports) > 0 {
+		mine := ports[0]
+		for p := range ports {
+			var d int64
+			if inbox.Has(p) {
+				d = int64(cmp.Compare(inbox.Word(p), mine))
+			}
+			ports[p] = d
 		}
-		w := inbox.Words(p)
-		out[p] = orientDir(in[0], in[1], w[0], w[1])
 	}
 	n.Halt()
 }
@@ -80,7 +90,8 @@ type OrientResult struct {
 	// Dirs holds one word per visible port in the engine's per-port
 	// layout under the filters the orientation ran under (active
 	// vertices ascending, visible ports ascending): +1 parent, -1 child,
-	// 0 unoriented. A run with the same filters takes it as its per-port
+	// 0 unoriented. It is the column the exchange rewrote in place, owned
+	// by the result. A run with the same filters takes it as its per-port
 	// input column as is when its program only reads its input;
 	// WaitColor, whose program writes its input, runs on a copy.
 	Dirs []int64
@@ -102,29 +113,43 @@ type OrientResult struct {
 // OrientByLevelKey runs the one-round orientation exchange. levels and keys
 // are per-vertex; labels/active optionally restrict to subgraphs (edges
 // across labels are not oriented). Each node only ever uses its own
-// (level, key) and its neighbors' messages; the result is its per-port
-// output column, copied out of the engine-owned output, with the
-// out-degree and deficit counted in the same pass.
+// (level, key) and its neighbors' messages. An active vertex whose level
+// or key lies outside int32 is an error, and nothing runs. The result's
+// Dirs is the per-port input column the exchange rewrote in place; the
+// out-degree and deficit are counted from it after the run.
 func OrientByLevelKey(net *dist.Network, levels, keys []int, labels []int, active []bool) (*OrientResult, error) {
 	n := net.Graph().N()
 	if len(levels) != n || len(keys) != n {
 		return nil, fmt.Errorf("forest: levels/keys length mismatch")
 	}
-	col := make([]int64, 2*n)
-	dist.ParallelFor(n, net.SweepWorkers(n), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			col[2*v] = int64(levels[v])
-			col[2*v+1] = int64(keys[v])
+	or := &OrientResult{labels: slices.Clone(labels), active: slices.Clone(active), LengthBound: max(n-1, 0)}
+	// Size the column first: appending would regrow it. The pass also
+	// builds the filters' topology, which the run then reuses.
+	total, bad := 0, -1
+	net.ForEachVisible(or.labels, or.active, func(v int, ports []int) {
+		total += len(ports)
+		if bad < 0 && !(fitsInt32(levels[v]) && fitsInt32(keys[v])) {
+			bad = v
 		}
 	})
-	or := &OrientResult{labels: slices.Clone(labels), active: slices.Clone(active), LengthBound: max(n-1, 0)}
-	res, err := net.Run(orientExchange{}, dist.RunOptions{InputWords: col, Labels: or.labels, Active: or.active})
+	if bad >= 0 {
+		return nil, fmt.Errorf("forest: vertex %d: level %d or key %d outside int32", bad, levels[bad], keys[bad])
+	}
+	or.Dirs = make([]int64, total)
+	off := 0
+	net.ForEachVisible(or.labels, or.active, func(v int, ports []int) {
+		w := packLevelKey(levels[v], keys[v])
+		for i := range ports {
+			or.Dirs[off+i] = w
+		}
+		off += len(ports)
+	})
+	res, err := net.Run(orientExchange{}, dist.RunOptions{InputWords: or.Dirs, Labels: or.labels, Active: or.active})
 	if err != nil {
 		return nil, err
 	}
-	or.Dirs = slices.Clone(res.OutputWords)
 	or.RunStats = res.Stats()
-	off := 0
+	off = 0
 	net.ForEachVisible(or.labels, or.active, func(_ int, ports []int) {
 		out, def := 0, 0
 		for _, d := range or.Dirs[off : off+len(ports)] {
