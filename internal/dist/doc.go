@@ -79,17 +79,6 @@
 //     fresh allocations - but the Result.OutputWords reclamation
 //     contract (wordio.go) still requires the caller to decode an output
 //     column before STARTING the next run on that network.
-//   - Session values. Algorithm layers pin small cross-run state on the
-//     session through Network.SessionValue, keyed by unexported types -
-//     e.g. recolor's per-(step, family) hot-row cache of resolved
-//     row-table snapshots. Ownership contract: a value lives as long as
-//     the Network, is shared by WithWorkers/WithProbe/WithContext
-//     views (a Sharded view starts a fresh session and therefore a
-//     fresh value store), and must be safe for concurrent use by
-//     overlapping runs. Invalidation is the owning layer's concern; the
-//     hot-row cache needs none, because its snapshots only ever advance
-//     to larger prefixes of the same monotone (append-only) tables, so
-//     a stale entry is never wrong, only smaller.
 //
 // Rounds, engine setup sweeps, and the orchestrator helper
 // ParallelFor (sized by Network.SweepWorkers) fan out over a worker pool

@@ -262,12 +262,6 @@ type session struct {
 	// built); out is the pooled output column of wordio.go.
 	run *runScratch
 	out []int64
-	// values is the keyed session-scratch store of SessionValue: hot
-	// state orchestrators keep resident across the runs of one network
-	// (e.g. the recoloring hot-row cache). Entries live for the
-	// session's lifetime; the stored values themselves must be safe for
-	// concurrent use by overlapping runs.
-	values map[any]any
 }
 
 // topology returns the cached wiring for the given filters, building and
@@ -478,35 +472,6 @@ func ParallelFor(n, workers int, fn func(lo, hi int)) {
 		}
 	}
 	parfor(n, workers, fn)
-}
-
-// SessionValue returns the session-scoped singleton for key, building
-// it with build on first use. The value lives for the lifetime of the
-// network's session and is shared by every WithWorkers / WithProbe /
-// WithContext view (a Sharded view has a session - and hence a store - of
-// its own), so orchestrators use it to keep hot state resident across
-// the dozens of phase runs of one pipeline: the recoloring hot-row
-// cache keys per-(step, family) row-table snapshots here, turning the
-// per-candidate atomic table load into a per-run slice resolve.
-//
-// Keys follow the comparable-key conventions of context values: use an
-// unexported struct type so independent packages cannot collide. build
-// runs at most once per key under the session lock - it must not call
-// back into the network - and the stored value must itself be safe for
-// concurrent use, since overlapping runs share it.
-func (net *Network) SessionValue(key any, build func() any) any {
-	sc := net.sess
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if v, ok := sc.values[key]; ok {
-		return v
-	}
-	if sc.values == nil {
-		sc.values = make(map[any]any)
-	}
-	v := build()
-	sc.values[key] = v
-	return v
 }
 
 // Workers returns the worker count this network's runs resolve

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -339,63 +338,6 @@ func TestConcurrentRunsOneNetwork(t *testing.T) {
 		}
 		if diverged[i] {
 			t.Fatalf("goroutine %d: concurrent run diverged from the reference", i)
-		}
-	}
-}
-
-// TestSessionValueOwnership pins the session value store's contract:
-// one build per key per session, the same value returned to every
-// WithWorkers/WithProbe/WithContext view, a fresh store on a Sharded
-// view (fresh session), and safe concurrent access.
-func TestSessionValueOwnership(t *testing.T) {
-	type keyA struct{}
-	type keyB struct{}
-	g, _ := sessionGraph(t, 64)
-	net := NewNetwork(g)
-
-	builds := 0
-	build := func() any { builds++; return &builds }
-	v1 := net.SessionValue(keyA{}, build)
-	v2 := net.SessionValue(keyA{}, build)
-	if v1 != v2 || builds != 1 {
-		t.Fatalf("second lookup rebuilt: %d builds, %p vs %p", builds, v1, v2)
-	}
-	if v := net.WithWorkers(2).SessionValue(keyA{}, build); v != v1 {
-		t.Fatal("WithWorkers view does not share the session value")
-	}
-	if v := net.WithContext(context.Background()).SessionValue(keyA{}, build); v != v1 {
-		t.Fatal("WithContext view does not share the session value")
-	}
-	if net.SessionValue(keyB{}, func() any { return "b" }) == v1 {
-		t.Fatal("distinct keys collide")
-	}
-
-	sh, err := graph.NewSharding(g.N(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := net.Sharded(sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := sharded.SessionValue(keyA{}, func() any { return "fresh" }); v != "fresh" {
-		t.Fatalf("Sharded view inherited the parent session value %v", v)
-	}
-
-	type keyC struct{}
-	var wg sync.WaitGroup
-	got := make([]any, 16)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = net.SessionValue(keyC{}, func() any { return new(int) })
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(got); i++ {
-		if got[i] != got[0] {
-			t.Fatalf("concurrent lookups returned distinct values")
 		}
 	}
 }

@@ -4,15 +4,16 @@ import "fmt"
 
 // This file implements the batched polynomial-evaluation kernel: the
 // allocation-free, division-free primitives the recoloring hot path is
-// built on. The scalar Family.Eval walks one (x, alpha) pair with a
-// division per digit per point; the kernels below amortize the digit
-// decoding over a whole row (one x against the contiguous run of alphas
-// 0..q-1) or a whole block of rows (a contiguous run of x-values), and
-// replace every inner-loop `% q` with a branch-free conditional
-// subtraction, so the steady-state cost per evaluated point is a couple
-// of ALU ops. RowBlock packages an immutable row-table snapshot with
-// the family parameters so hot paths resolve the atomic table pointer
-// once per step instead of once per candidate.
+// built on, and RowBlock, the one surface through which that path reads
+// rows. Scalar Horner evaluation pays a division per digit per point;
+// the kernels below amortize the digit decoding over a whole row (one x
+// against the contiguous run of alphas 0..q-1) or a whole block of rows
+// (a contiguous run of x-values), and replace every inner-loop `% q`
+// with a branch-free conditional subtraction, so the steady-state cost
+// per evaluated point is a couple of ALU ops. RowBlock packages an
+// immutable row-table snapshot with the family parameters so hot paths
+// resolve the atomic table pointer once per step instead of once per
+// candidate.
 //
 // Working sets are L2-resident by construction: a row is q ints (<= 8
 // KiB at the schedule cap), and the agreement walker materializes each
@@ -20,9 +21,9 @@ import "fmt"
 // (reference, candidate, agreement counts) are live at a time.
 
 // maxBatchDegree bounds the stack-resident finite-difference state of
-// the batch kernels. It matches the schedule planner's degree search
-// bound; polynomials of higher degree fall back to a scalar per-point
-// loop (still allocation-free, just slower).
+// the batch kernels, and with it the degree of every family
+// (NewFamilySized rejects a higher one). It matches the schedule
+// planner's degree search bound, so no schedule reaches past it.
 const maxBatchDegree = 64
 
 // RowBlock is a resolved snapshot of a family's evaluation surface: the
@@ -36,19 +37,18 @@ type RowBlock struct {
 	rows   []int
 	cached int
 	q, d   int
-	fam    *Family
 }
 
 // Block returns a snapshot of the family's row table after growing it
 // to cover the palette bound m (EnsureRows; m < 0 skips growth). The
-// snapshot's Row never falls back to the scalar Eval path: indices
-// beyond Cached() are materialized by the batch kernel.
+// snapshot's Row materializes indices beyond Cached() with the batch
+// kernel.
 func (f *Family) Block(m int) RowBlock {
 	if m >= 0 {
 		f.EnsureRows(m)
 	}
 	t := f.tab.Load()
-	return RowBlock{rows: t.rows, cached: t.rowsFor, q: f.fp.Q(), d: f.degree, fam: f}
+	return RowBlock{rows: t.rows, cached: t.rowsFor, q: f.fp.Q(), d: f.degree}
 }
 
 // Q returns the family's field size (the row length).
@@ -61,15 +61,11 @@ func (b *RowBlock) Degree() int { return b.d }
 // precomputed table; Row materializes anything beyond it with BatchEval.
 func (b *RowBlock) Cached() int { return b.cached }
 
-// Family returns the family the snapshot was taken from.
-func (b *RowBlock) Family() *Family { return b.fam }
-
 // Row returns the value vector (phi_x(0), ..., phi_x(q-1)): a read-only
 // view into the table snapshot when x < Cached(), otherwise the row is
 // batch-evaluated into scratch (which must have length >= Q()) and
 // scratch[:Q()] is returned. Callers must not write through a returned
-// table view. Unlike Family.RowView, the beyond-table path never runs
-// the scalar Eval loop.
+// table view.
 //
 //distvet:noalloc
 func (b *RowBlock) Row(x int, scratch []int) []int {
@@ -84,12 +80,13 @@ func (b *RowBlock) Row(x int, scratch []int) []int {
 
 // BatchEval evaluates the one polynomial indexed by x against the
 // contiguous run of points alpha = 0..len(dst)-1, writing phi_x(alpha)
-// into dst. It is exactly equivalent to Family.Eval at every point
-// (same index contract: x must be non-negative and is read modulo
-// q^(d+1)), but decodes the base-q digits of x once and advances a
+// into dst. It equals Horner evaluation at every point (the family's
+// index contract: x must be non-negative and is read modulo q^(d+1)),
+// but decodes the base-q digits of x once and advances a
 // finite-difference ladder with d branch-free conditional-subtraction
 // additions per point, so the inner loop performs no division at all.
-// len(dst) must not exceed q (alpha is a field point).
+// len(dst) must not exceed q (alpha is a field point), and d must lie
+// in [0, maxBatchDegree], like every family's degree.
 //
 //distvet:noalloc
 func BatchEval(q, d, x int, dst []int) {
@@ -98,10 +95,6 @@ func BatchEval(q, d, x int, dst []int) {
 	}
 	if len(dst) > q {
 		panic(fmt.Sprintf("field: %d evaluation points over F_%d", len(dst), q))
-	}
-	if d > maxBatchDegree {
-		batchEvalScalar(q, d, x, dst)
-		return
 	}
 	var digs [maxBatchDegree + 1]int
 	decodeDigits(q, d, x, digs[:d+1])
@@ -167,46 +160,20 @@ func batchEvalDigits(q, d int, digs []int, dst []int) {
 	}
 }
 
-// batchEvalScalar is the degree-overflow fallback of BatchEval: a plain
-// per-point Horner loop, allocation-free but with the scalar division
-// cost. Unreachable from recoloring schedules (their degree search is
-// bounded by maxBatchDegree).
-//
-//distvet:noalloc
-func batchEvalScalar(q, d, x int, dst []int) {
-	for alpha := range dst {
-		p := 1
-		for i := 0; i < d && p <= x/q; i++ {
-			p *= q
-		}
-		acc := 0
-		for ; p > 0; p /= q {
-			acc = (acc*alpha + (x/p)%q) % q
-		}
-		dst[alpha] = acc
-	}
-}
-
 // FillRows evaluates the whole family against a contiguous run of
 // x-values: rows[r*q : (r+1)*q] receives the value vector of function
 // index x0+r, for r = 0..len(rows)/q-1. The digit odometer is advanced
 // incrementally across rows (amortized O(1) divisions per row), so
 // bulk table construction - EnsureRows growth - pays the batch-kernel
-// rate instead of the scalar Eval rate. len(rows) must be a multiple of
-// q; x0 must be non-negative and is read modulo q^(d+1) like every
-// function index.
+// rate. len(rows) must be a multiple of q; x0 must be non-negative and
+// is read modulo q^(d+1) like every function index; d must lie in
+// [0, maxBatchDegree].
 func FillRows(q, d, x0 int, rows []int) {
 	if x0 < 0 {
 		panic(fmt.Sprintf("field: negative function index %d", x0))
 	}
 	if len(rows)%q != 0 {
 		panic(fmt.Sprintf("field: row run of %d ints is not a multiple of q=%d", len(rows), q))
-	}
-	if d > maxBatchDegree {
-		for s, x := 0, x0; s < len(rows); s, x = s+q, x+1 {
-			batchEvalScalar(q, d, x, rows[s:s+q])
-		}
-		return
 	}
 	var digs [maxBatchDegree + 1]int
 	decodeDigits(q, d, x0, digs[:d+1])
@@ -224,25 +191,6 @@ func FillRows(q, d, x0 int, rows []int) {
 	}
 }
 
-// AgreeAdd accumulates one candidate row into the agreement counts:
-// agrees[alpha] += mult at every alpha where row[alpha] == ref[alpha].
-// The loop is branch-free (an equality mask folds mult in), so its cost
-// is independent of how often the rows agree. All three slices must
-// have length >= len(agrees); only agrees[:len(agrees)] is written.
-//
-//distvet:noalloc
-func AgreeAdd(agrees, ref, row []int, mult int) {
-	n := len(agrees)
-	ref = ref[:n]
-	row = row[:n]
-	for i := 0; i < n; i++ {
-		d := row[i] ^ ref[i]
-		// (d | -d) >> 63 is -1 exactly when d != 0: keep mult only on
-		// agreement, with no data-dependent branch.
-		agrees[i] += mult &^ ((d | -d) >> 63)
-	}
-}
-
 // AgreeRun counts, for every point alpha, how many entries of the
 // sorted candidate run ys collide with the reference row at alpha:
 // agrees[alpha] accumulates the multiplicity of every y != skip whose
@@ -253,7 +201,7 @@ func AgreeAdd(agrees, ref, row []int, mult int) {
 // length >= Q() - otherwise), and each row is consumed immediately
 // after materialization so the working set stays at three rows. ec,
 // when non-nil, records one classified count per distinct candidate
-// (table hit or batched evaluation - never a scalar fallback).
+// (table hit or batched evaluation).
 //
 //distvet:noalloc
 func (b *RowBlock) AgreeRun(agrees, ref []int, ys []int, skip int, rowScratch []int, ec *EvalCounters) {
@@ -269,12 +217,10 @@ func (b *RowBlock) AgreeRun(agrees, ref []int, ys []int, skip int, rowScratch []
 			continue
 		}
 		ec.CountRow(b.cached, y)
-		// Open-coded agreement accumulation (the AgreeAdd call overhead
-		// is measurable at sixteen candidates per node per round), and
-		// branchy on purpose: two distinct degree-d polynomials agree on
+		// Branchy on purpose: two distinct degree-d polynomials agree on
 		// at most d of q points, so the branch is almost always not
-		// taken and predicts nearly perfectly - cheaper than AgreeAdd's
-		// data-independent mask on every recoloring workload.
+		// taken and predicts nearly perfectly - cheaper than a
+		// data-independent equality mask on every recoloring workload.
 		row := b.Row(y, rowScratch)[:len(agrees)]
 		r := ref[:len(agrees)]
 		for i := range agrees {

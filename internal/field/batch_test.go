@@ -10,13 +10,14 @@ import (
 // kernel to the scalar reference: over randomized (q, d, x) - primes
 // across the schedule range, degrees through the finite-difference
 // ladder, indices inside and far beyond q^(d+1) - BatchEval must equal
-// Family.Eval at every point, for full rows and clamped prefixes.
+// the Horner reference at every point, for full rows and clamped
+// prefixes.
 func TestBatchEvalMatchesScalarEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	primes := []int{2, 3, 5, 7, 11, 23, 59, 101, 127, 1009}
 	for _, q := range primes {
 		for d := 0; d <= 6; d++ {
-			fam, err := NewFamilySized(q, d, 0) // empty table: Eval only
+			fam, err := NewFamilySized(q, d, 0) // empty table
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,25 +42,6 @@ func TestBatchEvalMatchesScalarEval(t *testing.T) {
 						t.Fatalf("BatchEval(q=%d,d=%d,x=%d)[%d] = %d, Eval = %d", q, d, x, alpha, got, want)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestBatchEvalScalarDegreeFallback covers the degree-overflow path
-// (d > maxBatchDegree): the scalar per-point loop must still match Eval.
-func TestBatchEvalScalarDegreeFallback(t *testing.T) {
-	q, d := 5, maxBatchDegree+3
-	fam, err := NewFamilySized(q, d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, q)
-	for _, x := range []int{0, 1, 42, 1 << 40} {
-		BatchEval(q, d, x, dst)
-		for alpha, got := range dst {
-			if want := fam.Eval(x, alpha); got != want {
-				t.Fatalf("BatchEval(q=%d,d=%d,x=%d)[%d] = %d, Eval = %d", q, d, x, alpha, got, want)
 			}
 		}
 	}
@@ -141,46 +123,10 @@ func TestRowBlockGrowthBoundaries(t *testing.T) {
 	}
 }
 
-// TestAgreeAddMatchesNaive pins the branch-free accumulation against
-// the obvious loop.
-func TestAgreeAddMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 200; trial++ {
-		q := 2 + rng.Intn(120)
-		ref := make([]int, q)
-		row := make([]int, q)
-		for i := range ref {
-			ref[i] = rng.Intn(q)
-			if rng.Intn(3) == 0 {
-				row[i] = ref[i]
-			} else {
-				row[i] = rng.Intn(q)
-			}
-		}
-		mult := 1 + rng.Intn(5)
-		got := make([]int, q)
-		want := make([]int, q)
-		for i := range want {
-			want[i] = rng.Intn(10)
-			got[i] = want[i]
-		}
-		AgreeAdd(got, ref, row, mult)
-		for i := range want {
-			if row[i] == ref[i] {
-				want[i] += mult
-			}
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("q=%d mult=%d: agrees[%d] = %d, want %d", q, mult, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestAgreeRunMatchesNaive pins the grouped run walker (multiplicity
 // grouping, skip color, mixed table/kernel rows) against a per-entry
-// reference.
+// reference, and its counts: one per distinct row, classified by the
+// path that materialized it.
 func TestAgreeRunMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	q, d := 23, 2
@@ -207,9 +153,17 @@ func TestAgreeRunMatchesNaive(t *testing.T) {
 		var ec EvalCounters
 		b.AgreeRun(got, ref, ys, x, rowScratch, &ec)
 		want := make([]int, q)
-		for _, y := range ys {
+		var hits, batched int64
+		for i, y := range ys {
 			if y == x {
 				continue
+			}
+			if i == 0 || ys[i-1] != y {
+				if y < b.Cached() {
+					hits++
+				} else {
+					batched++
+				}
 			}
 			for alpha := 0; alpha < q; alpha++ {
 				if fam.Eval(y, alpha) == fam.Eval(x, alpha) {
@@ -222,8 +176,9 @@ func TestAgreeRunMatchesNaive(t *testing.T) {
 				t.Fatalf("x=%d ys=%v: agrees[%d] = %d, want %d", x, ys, alpha, got[alpha], want[alpha])
 			}
 		}
-		if ec.Fallbacks() != 0 {
-			t.Fatalf("AgreeRun recorded %d scalar fallbacks; kernel path must not have any", ec.Fallbacks())
+		if ec.Hits() != hits || ec.Batched() != batched {
+			t.Fatalf("x=%d ys=%v: counted %d hits / %d batched, want %d / %d (one per distinct row)",
+				x, ys, ec.Hits(), ec.Batched(), hits, batched)
 		}
 	}
 }

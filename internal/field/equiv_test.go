@@ -5,9 +5,31 @@ import (
 	"testing"
 )
 
-// evalPowerSum is the seed Eval, preserved verbatim as the reference for
-// the Horner rewrite: it accumulates powers of alpha term by term over
-// the base-q digits of x.
+// Eval returns phi_x(alpha) by scalar Horner evaluation: the reference
+// the batch kernel (BatchEval, FillRows, RowBlock.Row) is tested
+// against. x is read modulo q^(D+1) - only the D+1 low-order base-q
+// digits are the coefficient vector c_0..c_D - and alpha must lie in
+// [0, Q()).
+func (f *Family) Eval(x, alpha int) int {
+	q := f.fp.Q()
+	// p = q^k for the largest k <= D with q^k <= x; digits above k are
+	// zero (or discarded when x >= q^(D+1)), and leading zeros do not
+	// change Horner's accumulation.
+	p := 1
+	for i := 0; i < f.degree && p <= x/q; i++ {
+		p *= q
+	}
+	// Horner, most significant digit first: acc = acc*alpha + c_i.
+	acc := 0
+	for ; p > 0; p /= q {
+		acc = (acc*alpha + (x/p)%q) % q
+	}
+	return acc
+}
+
+// evalPowerSum is the seed evaluation, preserved verbatim as a second,
+// independent reference: it accumulates powers of alpha term by term
+// over the base-q digits of x.
 func evalPowerSum(q, degree, x, alpha int) int {
 	acc := 0
 	powAlpha := 1
@@ -20,7 +42,7 @@ func evalPowerSum(q, degree, x, alpha int) int {
 	return acc
 }
 
-// TestEvalHornerMatchesPowerSum proves the Horner evaluation is
+// TestEvalHornerMatchesPowerSum proves the Horner reference is
 // bit-for-bit identical to the seed power accumulation, including for
 // indices beyond Size() (both reduce x modulo q^(D+1) per the documented
 // index contract).
@@ -28,7 +50,7 @@ func TestEvalHornerMatchesPowerSum(t *testing.T) {
 	for _, tc := range []struct{ q, d int }{
 		{2, 0}, {2, 3}, {5, 1}, {5, 2}, {7, 2}, {11, 3}, {23, 1}, {101, 2},
 	} {
-		fam, err := NewFamily(tc.q, tc.d)
+		fam, err := NewFamilySized(tc.q, tc.d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,91 +69,103 @@ func TestEvalHornerMatchesPowerSum(t *testing.T) {
 	}
 }
 
+// TestEvalNegativeIndexPanics pins the kernels' index contract: a
+// negative function index is a caller bug and panics instead of
+// evaluating garbage digits.
 func TestEvalNegativeIndexPanics(t *testing.T) {
-	fam, err := NewFamily(7, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		eval func()
+	}{
+		{"BatchEval", func() { BatchEval(7, 2, -1, make([]int, 7)) }},
+		{"FillRows", func() { FillRows(7, 2, -1, make([]int, 7)) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at index -1 did not panic", tc.name)
+				}
+			}()
+			tc.eval()
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Eval(-1, 0) did not panic")
-		}
-	}()
-	fam.Eval(-1, 0)
 }
 
-// TestRowViewMatchesRow checks both RowView paths (table hit and scratch
-// fallback) against Row, and that table hits allocate nothing.
+// TestRowViewMatchesRow checks both RowBlock.Row paths - a view into the
+// table snapshot and a row batch-evaluated into scratch - against the
+// Horner reference row, and that neither allocates.
 func TestRowViewMatchesRow(t *testing.T) {
-	fam, err := NewFamily(5, 2) // size 125, fully cached
+	full, err := NewFamilySized(5, 2, -1) // size 125, fully cached
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fam.RowsCached() != fam.Size() {
-		t.Fatalf("small family not fully cached: %d of %d", fam.RowsCached(), fam.Size())
+	empty, err := NewFamilySized(5, 2, 0) // no table: every row batched
+	if err != nil {
+		t.Fatal(err)
 	}
-	scratch := make([]int, fam.Q())
-	for x := 0; x < fam.Size(); x++ {
-		row := fam.Row(x)
-		view := fam.RowView(x, scratch)
-		for alpha, want := range row {
-			if view[alpha] != want {
-				t.Fatalf("RowView(%d)[%d] = %d, Row says %d", x, alpha, view[alpha], want)
+	hit, miss := full.Block(-1), empty.Block(-1)
+	if hit.Cached() != full.Size() || miss.Cached() != 0 {
+		t.Fatalf("cached rows %d and %d, want %d and 0", hit.Cached(), miss.Cached(), full.Size())
+	}
+	scratch := make([]int, full.Q())
+	for x := 0; x < full.Size(); x++ {
+		for _, b := range []*RowBlock{&hit, &miss} {
+			row := b.Row(x, scratch)
+			for alpha := range row {
+				if want := full.Eval(x, alpha); row[alpha] != want {
+					t.Fatalf("cached=%d: Row(%d)[%d] = %d, Horner says %d", b.Cached(), x, alpha, row[alpha], want)
+				}
 			}
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		fam.RowView(7, scratch)
-	})
-	if allocs != 0 {
-		t.Errorf("RowView table hit allocates %v per run", allocs)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		fam.RowView(fam.Size()+3, scratch) // out-of-table: scratch fallback
-	})
-	if allocs != 0 {
-		t.Errorf("RowView fallback allocates %v per run", allocs)
+	for _, b := range []*RowBlock{&hit, &miss} {
+		if allocs := testing.AllocsPerRun(100, func() { b.Row(7, scratch) }); allocs != 0 {
+			t.Errorf("cached=%d: Row allocates %v per run", b.Cached(), allocs)
+		}
 	}
 }
 
-// TestEvalTableLayout checks the flattened x*q+alpha layout.
+// TestEvalTableLayout checks the snapshot's flattened x*q+alpha layout
+// row by row against the Horner reference.
 func TestEvalTableLayout(t *testing.T) {
-	fam, err := NewFamily(7, 1)
+	fam, err := NewFamilySized(7, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := fam.EvalTable()
-	if len(table) != fam.RowsCached()*fam.Q() {
-		t.Fatalf("table length %d, want %d", len(table), fam.RowsCached()*fam.Q())
+	b := fam.Block(-1)
+	q := b.Q()
+	if len(b.rows) != b.Cached()*q {
+		t.Fatalf("table length %d, want %d", len(b.rows), b.Cached()*q)
 	}
-	for x := 0; x < fam.RowsCached(); x++ {
-		for alpha := 0; alpha < fam.Q(); alpha++ {
-			if table[x*fam.Q()+alpha] != fam.Eval(x, alpha) {
+	for x := 0; x < b.Cached(); x++ {
+		for alpha := 0; alpha < q; alpha++ {
+			if b.rows[x*q+alpha] != fam.Eval(x, alpha) {
 				t.Fatalf("table[%d*q+%d] != Eval", x, alpha)
 			}
 		}
 	}
 }
 
-// TestRowTableCapped checks large families keep a partial table and fall
-// back correctly past it.
+// TestRowTableCapped checks large families keep a partial table and
+// batch-evaluate correctly past it.
 func TestRowTableCapped(t *testing.T) {
-	fam, err := NewFamily(1009, 1) // size 1009^2 ~ 1M; table must be capped
+	fam, err := NewFamilySized(1009, 1, -1) // size 1009^2 ~ 1M; table must be capped
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fam.RowsCached() >= fam.Size() {
-		t.Fatalf("expected capped table, got %d of %d", fam.RowsCached(), fam.Size())
+	b := fam.Block(-1)
+	if b.Cached() >= fam.Size() {
+		t.Fatalf("expected capped table, got %d of %d", b.Cached(), fam.Size())
 	}
-	if got, want := len(fam.EvalTable()), fam.RowsCached()*fam.Q(); got != want {
+	if got, want := len(b.rows), b.Cached()*b.Q(); got != want {
 		t.Fatalf("table length %d, want %d", got, want)
 	}
-	scratch := make([]int, fam.Q())
-	x := fam.RowsCached() + 12345
-	view := fam.RowView(x, scratch)
-	for alpha := 0; alpha < fam.Q(); alpha++ {
-		if view[alpha] != fam.Eval(x, alpha) {
-			t.Fatalf("fallback RowView(%d)[%d] mismatch", x, alpha)
+	scratch := make([]int, b.Q())
+	x := b.Cached() + 12345
+	row := b.Row(x, scratch)
+	for alpha := 0; alpha < b.Q(); alpha++ {
+		if row[alpha] != fam.Eval(x, alpha) {
+			t.Fatalf("beyond-table Row(%d)[%d] mismatch", x, alpha)
 		}
 	}
 }

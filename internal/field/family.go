@@ -9,8 +9,8 @@ import (
 // maxRowTableInts caps the memory a family's precomputed row table gets
 // at construction when no palette bound is known (ints, i.e. 8 MiB at
 // 1<<20). Terminal recoloring families (q up to ~100) are cached in
-// full; larger families keep a partial table and fall back to on-the-fly
-// Horner evaluation.
+// full; larger families keep a partial table, and RowBlock.Row
+// batch-evaluates the rows beyond it.
 const maxRowTableInts = 1 << 20
 
 // maxRowTableGrowInts is the hard ceiling for palette-driven growth
@@ -31,8 +31,10 @@ type rowTable struct {
 
 // Family is a family of functions phi_x : [0,Q) -> [0,Q), indexed by
 // x in [0, Size()), such that any two distinct functions agree on at most
-// Agreement() points. It is realized by polynomials of degree <= D over F_q:
-// the index x is interpreted in base q as the coefficient vector.
+// Degree() points. It is realized by polynomials of degree <= D over F_q:
+// the index x is interpreted in base q as the coefficient vector
+// c_0..c_D, and only the D+1 low-order digits are read, so x and
+// x mod q^(D+1) index the same function.
 //
 // Family satisfies the hypotheses of Lemma 5.1 in the paper (and Lemma 4.3
 // of Kuhn SPAA'09): |A| = |B| = q, k = D, and |F| = q^(D+1) >= M functions.
@@ -41,39 +43,35 @@ type rowTable struct {
 // grows monotonically (EnsureRows) and is published atomically, so a
 // Family is safe for concurrent use throughout. Hot paths should obtain
 // one from the process-wide Families/FamiliesFor cache rather than
-// re-deriving it with NewFamily.
+// re-deriving it with NewFamilySized. Rows are read through a RowBlock
+// snapshot (Block).
 type Family struct {
 	fp     Fp
 	degree int // D: maximum polynomial degree
 	size   int // q^(D+1), clamped to avoid overflow
-	// tab is the current row-table snapshot; RowView, EvalTable and the
-	// EvalCounters classification all read through one atomic load.
+	// tab is the current row-table snapshot; Block reads it with one
+	// atomic load.
 	tab    atomic.Pointer[rowTable]
 	growMu sync.Mutex // serializes EnsureRows growth
 }
 
-// NewFamily constructs a polynomial family over F_q with degree bound d.
-// q must be prime and d >= 0. The family contains q^(d+1) functions
-// (saturating at MaxInt-ish sizes; callers only need size >= their M).
-// The row table is sized by the default construction cap; callers that
-// know their palette bound should use NewFamilySized or FamiliesFor.
-func NewFamily(q, d int) (*Family, error) {
-	return NewFamilySized(q, d, -1)
-}
-
-// NewFamilySized constructs the family with its row table sized to the
-// palette bound m - the number of distinct input colors the caller will
-// evaluate, i.e. the m_i of the recoloring step using the family. The
-// table covers min(m, Size(), maxRowTableGrowInts/q) indices; m < 0
-// means "palette unknown" and falls back to the default construction
-// cap. The table can still grow later via EnsureRows.
+// NewFamilySized constructs the polynomial family over F_q with degree
+// bound d, its row table sized to the palette bound m - the number of
+// distinct input colors the caller will evaluate, i.e. the m_i of the
+// recoloring step using the family. q must be prime and d must lie in
+// [0, maxBatchDegree], the degrees the batch kernel evaluates. The
+// family contains q^(d+1) functions (saturating at MaxInt-ish sizes;
+// callers only need size >= their M). The table covers
+// min(m, Size(), maxRowTableGrowInts/q) indices; m < 0 means "palette
+// unknown" and falls back to the default construction cap. The table
+// can still grow later via EnsureRows.
 func NewFamilySized(q, d, m int) (*Family, error) {
 	fp, err := NewFp(q)
 	if err != nil {
 		return nil, err
 	}
-	if d < 0 {
-		return nil, fmt.Errorf("field: negative degree %d", d)
+	if d < 0 || d > maxBatchDegree {
+		return nil, fmt.Errorf("field: degree %d outside [0, %d]", d, maxBatchDegree)
 	}
 	size := 1
 	for i := 0; i <= d; i++ {
@@ -103,7 +101,7 @@ func NewFamilySized(q, d, m int) (*Family, error) {
 // already computed prefix of t and batch-evaluating the remainder: the
 // appended rows are one contiguous run of function indices, which is
 // exactly FillRows' shape, so table growth pays the division-free
-// kernel rate instead of one scalar Eval per entry.
+// kernel rate.
 func (f *Family) extendRows(t *rowTable, rowsFor int) *rowTable {
 	q := f.fp.Q()
 	rows := make([]int, rowsFor*q)
@@ -118,7 +116,7 @@ func (f *Family) extendRows(t *rowTable, rowsFor int) *rowTable {
 // m - min(m, Size(), maxRowTableGrowInts/q) indices - and returns the
 // resulting RowsCached. Growth is monotone (a smaller m never shrinks
 // the table) and safe for concurrent use; readers keep the snapshot
-// they loaded, so rows handed out by RowView remain valid.
+// they loaded, so earlier RowBlock snapshots remain valid.
 func (f *Family) EnsureRows(m int) int {
 	q := f.fp.Q()
 	target := m
@@ -142,109 +140,16 @@ func (f *Family) EnsureRows(m int) int {
 	return t.rowsFor
 }
 
-// MinimalFamily returns the polynomial family over the smallest prime
-// q >= qMin whose size is at least m, keeping the degree (and hence the
-// pairwise agreement) as small as possible for that q.
-//
-// This is the parameter selection used by every recoloring schedule:
-// the caller knows a lower bound qMin on the field size it needs for the
-// pigeonhole argument, and the number m of input colors it must index.
-func MinimalFamily(qMin, m int) (*Family, error) {
-	if qMin < 2 {
-		qMin = 2
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("field: family must index m >= 1 colors, got %d", m)
-	}
-	q := NextPrime(qMin)
-	// Smallest d with q^(d+1) >= m.
-	d := 0
-	pow := q
-	for pow < m {
-		if pow > (1<<62)/q {
-			break
-		}
-		pow *= q
-		d++
-	}
-	return NewFamily(q, d)
-}
-
 // Q returns the common domain/range size |A| = |B| = q.
 func (f *Family) Q() int { return f.fp.Q() }
 
 // Degree returns the polynomial degree bound D.
 func (f *Family) Degree() int { return f.degree }
 
-// Agreement returns the maximum number of points on which two distinct
-// functions of the family can agree (= Degree()).
-func (f *Family) Agreement() int { return f.degree }
-
 // Size returns the number of functions in the family, q^(D+1).
 func (f *Family) Size() int { return f.size }
 
 // RowsCached returns the number of function indices covered by the
-// precomputed row table (RowView answers those without computing). It
-// only ever grows (EnsureRows).
+// precomputed row table (a RowBlock answers those without computing).
+// It only ever grows (EnsureRows).
 func (f *Family) RowsCached() int { return f.tab.Load().rowsFor }
-
-// Eval returns phi_x(alpha), for function index x and point alpha.
-//
-// Index contract: x must be non-negative (Eval panics otherwise) and is
-// interpreted modulo q^(D+1) — only the D+1 low-order base-q digits of x
-// are read as the coefficient vector c_0..c_D, so Eval(x, alpha) ==
-// Eval(x mod q^(D+1), alpha) for every x >= 0. alpha must lie in
-// [0, Q()). Evaluation is Horner's rule: one multiplication per term.
-func (f *Family) Eval(x, alpha int) int {
-	if x < 0 {
-		panic(fmt.Sprintf("field: negative function index %d", x))
-	}
-	q := f.fp.Q()
-	// p = q^k for the largest k <= D with q^k <= x; digits above k are
-	// zero (or discarded by the index contract when x >= q^(D+1)), and
-	// leading zeros do not change Horner's accumulation.
-	p := 1
-	for i := 0; i < f.degree && p <= x/q; i++ {
-		p *= q
-	}
-	// Horner, most significant digit first: acc = acc*alpha + c_i.
-	acc := 0
-	for ; p > 0; p /= q {
-		acc = (acc*alpha + (x/p)%q) % q
-	}
-	return acc
-}
-
-// RowView returns the value vector (phi_x(0), ..., phi_x(q-1)) without
-// allocating: a read-only view into the precomputed row table when
-// x < RowsCached(), otherwise the row is written into scratch (which must
-// have length >= Q()) and scratch[:Q()] is returned. Callers must not
-// write through the returned slice.
-func (f *Family) RowView(x int, scratch []int) []int {
-	q := f.fp.Q()
-	if t := f.tab.Load(); x < t.rowsFor {
-		return t.rows[x*q : x*q+q : x*q+q]
-	}
-	row := scratch[:q]
-	for alpha := 0; alpha < q; alpha++ {
-		row[alpha] = f.Eval(x, alpha)
-	}
-	return row
-}
-
-// EvalTable exposes the precomputed row table: a flattened
-// RowsCached() x Q() matrix with phi_x(alpha) at index x*Q()+alpha.
-// The returned slice is an immutable snapshot (later EnsureRows growth
-// is not reflected in it) and must not be modified.
-func (f *Family) EvalTable() []int { return f.tab.Load().rows }
-
-// Row materializes the value vector (phi_x(0), ..., phi_x(q-1)).
-// Convenient for tests and for nodes that evaluate all points anyway.
-// Unlike RowView, the returned slice is freshly allocated and owned by
-// the caller.
-func (f *Family) Row(x int) []int {
-	q := f.fp.Q()
-	row := make([]int, q)
-	copy(row, f.RowView(x, row))
-	return row
-}

@@ -17,7 +17,7 @@ func TestFamiliesForPaletteSizing(t *testing.T) {
 	if fam.RowsCached() != 500 {
 		t.Fatalf("palette 500 sized table to %d rows", fam.RowsCached())
 	}
-	snapshot := fam.EvalTable()
+	snapshot := fam.Block(-1)
 
 	// A smaller palette never shrinks the table.
 	again, err := FamiliesFor(q, 1, 200)
@@ -31,22 +31,24 @@ func TestFamiliesForPaletteSizing(t *testing.T) {
 		t.Fatalf("palette 200 shrank table to %d rows", fam.RowsCached())
 	}
 
-	// Growth extends the table and the new rows match Eval.
+	// Growth extends the table; old and new rows match Eval.
 	if got := fam.EnsureRows(700); got != 700 {
 		t.Fatalf("EnsureRows(700) = %d", got)
 	}
+	grown := fam.Block(-1)
 	scratch := make([]int, q)
-	for _, x := range []int{499, 500, 699} {
-		view := fam.RowView(x, scratch)
+	for _, x := range []int{0, 1, 499, 500, 699} {
+		row := grown.Row(x, scratch)
 		for alpha := 0; alpha < q; alpha++ {
-			if view[alpha] != fam.Eval(x, alpha) {
-				t.Fatalf("grown RowView(%d)[%d] mismatch", x, alpha)
+			if row[alpha] != fam.Eval(x, alpha) {
+				t.Fatalf("grown Row(%d)[%d] mismatch", x, alpha)
 			}
 		}
 	}
 	// The pre-growth snapshot stays a valid (smaller) table.
-	if len(snapshot) != 500*q {
-		t.Fatalf("pre-growth snapshot length %d, want %d", len(snapshot), 500*q)
+	if snapshot.Cached() != 500 || len(snapshot.rows) != 500*q {
+		t.Fatalf("pre-growth snapshot covers %d rows in %d ints, want 500 in %d",
+			snapshot.Cached(), len(snapshot.rows), 500*q)
 	}
 
 	// An over-large palette saturates at the growth ceiling, which beats
@@ -112,9 +114,9 @@ func TestEnsureRowsConcurrent(t *testing.T) {
 			defer wg.Done()
 			scratch := make([]int, q)
 			for x := 0; x < 5000; x += 7 {
-				view := fam.RowView(x, scratch)
-				if view[1] != fam.Eval(x, 1) {
-					t.Errorf("RowView(%d) inconsistent during growth", x)
+				b := fam.Block(-1)
+				if b.Row(x, scratch)[1] != fam.Eval(x, 1) {
+					t.Errorf("Row(%d) inconsistent during growth", x)
 					return
 				}
 			}

@@ -64,20 +64,3 @@ func NewFp(q int) (Fp, error) {
 
 // Q returns the field modulus.
 func (f Fp) Q() int { return f.q }
-
-// Add returns a+b mod q.
-func (f Fp) Add(a, b int) int { return (a + b) % f.q }
-
-// Mul returns a*b mod q. Operands must lie in [0, q).
-func (f Fp) Mul(a, b int) int { return (a * b) % f.q }
-
-// Eval evaluates the polynomial with coefficient slice coeffs
-// (coeffs[i] is the coefficient of x^i) at point x, all mod q.
-func (f Fp) Eval(coeffs []int, x int) int {
-	// Horner's rule.
-	acc := 0
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*x + coeffs[i]) % f.q
-	}
-	return acc
-}

@@ -7,47 +7,26 @@ import (
 )
 
 // This file implements process-wide evaluation statistics for the
-// row-table fast path vs. the Horner fallback of Family.RowView/Eval -
-// the pipeline's one known hot spot (~55% of single-core wall per
-// ROADMAP). Counting is opt-in: with stats disabled (the default),
-// callers hold nil *EvalCounters and the hot path pays nothing beyond a
-// nil check. With stats enabled, counters are shared per (step, q, d)
-// key and incremented atomically, so they are exact under any worker
-// count (including -race runs).
+// recoloring row surface (RowBlock.Row and AgreeRun): how many rows the
+// precomputed table answered and how many the batch kernel evaluated.
+// Counting is opt-in: with stats disabled (the default), callers hold
+// nil *EvalCounters and the hot path pays nothing beyond a nil check.
+// With stats enabled, counters are shared per (step, q, d) key and
+// incremented atomically, so they are exact under any worker count
+// (including -race runs).
 
 // EvalCounters tallies row evaluations at one call site family: hits
 // are evaluations answered by the precomputed row table, batched are
-// rows materialized by the division-free batch kernel (batch.go), and
-// fallbacks recompute the row with the scalar Horner loop of
-// Family.Eval. The recoloring pipeline's kernel path only ever counts
-// hits and batched evaluations - a nonzero fallback count means some
-// caller still drops to the scalar walk, which the CI eval gate treats
-// as a regression. All methods are safe for concurrent use and no-ops
-// on a nil receiver.
+// rows materialized by the division-free batch kernel (batch.go). All
+// methods are safe for concurrent use and no-ops on a nil receiver.
 type EvalCounters struct {
-	hits      atomic.Int64
-	batched   atomic.Int64
-	fallbacks atomic.Int64
-}
-
-// Count records one row evaluation of family f at function index x,
-// classifying it exactly as RowView does (table hit iff x < RowsCached,
-// scalar fallback otherwise).
-func (c *EvalCounters) Count(f *Family, x int) {
-	if c == nil {
-		return
-	}
-	if x < f.tab.Load().rowsFor {
-		c.hits.Add(1)
-	} else {
-		c.fallbacks.Add(1)
-	}
+	hits    atomic.Int64
+	batched atomic.Int64
 }
 
 // CountRow records one row evaluation through a RowBlock whose snapshot
 // covers cached rows, classifying it exactly as RowBlock.Row does:
-// table hit iff x < cached, batched kernel evaluation otherwise. The
-// kernel path never produces a scalar fallback.
+// table hit iff x < cached, batched kernel evaluation otherwise.
 //
 //distvet:noalloc
 func (c *EvalCounters) CountRow(cached, x int) {
@@ -77,33 +56,27 @@ func (c *EvalCounters) Batched() int64 {
 	return c.batched.Load()
 }
 
-// Fallbacks returns the Horner-fallback count.
-func (c *EvalCounters) Fallbacks() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.fallbacks.Load()
-}
-
 // EvalStat is one row of the process-wide snapshot: the counter key
 // (recoloring step index plus the family's field size and degree) and
 // its totals.
 type EvalStat struct {
-	Step      int   `json:"step"`
-	Q         int   `json:"q"`
-	D         int   `json:"d"`
-	Hits      int64 `json:"hits"`
-	Batched   int64 `json:"batched,omitempty"`
+	Step    int   `json:"step"`
+	Q       int   `json:"q"`
+	D       int   `json:"d"`
+	Hits    int64 `json:"hits"`
+	Batched int64 `json:"batched,omitempty"`
+	// Fallbacks is always 0: no row is evaluated outside the table and
+	// the batch kernel. It stays because perfbench's
+	// field.evals_fallback metric and the trace's fallbacks key read it.
 	Fallbacks int64 `json:"fallbacks"`
 }
 
 // Total returns hits + batched + fallbacks.
 func (s EvalStat) Total() int64 { return s.Hits + s.Batched + s.Fallbacks }
 
-// HitRate returns hits / Total(), or 1 when nothing was counted (an
-// untouched family has no fallbacks to report). Batched kernel
-// evaluations count against the rate - they are cheaper than scalar
-// fallbacks but still cost arithmetic the table answers for free.
+// HitRate returns hits / Total(), or 1 when nothing was counted.
+// Batched kernel evaluations count against the rate - they cost
+// arithmetic the table answers for free.
 func (s EvalStat) HitRate() float64 {
 	t := s.Total()
 	if t == 0 {
@@ -178,7 +151,7 @@ func EvalStatsSnapshot() []EvalStat {
 	for k, c := range evalStats.counters {
 		out = append(out, EvalStat{
 			Step: k.step, Q: k.q, D: k.d,
-			Hits: c.hits.Load(), Batched: c.batched.Load(), Fallbacks: c.fallbacks.Load(),
+			Hits: c.hits.Load(), Batched: c.batched.Load(),
 		})
 	}
 	evalStats.mu.Unlock()

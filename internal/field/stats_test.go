@@ -5,29 +5,30 @@ import (
 	"testing"
 )
 
-// TestEvalCountersClassification pins Count against RowView's own
-// criterion: x < RowsCached is a table hit, anything else a Horner
-// fallback. A nil counter must be a safe no-op.
+// TestEvalCountersClassification pins CountRow against RowBlock.Row's
+// own criterion: x < Cached is a table hit, anything else a batched
+// kernel evaluation. A nil counter must be a safe no-op.
 func TestEvalCountersClassification(t *testing.T) {
 	// A first-step-sized family whose row table is partial.
 	fam, err := Families(101, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fam.RowsCached() >= fam.Size() {
-		t.Skipf("family q=101 d=2 fully cached; fallback unreachable")
+	b := fam.Block(-1)
+	if b.Cached() >= fam.Size() {
+		t.Skipf("family q=101 d=2 fully cached; beyond-table path unreachable")
 	}
 	var c EvalCounters
-	c.Count(fam, 0)
-	c.Count(fam, fam.RowsCached()-1)
-	c.Count(fam, fam.RowsCached())
-	c.Count(fam, fam.Size()-1)
-	if c.Hits() != 2 || c.Fallbacks() != 2 {
-		t.Fatalf("hits=%d fallbacks=%d, want 2/2", c.Hits(), c.Fallbacks())
+	c.CountRow(b.Cached(), 0)
+	c.CountRow(b.Cached(), b.Cached()-1)
+	c.CountRow(b.Cached(), b.Cached())
+	c.CountRow(b.Cached(), fam.Size()-1)
+	if c.Hits() != 2 || c.Batched() != 2 {
+		t.Fatalf("hits=%d batched=%d, want 2/2", c.Hits(), c.Batched())
 	}
 	var nilC *EvalCounters
-	nilC.Count(fam, 0) // must not panic
-	if nilC.Hits() != 0 || nilC.Fallbacks() != 0 {
+	nilC.CountRow(b.Cached(), 0) // must not panic
+	if nilC.Hits() != 0 || nilC.Batched() != 0 {
 		t.Fatal("nil counter reported counts")
 	}
 }
@@ -35,8 +36,8 @@ func TestEvalCountersClassification(t *testing.T) {
 // TestEvalCountersPaletteHitRate pins the payoff of palette-sized row
 // tables: counting every index a step with palette bound m can evaluate
 // yields hit rate 1 on a FamiliesFor-sized family, while the same
-// workload on a default-cap family of comparable size falls back past
-// its fixed table.
+// workload on a default-cap family of comparable size batch-evaluates
+// past its fixed table.
 func TestEvalCountersPaletteHitRate(t *testing.T) {
 	const palette = 5000
 	sized, err := FamiliesFor(1013, 1, palette) // fresh key, palette-sized
@@ -47,13 +48,14 @@ func TestEvalCountersPaletteHitRate(t *testing.T) {
 		t.Fatalf("palette-sized table covers %d rows, want %d", sized.RowsCached(), palette)
 	}
 	var c EvalCounters
+	cached := sized.RowsCached()
 	for x := 0; x < palette; x++ {
-		c.Count(sized, x)
+		c.CountRow(cached, x)
 	}
-	stat := EvalStat{Hits: c.Hits(), Fallbacks: c.Fallbacks()}
-	if stat.Fallbacks != 0 || stat.HitRate() != 1 {
-		t.Fatalf("palette-sized family: %d fallbacks, hit rate %v; want 0 / 1",
-			stat.Fallbacks, stat.HitRate())
+	stat := EvalStat{Hits: c.Hits(), Batched: c.Batched()}
+	if stat.Batched != 0 || stat.HitRate() != 1 {
+		t.Fatalf("palette-sized family: %d batched, hit rate %v; want 0 / 1",
+			stat.Batched, stat.HitRate())
 	}
 
 	def, err := Families(1019, 1) // fresh key, default construction cap
@@ -61,15 +63,15 @@ func TestEvalCountersPaletteHitRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if def.RowsCached() >= palette {
-		t.Fatalf("default table covers %d rows; fallback regime unreachable", def.RowsCached())
+		t.Fatalf("default table covers %d rows; beyond-table regime unreachable", def.RowsCached())
 	}
 	var d EvalCounters
 	for x := 0; x < palette; x++ {
-		d.Count(def, x)
+		d.CountRow(def.RowsCached(), x)
 	}
-	if d.Hits() != int64(def.RowsCached()) || d.Fallbacks() != int64(palette-def.RowsCached()) {
-		t.Fatalf("default-cap family hits=%d fallbacks=%d, want %d/%d",
-			d.Hits(), d.Fallbacks(), def.RowsCached(), palette-def.RowsCached())
+	if d.Hits() != int64(def.RowsCached()) || d.Batched() != int64(palette-def.RowsCached()) {
+		t.Fatalf("default-cap family hits=%d batched=%d, want %d/%d",
+			d.Hits(), d.Batched(), def.RowsCached(), palette-def.RowsCached())
 	}
 }
 
@@ -80,6 +82,7 @@ func TestEvalCountersConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cached := fam.RowsCached()
 	var c EvalCounters
 	const goroutines, per = 8, 1000
 	var wg sync.WaitGroup
@@ -88,12 +91,12 @@ func TestEvalCountersConcurrent(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				c.Count(fam, (seed*per+j)%fam.Size())
+				c.CountRow(cached, (seed*per+j)%(2*cached))
 			}
 		}(i)
 	}
 	wg.Wait()
-	if total := c.Hits() + c.Fallbacks(); total != goroutines*per {
+	if total := c.Hits() + c.Batched(); total != goroutines*per {
 		t.Fatalf("total %d, want %d", total, goroutines*per)
 	}
 }
@@ -121,12 +124,8 @@ func TestEvalStatsRegistry(t *testing.T) {
 		t.Fatal("same key resolved to different counters")
 	}
 	other := StepCounters(0, 29, 2)
-	fam, err := Families(23, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Count(fam, 0)
-	a.Count(fam, 1)
+	a.CountRow(23*23, 0)
+	a.CountRow(23*23, 1)
 	snap := EvalStatsSnapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d entries, want 2", len(snap))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // Binary graph format ("DCG1"), the large-instance companion of the text
@@ -161,13 +160,16 @@ func OpenBinary(path string) (*Graph, error) {
 }
 
 // ReadBinary parses the DCG1 binary format through a chunked single-pass
-// reader: shards stream through a fixed-size record buffer into a flat
+// reader: shards stream through a fixed-size record buffer
+// (scanBinEdges, the framing parser ReadBinaryShards shares) into a flat
 // endpoint array, and the adjacency structure is carved out of one
 // backing allocation. It validates magic, version, declared sizes, edge
 // endpoints, self-loops, duplicates and trailing garbage, and bounds its
 // allocations by the input size (a seekable r is probed for a byte-size
 // hint; otherwise edge storage grows only as records actually arrive),
-// so it is safe on untrusted input (see FuzzReadBinary).
+// so it is safe on untrusted input (see FuzzReadBinary). One pass is
+// all it needs, so r need not be seekable (Load hands it a
+// bufio.Reader).
 func ReadBinary(r io.Reader) (*Graph, error) {
 	hint := byteSizeHint(r)
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -188,41 +190,15 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	// force a huge allocation up front.
 	ends := make([]uint32, 0, min(2*m, 1<<20))
 	buf := make([]byte, 8*min(int(shard), 1<<13))
-	remaining := m
-	for si := 0; remaining > 0; si++ {
-		var cb [4]byte
-		if _, err := io.ReadFull(br, cb[:]); err != nil {
-			return nil, fmt.Errorf("graph: shard %d header: %w", si, err)
+	err = scanBinEdges(br, m, int(shard), buf, func(u, v uint32) error {
+		if err := checkBinEdge(u, v, n); err != nil {
+			return err
 		}
-		count := int(binary.LittleEndian.Uint32(cb[:]))
-		if count < 1 || count > int(shard) {
-			return nil, fmt.Errorf("graph: shard %d declares %d edges (shard size %d)", si, count, shard)
-		}
-		if count > remaining {
-			return nil, fmt.Errorf("graph: shard %d declares %d edges, only %d remain of m=%d", si, count, remaining, m)
-		}
-		for count > 0 {
-			k := min(count, len(buf)/8)
-			if _, err := io.ReadFull(br, buf[:k*8]); err != nil {
-				return nil, fmt.Errorf("graph: shard %d records: %w", si, err)
-			}
-			for i := 0; i < k; i++ {
-				u := binary.LittleEndian.Uint32(buf[i*8:])
-				v := binary.LittleEndian.Uint32(buf[i*8+4:])
-				if u >= uint32(n) || v >= uint32(n) {
-					return nil, fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", m-remaining+i, u, v, n)
-				}
-				if u == v {
-					return nil, fmt.Errorf("graph: edge %d is a self-loop at %d", m-remaining+i, u)
-				}
-				ends = append(ends, u, v)
-			}
-			count -= k
-			remaining -= k
-		}
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("graph: trailing data after %d edges", m)
+		ends = append(ends, u, v)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Carve the adjacency lists out of one backing array (CSR layout).
@@ -243,14 +219,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		adj[u] = append(adj[u], v)
 		adj[v] = append(adj[v], u)
 	}
-	for v := 0; v < n; v++ {
-		l := adj[v]
-		sort.Ints(l)
-		for i := 1; i < len(l); i++ {
-			if l[i] == l[i-1] {
-				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", min(v, l[i]), max(v, l[i]))
-			}
-		}
+	if err := sortAdjacency(adj); err != nil {
+		return nil, err
 	}
 	return &Graph{n: n, m: m, adj: adj}, nil
 }

@@ -243,11 +243,8 @@ func ReadBinaryShards(rs io.ReadSeeker, shards int) (*Graph, Sharding, error) {
 	deg := make([]int32, n)
 	buf := make([]byte, 8*min(int(shardSize), 1<<13))
 	err = scanBinEdges(bufio.NewReaderSize(rs, 1<<20), m, int(shardSize), buf, func(u, v uint32) error {
-		if u >= uint32(n) || v >= uint32(n) {
-			return fmt.Errorf("edge (%d,%d) out of range [0,%d)", u, v, n)
-		}
-		if u == v {
-			return fmt.Errorf("edge is a self-loop at %d", u)
+		if err := checkBinEdge(u, v, n); err != nil {
+			return err
 		}
 		deg[u]++
 		deg[v]++
@@ -270,7 +267,7 @@ func ReadBinaryShards(rs io.ReadSeeker, shards int) (*Graph, Sharding, error) {
 		backing := make([]int, total)
 		off := 0
 		for v := lo; v < hi; v++ {
-			adj[v] = backing[off:off : off+int(deg[v])]
+			adj[v] = backing[off : off : off+int(deg[v])]
 			off += int(deg[v])
 		}
 	}
@@ -295,14 +292,8 @@ func ReadBinaryShards(rs io.ReadSeeker, shards int) (*Graph, Sharding, error) {
 	if err != nil {
 		return nil, Sharding{}, err
 	}
-	for v := 0; v < n; v++ {
-		l := adj[v]
-		sort.Ints(l)
-		for i := 1; i < len(l); i++ {
-			if l[i] == l[i-1] {
-				return nil, Sharding{}, fmt.Errorf("graph: duplicate edge (%d,%d)", min(v, l[i]), max(v, l[i]))
-			}
-		}
+	if err := sortAdjacency(adj); err != nil {
+		return nil, Sharding{}, err
 	}
 	return &Graph{n: n, m: m, adj: adj}, sh, nil
 }
@@ -343,6 +334,33 @@ func scanBinEdges(br *bufio.Reader, m, shardSize int, buf []byte, visit func(u, 
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return fmt.Errorf("graph: trailing data after %d edges", m)
+	}
+	return nil
+}
+
+// checkBinEdge is the per-record check both DCG1 readers apply: the
+// endpoints must lie in [0, n) and differ.
+func checkBinEdge(u, v uint32, n int) error {
+	if u >= uint32(n) || v >= uint32(n) {
+		return fmt.Errorf("edge (%d,%d) out of range [0,%d)", u, v, n)
+	}
+	if u == v {
+		return fmt.Errorf("edge is a self-loop at %d", u)
+	}
+	return nil
+}
+
+// sortAdjacency sorts every adjacency list in place - the order that
+// fixes the engine's port numbering - and rejects a repeated neighbor,
+// which is a duplicate edge of the input.
+func sortAdjacency(adj [][]int) error {
+	for v, l := range adj {
+		sort.Ints(l)
+		for i := 1; i < len(l); i++ {
+			if l[i] == l[i-1] {
+				return fmt.Errorf("graph: duplicate edge (%d,%d)", min(v, l[i]), max(v, l[i]))
+			}
+		}
 	}
 	return nil
 }

@@ -1,11 +1,28 @@
 package recolor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/field"
 )
+
+// recolorOnce is the convenience form of the step core used by tests:
+// it resolves the memoized family for the step and runs the zero-alloc
+// core on fresh scratch. The caller's conflictColors slice is not
+// modified.
+func recolorOnce(step Step, x int, conflictColors []int) int {
+	fam, err := field.Families(step.Q, step.D)
+	if err != nil {
+		panic(fmt.Sprintf("recolor: invalid step %+v: %v", step, err))
+	}
+	b := fam.Block(-1)
+	var sc stepScratch
+	sc.grow(step.Q)
+	conflicts := append([]int(nil), conflictColors...)
+	return sc.recolorOnce(&b, x, conflicts, nil)
+}
 
 // TestRecolorOnceMatchesReference proves the memoized zero-alloc step is
 // bit-for-bit identical to the seed implementation across realistic and
@@ -45,11 +62,6 @@ func TestRecolorOnceMatchesReference(t *testing.T) {
 			got := recolorOnce(step, x, conflicts)
 			if got != want {
 				t.Fatalf("step %+v x=%d conflicts=%v: got %d, ref %d", step, x, conflicts, got, want)
-			}
-			var sc stepScratch
-			sc.grow(step.Q)
-			if old := sc.recolorOncePerCandidate(fam, x, append([]int(nil), conflicts...)); old != want {
-				t.Fatalf("step %+v x=%d conflicts=%v: per-candidate comparator %d, ref %d", step, x, conflicts, old, want)
 			}
 		}
 	}

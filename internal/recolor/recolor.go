@@ -53,10 +53,9 @@ type Algo struct {
 // every node of the run reads but never writes, resolved once by
 // NewAlgo and reached from every Algo value through one pointer.
 type algoRT struct {
-	// blocks is the per-step row-table snapshot (palette-sized via the
-	// kernel resolve in stepBlocks, or the session hot-row cache when
-	// the run came through RunUniform); the step loop never touches the
-	// family's atomic table pointer.
+	// blocks is the per-step row-table snapshot, resolved once per run
+	// by stepBlocks and sized to each step's palette; the step loop
+	// never touches the family's atomic table pointer.
 	blocks []field.RowBlock
 	// stats holds the shared per-step eval counters when process-wide
 	// stats are on (field.SetEvalStats); nil otherwise, so the hot path
@@ -122,7 +121,7 @@ func counter(stats []*field.EvalCounters, step int) *field.EvalCounters {
 // stepScratch holds the reusable buffers of the recoloring step loop;
 // once grown, a step performs no allocations.
 type stepScratch struct {
-	myRow  []int // fallback row buffer for indices beyond the cached table
+	myRow  []int // row buffer for indices beyond the cached table
 	nbrRow []int
 	agrees []int
 }
@@ -161,46 +160,31 @@ func (a *Algo) InitWords(n *dist.Node) {
 	n.SendAllWord(int64(color))
 }
 
-// stepBlocks resolves one row-table snapshot per schedule step: the
-// memoized family (stepFamilies), grown to the step's palette bound and
-// snapshotted once, so the step loop indexes a slice and never touches
-// the family's atomic table pointer.
-func stepBlocks(plan Schedule) []field.RowBlock {
-	fams := stepFamilies(plan)
-	if fams == nil {
-		return nil
-	}
-	blocks := make([]field.RowBlock, len(fams))
-	palette := plan.M0
-	for i, step := range plan.Steps {
-		blocks[i] = fams[i].Block(palette)
-		palette = step.Q * step.Q
-	}
-	return blocks
-}
-
-// stepFamilies resolves the memoized family of every step once, at
-// construction, so the step loop only indexes a slice. Each family's row table is
-// sized to the step's actual palette bound (field.FamiliesFor): step 0
-// evaluates colors in [0, M0), step i colors in [0, Q_{i-1}^2), so the
-// shared cache grows exactly to what the schedule's evaluation loop
+// stepBlocks resolves one row-table snapshot per schedule step, once
+// per run, so the step loop indexes a slice and never touches a
+// family's atomic table pointer. Each step's memoized family
+// (field.FamiliesFor) is grown to the step's palette bound before the
+// snapshot is taken: step 0 evaluates colors in [0, M0), step i colors
+// in [0, Q_{i-1}^2), so the shared table covers exactly what the step
 // will index instead of the fixed construction cap.
-func stepFamilies(plan Schedule) []*field.Family {
+func stepBlocks(plan Schedule) []field.RowBlock {
 	if len(plan.Steps) == 0 {
 		return nil
 	}
-	fams := make([]*field.Family, len(plan.Steps))
+	blocks := make([]field.RowBlock, len(plan.Steps))
 	palette := plan.M0
 	for i, step := range plan.Steps {
 		fam, err := field.FamiliesFor(step.Q, step.D, palette)
 		if err != nil {
-			// Unreachable: schedules only contain prime moduli (Validate).
+			// Unreachable: schedules only contain prime moduli
+			// (Validate), and Plan searches degrees up to
+			// maxDegreeSearch, the field kernel's limit.
 			panic(fmt.Sprintf("recolor: invalid step %+v: %v", step, err))
 		}
-		fams[i] = fam
+		blocks[i] = fam.Block(palette)
 		palette = step.Q * step.Q
 	}
-	return fams
+	return blocks
 }
 
 // stepEvalCounters resolves the shared per-step eval counters of the
@@ -216,57 +200,6 @@ func stepEvalCounters(plan Schedule) []*field.EvalCounters {
 		cs[i] = field.StepCounters(i, step.Q, step.D)
 	}
 	return cs
-}
-
-// hotRowsKey keys the per-session hot-row cache in the network's
-// session value store (dist.Network.SessionValue).
-type hotRowsKey struct{}
-
-// hotKey identifies one schedule step's resolved row surface: the step
-// index plus the family parameters and palette bound that sized its
-// table.
-type hotKey struct{ step, q, d, palette int }
-
-// hotRows is the session-scratch hot-row cache: per (step, family) the
-// row-table snapshot the session's runs share. Families and their
-// tables are process-wide already; what the cache pins is the resolved
-// RowBlock value itself, so repeated runs over the same network reuse
-// one snapshot (one rows slice) instead of re-touching the family's
-// atomic table pointer per run. Entries only ever advance to snapshots
-// covering at least as many rows (EnsureRows growth is monotone), so a
-// cached block is always interchangeable with a fresh resolve.
-type hotRows struct {
-	mu     sync.Mutex
-	blocks map[hotKey]field.RowBlock
-}
-
-// bindSession swaps the algorithm's per-step snapshots against the
-// network session's hot-row cache: a cached snapshot covering as many
-// rows as the fresh resolve replaces it (slice reuse across runs);
-// otherwise the fresh, larger snapshot becomes the cached one. The
-// exchange never changes any evaluated value - blocks of the same
-// (q, d) family view the same monotone table - so colors and counter
-// classifications are identical with or without the cache.
-func (a Algo) bindSession(net *dist.Network) {
-	if a.rt == nil || len(a.rt.blocks) == 0 {
-		return
-	}
-	hot := net.SessionValue(hotRowsKey{}, func() any {
-		return &hotRows{blocks: make(map[hotKey]field.RowBlock)}
-	}).(*hotRows)
-	hot.mu.Lock()
-	defer hot.mu.Unlock()
-	palette := a.P.M0
-	for i := range a.rt.blocks {
-		b := &a.rt.blocks[i]
-		k := hotKey{step: i, q: b.Q(), d: b.Degree(), palette: palette}
-		if cached, ok := hot.blocks[k]; ok && cached.Cached() >= b.Cached() {
-			*b = cached
-		} else {
-			hot.blocks[k] = *b
-		}
-		palette = k.q * k.q
-	}
 }
 
 // wordScratch is the transient per-step buffer set, recycled through
@@ -319,10 +252,9 @@ func (a *Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 // is weighted by its multiplicity (agreement counts are per neighbor)
 // and its row materialized at most once - a view into the block's table
 // snapshot, or the division-free finite-difference kernel into scratch.
-// No allocations, no atomic table loads, and no scalar Eval fallbacks on
-// any input. ec, when non-nil, classifies every row materialization as
-// a table hit or a batched kernel evaluation - exactly one count per
-// distinct row.
+// No allocations and no atomic table loads on any input. ec, when
+// non-nil, classifies every row materialization as a table hit or a
+// batched kernel evaluation - exactly one count per distinct row.
 //
 //distvet:noalloc
 func (sc *stepScratch) recolorOnce(b *field.RowBlock, x int, conflictColors []int, ec *field.EvalCounters) int {
@@ -340,21 +272,6 @@ func (sc *stepScratch) recolorOnce(b *field.RowBlock, x int, conflictColors []in
 		}
 	}
 	return bestAlpha*q + myRow[bestAlpha]
-}
-
-// recolorOnce is the convenience form used by tests: it resolves the
-// memoized family for the step and runs the zero-alloc core on fresh
-// scratch. The caller's conflictColors slice is not modified.
-func recolorOnce(step Step, x int, conflictColors []int) int {
-	fam, err := field.Families(step.Q, step.D)
-	if err != nil {
-		panic(fmt.Sprintf("recolor: invalid step %+v: %v", step, err))
-	}
-	b := fam.Block(-1)
-	var sc stepScratch
-	sc.grow(step.Q)
-	conflicts := append([]int(nil), conflictColors...)
-	return sc.recolorOnce(&b, x, conflicts, nil)
 }
 
 // Result reports a whole-graph recoloring run.
@@ -380,7 +297,6 @@ func RunUniform(net *dist.Network, p Params, dirs []int64, labels []int, active 
 	if err != nil {
 		return dist.RunStats{}, err
 	}
-	algo.bindSession(net)
 	res, err := net.Run(&algo, dist.RunOptions{InputWords: dirs, Labels: labels, Active: active})
 	if err != nil {
 		return dist.RunStats{}, err

@@ -31,15 +31,14 @@ func TestRecolorOnceCountsExactly(t *testing.T) {
 	if got := c.Hits() + c.Batched(); got != want {
 		t.Fatalf("counted %d evaluations, want %d", got, want)
 	}
-	if c.Fallbacks() != 0 || c.Batched() != 0 {
-		t.Fatalf("batched=%d fallbacks=%d on a fully cached family, want 0/0", c.Batched(), c.Fallbacks())
+	if c.Batched() != 0 {
+		t.Fatalf("batched=%d on a fully cached family, want 0", c.Batched())
 	}
 }
 
 // TestRecolorOnceCountsBatched forces the beyond-table path: function
 // indices at or past the cached row table must land in the batched
-// bucket - the kernel materializes them division-free - and the scalar
-// fallback bucket must stay empty on every input.
+// bucket - the kernel materializes them division-free.
 func TestRecolorOnceCountsBatched(t *testing.T) {
 	plan := Plan(100000, 16, 0)
 	step := plan.Steps[0]
@@ -59,9 +58,6 @@ func TestRecolorOnceCountsBatched(t *testing.T) {
 	sc.recolorOnce(&b, x, conflicts, &c)
 	if c.Hits() != 1 || c.Batched() != 3 {
 		t.Fatalf("hits=%d batched=%d, want 1/3", c.Hits(), c.Batched())
-	}
-	if c.Fallbacks() != 0 {
-		t.Fatalf("%d scalar fallbacks; the kernel path must never take one", c.Fallbacks())
 	}
 }
 
@@ -101,9 +97,9 @@ func TestEvalStatsWordMatchesBoxed(t *testing.T) {
 }
 
 // TestStepFamiliesPaletteHitRate pins the palette-sized row tables end
-// to end: stepFamilies sizes every step's table to its actual palette
+// to end: stepBlocks sizes every step's table to its actual palette
 // bound (m_0 = M0, m_i = Q_{i-1}^2), so a full run whose bounds fit
-// under the growth ceiling evaluates with zero Horner fallbacks - hit
+// under the growth ceiling evaluates every row off the table - hit
 // rate 1 on every step counter.
 func TestStepFamiliesPaletteHitRate(t *testing.T) {
 	defer func() {
@@ -119,13 +115,17 @@ func TestStepFamiliesPaletteHitRate(t *testing.T) {
 		t.Fatal("schedule degenerate; pick a sparser test graph")
 	}
 
-	fams := stepFamilies(plan)
 	palette := plan.M0
-	for i, fam := range fams {
-		if want := min(palette, fam.Size()); fam.RowsCached() < want {
-			t.Fatalf("step %d table covers %d rows, palette bound is %d", i, fam.RowsCached(), want)
+	for i, b := range stepBlocks(plan) {
+		step := plan.Steps[i]
+		fam, err := field.Families(step.Q, step.D)
+		if err != nil {
+			t.Fatal(err)
 		}
-		palette = plan.Steps[i].Q * plan.Steps[i].Q
+		if want := min(palette, fam.Size()); b.Cached() < want {
+			t.Fatalf("step %d snapshot covers %d rows, palette bound is %d", i, b.Cached(), want)
+		}
+		palette = step.Q * step.Q
 	}
 
 	field.SetEvalStats(true)
@@ -143,9 +143,9 @@ func TestStepFamiliesPaletteHitRate(t *testing.T) {
 		if s.Total() == 0 {
 			continue
 		}
-		if s.Fallbacks != 0 || s.HitRate() != 1 {
-			t.Fatalf("step %d (q=%d d=%d): %d fallbacks, hit rate %v; want 0 / 1",
-				s.Step, s.Q, s.D, s.Fallbacks, s.HitRate())
+		if s.HitRate() != 1 {
+			t.Fatalf("step %d (q=%d d=%d): %d batched, hit rate %v; want 0 / 1",
+				s.Step, s.Q, s.D, s.Batched, s.HitRate())
 		}
 	}
 }
