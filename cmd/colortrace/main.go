@@ -4,8 +4,8 @@
 // step-sweep imbalance, session cache hits), a per-shard table when the
 // trace carries sharded-run telemetry (peak live, messages and step-wall
 // share per shard - the imbalance view of a sharded engine), and the
-// field-evaluation hit-rate table when the trace carries an "evals"
-// snapshot.
+// field-evaluation table (closed-form vs ladder neighbour resolutions
+// per recoloring step) when the trace carries an "evals" snapshot.
 //
 // Usage:
 //

@@ -3,27 +3,28 @@ package field
 import "fmt"
 
 // This file implements the batched polynomial-evaluation kernel: the
-// allocation-free, division-free primitives the recoloring hot path is
-// built on, and RowBlock, the one surface through which that path reads
-// rows. Scalar Horner evaluation pays a division per digit per point;
-// the kernels below amortize the digit decoding over a whole row (one x
+// allocation-free, division-free finite-difference ladder
+// (batchEvalDigits) that the agreement kernel's ladder path (roots.go)
+// evaluates difference polynomials with, and the row surface built on
+// it - BatchEval, FillRows and RowBlock. No recoloring pipeline reads
+// rows any more (a step counts roots); only perfbench's field-kernel
+// layer and tests reach the row surface, until the benchmark change
+// that stops timing it deletes it.
+//
+// Scalar Horner evaluation pays a division per digit per point; the
+// kernels below amortize the digit decoding over a whole row (one x
 // against the contiguous run of alphas 0..q-1) or a whole block of rows
 // (a contiguous run of x-values), and replace every inner-loop `% q`
 // with a branch-free conditional subtraction, so the steady-state cost
 // per evaluated point is a couple of ALU ops. RowBlock packages an
-// immutable row-table snapshot with the family parameters so hot paths
-// resolve the atomic table pointer once per step instead of once per
-// candidate.
-//
-// Working sets are L2-resident by construction: a row is q ints (<= 8
-// KiB at the schedule cap), and the agreement walker materializes each
-// candidate row immediately before consuming it, so at most three rows
-// (reference, candidate, agreement counts) are live at a time.
+// immutable row-table snapshot with the family parameters so callers
+// resolve the atomic table pointer once instead of once per candidate.
 
 // maxBatchDegree bounds the stack-resident finite-difference state of
 // the batch kernels, and with it the degree of every family
-// (NewFamilySized rejects a higher one). It matches the schedule
-// planner's degree search bound, so no schedule reaches past it.
+// (NewFamilySized and NewRoots reject a higher one). It matches the
+// schedule planner's degree search bound, so no schedule reaches past
+// it.
 const maxBatchDegree = 64
 
 // RowBlock is a resolved snapshot of a family's evaluation surface: the
@@ -32,7 +33,7 @@ const maxBatchDegree = 64
 // row beyond it. The zero value is unusable; obtain one from
 // Family.Block. A RowBlock is immutable and safe for concurrent use;
 // later EnsureRows growth is not reflected in it (re-Block to observe
-// growth).
+// growth). Only perfbench's field-kernel layer and tests reach it.
 type RowBlock struct {
 	rows   []int
 	cached int
@@ -42,7 +43,7 @@ type RowBlock struct {
 // Block returns a snapshot of the family's row table after growing it
 // to cover the palette bound m (EnsureRows; m < 0 skips growth). The
 // snapshot's Row materializes indices beyond Cached() with the batch
-// kernel.
+// kernel. Only perfbench's field-kernel layer and tests call it.
 func (f *Family) Block(m int) RowBlock {
 	if m >= 0 {
 		f.EnsureRows(m)
@@ -80,7 +81,8 @@ func (b *RowBlock) Row(x int, scratch []int) []int {
 
 // BatchEval evaluates the one polynomial indexed by x against the
 // contiguous run of points alpha = 0..len(dst)-1, writing phi_x(alpha)
-// into dst. It equals Horner evaluation at every point (the family's
+// into dst; only perfbench's field-kernel layer and tests call it. It
+// equals Horner evaluation at every point (the family's
 // index contract: x must be non-negative and is read modulo q^(d+1)),
 // but decodes the base-q digits of x once and advances a
 // finite-difference ladder with d branch-free conditional-subtraction
@@ -164,10 +166,10 @@ func batchEvalDigits(q, d int, digs []int, dst []int) {
 // x-values: rows[r*q : (r+1)*q] receives the value vector of function
 // index x0+r, for r = 0..len(rows)/q-1. The digit odometer is advanced
 // incrementally across rows (amortized O(1) divisions per row), so
-// bulk table construction - EnsureRows growth - pays the batch-kernel
-// rate. len(rows) must be a multiple of q; x0 must be non-negative and
-// is read modulo q^(d+1) like every function index; d must lie in
-// [0, maxBatchDegree].
+// bulk table construction - EnsureRows growth, its only caller - pays
+// the batch-kernel rate. len(rows) must be a multiple of q; x0 must be
+// non-negative and is read modulo q^(d+1) like every function index; d
+// must lie in [0, maxBatchDegree].
 func FillRows(q, d, x0 int, rows []int) {
 	if x0 < 0 {
 		panic(fmt.Sprintf("field: negative function index %d", x0))
@@ -191,7 +193,9 @@ func FillRows(q, d, x0 int, rows []int) {
 	}
 }
 
-// AgreeRun counts, for every point alpha, how many entries of the
+// AgreeRun is the row-comparison form of the agreement count that
+// Roots.Recolor replaced; only perfbench's field-kernel layer and tests
+// call it. It counts, for every point alpha, how many entries of the
 // sorted candidate run ys collide with the reference row at alpha:
 // agrees[alpha] accumulates the multiplicity of every y != skip whose
 // row agrees with ref there. This is the one-call-per-node form of the

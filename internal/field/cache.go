@@ -10,59 +10,29 @@ var (
 	famCache = map[famKey]*Family{}
 )
 
-// Families returns the memoized family for (q, d), constructing and
-// caching it on first use. The cache is process-wide: every recoloring
-// step of every node of every network shares one immutable *Family per
-// parameter pair, so the row table and the base-q decoding work are
-// paid once instead of once per node per round. Safe for concurrent
-// use; construction errors are not cached.
-//
-// Families sizes a freshly constructed row table by the default cap;
-// callers that know the palette bound of the step using the family
-// should prefer FamiliesFor, which sizes (and grows) the table to the
-// actual bound.
+// Families returns the memoized family for (q, d), constructing it with
+// the default row-table cap on first use. The cache is process-wide and
+// safe for concurrent use; construction errors are not cached. No
+// recoloring pipeline reads it (a step counts roots with Roots): only
+// perfbench's field-kernel layer and tests reach it, until the
+// benchmark change that stops timing the row surface deletes it.
 func Families(q, d int) (*Family, error) {
-	return familiesSized(q, d, -1)
-}
-
-// FamiliesFor is Families with a palette bound: the returned family's
-// row table covers min(m, Size, maxRowTableGrowInts/q) function
-// indices, so a recoloring step whose input colors all lie in [0, m)
-// evaluates entirely off the table whenever the bound fits under the
-// growth ceiling. The cache entry is shared across palette bounds and
-// the table only ever grows, so concurrent callers with different m
-// converge on the largest requested size.
-func FamiliesFor(q, d, m int) (*Family, error) {
-	return familiesSized(q, d, m)
-}
-
-// familiesSized resolves the cache entry, constructing it sized to the
-// palette bound m (m < 0 = default cap) and growing an existing entry
-// when m asks for more rows than it has.
-func familiesSized(q, d, m int) (*Family, error) {
 	key := famKey{q, d}
 	famMu.RLock()
 	f := famCache[key]
 	famMu.RUnlock()
 	if f != nil {
-		if m >= 0 {
-			f.EnsureRows(m)
-		}
 		return f, nil
 	}
-	f, err := NewFamilySized(q, d, m)
+	f, err := NewFamilySized(q, d, -1)
 	if err != nil {
 		return nil, err
 	}
 	famMu.Lock()
+	defer famMu.Unlock()
 	if prev, ok := famCache[key]; ok {
-		f = prev // another goroutine won the race; keep one canonical copy
-	} else {
-		famCache[key] = f
+		return prev, nil // another goroutine won the race; keep one canonical copy
 	}
-	famMu.Unlock()
-	if m >= 0 {
-		f.EnsureRows(m) // covers the race-loser path: prev may be smaller
-	}
+	famCache[key] = f
 	return f, nil
 }

@@ -41,10 +41,12 @@ type rowTable struct {
 //
 // The function family itself is immutable; the precomputed row table
 // grows monotonically (EnsureRows) and is published atomically, so a
-// Family is safe for concurrent use throughout. Hot paths should obtain
-// one from the process-wide Families/FamiliesFor cache rather than
-// re-deriving it with NewFamilySized. Rows are read through a RowBlock
-// snapshot (Block).
+// Family is safe for concurrent use throughout. Rows are read through a
+// RowBlock snapshot (Block). The row table is not on any recoloring
+// path - a step counts agreements as roots (Roots) - so only
+// perfbench's field-kernel layer and tests reach Family, Block and
+// EnsureRows, until the benchmark change that stops timing the row
+// surface deletes them.
 type Family struct {
 	fp     Fp
 	degree int // D: maximum polynomial degree
@@ -116,7 +118,9 @@ func (f *Family) extendRows(t *rowTable, rowsFor int) *rowTable {
 // m - min(m, Size(), maxRowTableGrowInts/q) indices - and returns the
 // resulting RowsCached. Growth is monotone (a smaller m never shrinks
 // the table) and safe for concurrent use; readers keep the snapshot
-// they loaded, so earlier RowBlock snapshots remain valid.
+// they loaded, so earlier RowBlock snapshots remain valid. Block calls
+// it; like the table, it is reached only by perfbench's field-kernel
+// layer and tests.
 func (f *Family) EnsureRows(m int) int {
 	q := f.fp.Q()
 	target := m

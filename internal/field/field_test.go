@@ -208,16 +208,19 @@ func TestFamilyAgreementQuick(t *testing.T) {
 }
 
 // TestFamilyDegreeRange pins the degrees a family accepts: [0,
-// maxBatchDegree], the range the batch kernel evaluates. Both
-// constructors reject a degree outside it, and rows at the limit still
-// match Horner.
+// maxBatchDegree], the range the batch kernel evaluates. The family
+// constructors and the agreement kernel reject a degree outside it, and
+// rows at the limit still match Horner.
 func TestFamilyDegreeRange(t *testing.T) {
 	for _, d := range []int{-1, maxBatchDegree + 1} {
 		if _, err := NewFamilySized(5, d, 10); err == nil {
 			t.Errorf("NewFamilySized(5, %d, 10) accepted", d)
 		}
-		if _, err := FamiliesFor(5, d, 10); err == nil {
-			t.Errorf("FamiliesFor(5, %d, 10) accepted", d)
+		if _, err := Families(5, d); err == nil {
+			t.Errorf("Families(5, %d) accepted", d)
+		}
+		if _, err := NewRoots(5, d); err == nil {
+			t.Errorf("NewRoots(5, %d) accepted", d)
 		}
 	}
 	fam, b := splitBlock(t, 5, maxBatchDegree, 3)

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestFamiliesForPaletteSizing pins the palette-driven row-table sizing:
+// TestEnsureRowsPaletteSizing pins the palette-driven row-table sizing:
 // the table covers exactly the requested bound (not the fixed
 // construction cap), never shrinks, and saturates at the growth ceiling.
-func TestFamiliesForPaletteSizing(t *testing.T) {
-	const q = 2003 // fresh (q, d) key; the cache is process-wide
-	fam, err := FamiliesFor(q, 1, 500)
+func TestEnsureRowsPaletteSizing(t *testing.T) {
+	const q = 2003
+	fam, err := NewFamilySized(q, 1, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,12 +20,8 @@ func TestFamiliesForPaletteSizing(t *testing.T) {
 	snapshot := fam.Block(-1)
 
 	// A smaller palette never shrinks the table.
-	again, err := FamiliesFor(q, 1, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != fam {
-		t.Fatal("FamiliesFor returned a distinct instance for the same key")
+	if got := fam.EnsureRows(200); got != 500 {
+		t.Fatalf("EnsureRows(200) = %d", got)
 	}
 	if fam.RowsCached() != 500 {
 		t.Fatalf("palette 200 shrank table to %d rows", fam.RowsCached())

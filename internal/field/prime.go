@@ -8,6 +8,12 @@
 // field F_q agree on at most D points, and there are q^(D+1) of them, which
 // realizes exactly the parameters required by Lemma 4.3 of Kuhn (SPAA'09)
 // and Lemma 5.1 of Barenboim-Elkin (PODC'10).
+//
+// A recoloring step needs only where two of these functions agree, and
+// two polynomials agree exactly at the roots of their difference: Roots
+// counts a step's agreements root by root (closed form for degree <= 2,
+// the finite-difference ladder otherwise), so the pigeonhole argument of
+// the paper's Appendix B runs without evaluating or storing any row.
 package field
 
 import "fmt"

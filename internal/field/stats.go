@@ -7,21 +7,47 @@ import (
 )
 
 // This file implements process-wide evaluation statistics for the
-// recoloring row surface (RowBlock.Row and AgreeRun): how many rows the
-// precomputed table answered and how many the batch kernel evaluated.
-// Counting is opt-in: with stats disabled (the default), callers hold
-// nil *EvalCounters and the hot path pays nothing beyond a nil check.
-// With stats enabled, counters are shared per (step, q, d) key and
-// incremented atomically, so they are exact under any worker count
-// (including -race runs).
+// recoloring step (Roots.Recolor). Each vertex step counts one hit for
+// its own phi_x(alpha), plus one per conflict neighbour y != x: a hit
+// when the kernel resolved the neighbour by its closed-form roots, a
+// batched evaluation when it resolved it through the finite-difference
+// ladder. Counting is opt-in: with stats disabled (the default), callers
+// hold nil *EvalCounters and the hot path pays nothing beyond a nil
+// check. With stats enabled, counters are shared per (step, q, d) key
+// and a vertex step updates them with one call, so they are exact under
+// any worker count (including -race runs). CountRow keeps the older
+// row-surface meaning (table hit vs. batch-kernel row) for RowBlock's
+// AgreeRun, which only perfbench's field-kernel layer and tests reach.
 
-// EvalCounters tallies row evaluations at one call site family: hits
-// are evaluations answered by the precomputed row table, batched are
-// rows materialized by the division-free batch kernel (batch.go). All
+// EvalCounters tallies evaluations at one call site family: hits are
+// closed-form resolutions and the node's own point evaluations (on the
+// row surface: rows the precomputed table answered), batched are
+// neighbours resolved through the division-free ladder (batch.go). All
 // methods are safe for concurrent use and no-ops on a nil receiver.
 type EvalCounters struct {
 	hits    atomic.Int64
 	batched atomic.Int64
+}
+
+// countStep records one vertex step of the agreement kernel with n
+// conflict neighbours y != x: one hit for the node's own phi_x(alpha),
+// plus n hits on the closed-form path or n batched evaluations on the
+// ladder path. The closed-form path updates the counters with one
+// atomic add.
+//
+//distvet:noalloc
+func (c *EvalCounters) countStep(closed bool, n int) {
+	if c == nil {
+		return
+	}
+	if closed {
+		c.hits.Add(int64(1 + n))
+		return
+	}
+	c.hits.Add(1)
+	if n > 0 {
+		c.batched.Add(int64(n))
+	}
 }
 
 // CountRow records one row evaluation through a RowBlock whose snapshot
@@ -40,7 +66,7 @@ func (c *EvalCounters) CountRow(cached, x int) {
 	}
 }
 
-// Hits returns the row-table hit count.
+// Hits returns the hit count.
 func (c *EvalCounters) Hits() int64 {
 	if c == nil {
 		return 0
@@ -48,7 +74,7 @@ func (c *EvalCounters) Hits() int64 {
 	return c.hits.Load()
 }
 
-// Batched returns the batch-kernel evaluation count.
+// Batched returns the ladder (batch-kernel) evaluation count.
 func (c *EvalCounters) Batched() int64 {
 	if c == nil {
 		return 0
@@ -65,8 +91,8 @@ type EvalStat struct {
 	D       int   `json:"d"`
 	Hits    int64 `json:"hits"`
 	Batched int64 `json:"batched,omitempty"`
-	// Fallbacks is always 0: no row is evaluated outside the table and
-	// the batch kernel. It stays because perfbench's
+	// Fallbacks is always 0: nothing is evaluated outside the closed
+	// form and the ladder. It stays because perfbench's
 	// field.evals_fallback metric and the trace's fallbacks key read it.
 	Fallbacks int64 `json:"fallbacks"`
 }
@@ -75,8 +101,8 @@ type EvalStat struct {
 func (s EvalStat) Total() int64 { return s.Hits + s.Batched + s.Fallbacks }
 
 // HitRate returns hits / Total(), or 1 when nothing was counted.
-// Batched kernel evaluations count against the rate - they cost
-// arithmetic the table answers for free.
+// Ladder evaluations count against the rate - they cost O(q) per
+// neighbour where the closed form costs O(1).
 func (s EvalStat) HitRate() float64 {
 	t := s.Total()
 	if t == 0 {

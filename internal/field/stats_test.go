@@ -33,14 +33,14 @@ func TestEvalCountersClassification(t *testing.T) {
 	}
 }
 
-// TestEvalCountersPaletteHitRate pins the payoff of palette-sized row
-// tables: counting every index a step with palette bound m can evaluate
-// yields hit rate 1 on a FamiliesFor-sized family, while the same
-// workload on a default-cap family of comparable size batch-evaluates
-// past its fixed table.
+// TestEvalCountersPaletteHitRate pins CountRow's row-surface
+// classification on palette-sized row tables: counting every index a
+// palette bound m covers yields hit rate 1 on a family sized to m,
+// while the same workload on a default-cap family of comparable size
+// batch-evaluates past its fixed table.
 func TestEvalCountersPaletteHitRate(t *testing.T) {
 	const palette = 5000
-	sized, err := FamiliesFor(1013, 1, palette) // fresh key, palette-sized
+	sized, err := NewFamilySized(1013, 1, palette)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,6 +86,15 @@ func byteSizeHint(r io.Reader) int64 {
 	return end - cur
 }
 
+// readBufSize sizes a DCG1 reader's I/O buffer: 1 MiB, or the bytes left
+// in the input when a size hint says it holds fewer (hint < 0: unknown).
+func readBufSize(hint int64) int {
+	if hint >= 0 && hint < 1<<20 {
+		return int(hint)
+	}
+	return 1 << 20
+}
+
 // WriteBinary writes the graph in the DCG1 binary format with the default
 // shard size.
 func (g *Graph) WriteBinary(w io.Writer) error {
@@ -167,12 +176,13 @@ func OpenBinary(path string) (*Graph, error) {
 // endpoints, self-loops, duplicates and trailing garbage, and bounds its
 // allocations by the input size (a seekable r is probed for a byte-size
 // hint; otherwise edge storage grows only as records actually arrive),
-// so it is safe on untrusted input (see FuzzReadBinary). One pass is
-// all it needs, so r need not be seekable (Load hands it a
-// bufio.Reader).
+// so it is safe on untrusted input (see FuzzReadBinary). The same hint
+// caps its I/O buffer (1 MiB, or the input size when smaller), so a
+// small file costs no megabyte to load. One pass is all it needs, so r
+// need not be seekable (Load hands it a bufio.Reader).
 func ReadBinary(r io.Reader) (*Graph, error) {
 	hint := byteSizeHint(r)
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, readBufSize(hint))
 	var hdr [28]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: binary header: %w", err)
@@ -189,7 +199,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	// Endpoint array, grown as shards arrive so a forged header cannot
 	// force a huge allocation up front.
 	ends := make([]uint32, 0, min(2*m, 1<<20))
-	buf := make([]byte, 8*min(int(shard), 1<<13))
+	buf := make([]byte, 8*min(int(shard), m, 1<<13))
 	err = scanBinEdges(br, m, int(shard), buf, func(u, v uint32) error {
 		if err := checkBinEdge(u, v, n); err != nil {
 			return err

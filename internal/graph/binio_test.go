@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -289,4 +290,50 @@ func TestBinaryAllocClamps(t *testing.T) {
 	if err := tooSparse.WriteBinary(&buf); err == nil || !strings.Contains(err.Error(), "isolated-vertex allowance") {
 		t.Errorf("WriteBinary err=%v, want isolated-vertex allowance rejection", err)
 	}
+}
+
+// allocBytesPerRun reports the heap bytes f allocates per call, averaged
+// over runs calls after one warm-up call.
+func allocBytesPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestBinaryReadersSmallInputAllocs pins that the DCG1 readers size
+// their I/O buffers by the input: loading the 48-byte file of Path(3)
+// costs kilobytes, not the 1 MiB buffer a large file gets (ReadBinary
+// sizes its reader by the byte-size hint; ReadBinaryShards by the
+// payload, with one reader reused across its two passes).
+func TestBinaryReadersSmallInputAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Path(3).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if len(data) != 48 {
+		t.Fatalf("Path(3) encodes to %d bytes, want 48", len(data))
+	}
+	flat := allocBytesPerRun(50, func() {
+		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if flat >= 16<<10 {
+		t.Errorf("ReadBinary allocates %.0f B per 48-byte file, want < 16 KiB", flat)
+	}
+	sharded := allocBytesPerRun(50, func() {
+		if _, _, err := ReadBinaryShards(bytes.NewReader(data), 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sharded >= 32<<10 {
+		t.Errorf("ReadBinaryShards allocates %.0f B per 48-byte file, want < 32 KiB", sharded)
+	}
+	t.Logf("per call: ReadBinary %.0f B, ReadBinaryShards %.0f B", flat, sharded)
 }

@@ -203,8 +203,9 @@ func OpenBinaryShards(path string, shards int) (*Graph, Sharding, error) {
 // file once to count degrees (4 bytes per vertex), seeks back, and
 // streams again filling one backing allocation per vertex shard - no
 // whole-graph staging exists at any point, and the transient working set
-// beyond the CSR itself is the degree array plus one I/O buffer. shards
-// < 1 selects AutoSharding(n).
+// beyond the CSR itself is the degree array plus one I/O buffer, sized
+// to the payload when that is under 1 MiB and reused by both passes.
+// shards < 1 selects AutoSharding(n).
 func ReadBinaryShards(rs io.ReadSeeker, shards int) (*Graph, Sharding, error) {
 	start, err := rs.Seek(0, io.SeekCurrent)
 	if err != nil {
@@ -229,20 +230,23 @@ func ReadBinaryShards(rs io.ReadSeeker, shards int) (*Graph, Sharding, error) {
 	// available here: reject a forged edge count before the O(n) degree
 	// allocation below (parseBinHeader's isolated-vertex clamp already
 	// ties n to m, so this bounds both by the input size).
+	payload := int64(-1)
 	if end, serr := rs.Seek(0, io.SeekEnd); serr == nil {
+		payload = end - start - 28
 		if _, serr = rs.Seek(start+28, io.SeekStart); serr != nil {
 			return nil, Sharding{}, fmt.Errorf("graph: rewinding after the size probe: %w", serr)
 		}
-		if need := binMinPayload(m64, shardSize); end-start-28 < need {
-			return nil, Sharding{}, fmt.Errorf("graph: header declares %d edges needing %d payload bytes, input holds %d", m, need, end-start-28)
+		if need := binMinPayload(m64, shardSize); payload < need {
+			return nil, Sharding{}, fmt.Errorf("graph: header declares %d edges needing %d payload bytes, input holds %d", m, need, payload)
 		}
 	}
 
 	// Pass 1: stream the edge payload, validate every record, count
 	// degrees. The only O(graph) allocation is the int32 degree array.
 	deg := make([]int32, n)
-	buf := make([]byte, 8*min(int(shardSize), 1<<13))
-	err = scanBinEdges(bufio.NewReaderSize(rs, 1<<20), m, int(shardSize), buf, func(u, v uint32) error {
+	buf := make([]byte, 8*min(int(shardSize), m, 1<<13))
+	br := bufio.NewReaderSize(rs, readBufSize(payload))
+	err = scanBinEdges(br, m, int(shardSize), buf, func(u, v uint32) error {
 		if err := checkBinEdge(u, v, n); err != nil {
 			return err
 		}
@@ -280,7 +284,8 @@ func ReadBinaryShards(rs io.ReadSeeker, shards int) (*Graph, Sharding, error) {
 	if _, err := rs.Seek(start+28, io.SeekStart); err != nil {
 		return nil, Sharding{}, fmt.Errorf("graph: rewinding for the fill pass: %w", err)
 	}
-	err = scanBinEdges(bufio.NewReaderSize(rs, 1<<20), m, int(shardSize), buf, func(u32, v32 uint32) error {
+	br.Reset(rs)
+	err = scanBinEdges(br, m, int(shardSize), buf, func(u32, v32 uint32) error {
 		u, v := int(u32), int(v32)
 		if u >= n || v >= n || len(adj[u]) == cap(adj[u]) || len(adj[v]) == cap(adj[v]) {
 			return fmt.Errorf("input changed between the count and fill passes")

@@ -241,15 +241,18 @@ func ShardTable(w io.Writer, shards []ShardSummary) error {
 }
 
 // EvalTable renders the field-evaluation snapshot as an aligned table,
-// sorted by total evaluations descending.
+// sorted by total evaluations descending: per recoloring step, the hits
+// (each vertex step's own point plus its neighbours resolved in closed
+// form) and the neighbours resolved through the finite-difference
+// ladder.
 func EvalTable(w io.Writer, stats []field.EvalStat) error {
 	sorted := append([]field.EvalStat(nil), stats...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Total() > sorted[j].Total() })
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "STEP\tQ\tD\tEVALS\tROW-HITS\tBATCHED\tFALLBACKS\tHIT-RATE")
+	fmt.Fprintln(tw, "STEP\tQ\tD\tEVALS\tCLOSED-FORM+OWN\tLADDER\tHIT-RATE")
 	for _, s := range sorted {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\n",
-			s.Step, s.Q, s.D, s.Total(), s.Hits, s.Batched, s.Fallbacks, s.HitRate())
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%.4f\n",
+			s.Step, s.Q, s.D, s.Total(), s.Hits, s.Batched, s.HitRate())
 	}
 	return tw.Flush()
 }

@@ -8,46 +8,61 @@ import (
 	"repro/internal/field"
 )
 
-// recolorOnce is the convenience form of the step core used by tests:
-// it resolves the memoized family for the step and runs the zero-alloc
-// core on fresh scratch. The caller's conflictColors slice is not
-// modified.
-func recolorOnce(step Step, x int, conflictColors []int) int {
-	fam, err := field.Families(step.Q, step.D)
+// stepRoot builds the step's agreement kernel.
+func stepRoot(step Step) *field.Roots {
+	r, err := field.NewRoots(step.Q, step.D)
 	if err != nil {
 		panic(fmt.Sprintf("recolor: invalid step %+v: %v", step, err))
 	}
-	b := fam.Block(-1)
-	var sc stepScratch
-	sc.grow(step.Q)
-	conflicts := append([]int(nil), conflictColors...)
-	return sc.recolorOnce(&b, x, conflicts, nil)
+	return r
 }
 
-// TestRecolorOnceMatchesReference proves the memoized zero-alloc step is
+// stepPalette is min(Q^(D+1), 2^20): the colors a test draws for a
+// step, every index of its family below the cap.
+func stepPalette(step Step) int {
+	m := 1
+	for i := 0; i <= step.D && m < 1<<20; i++ {
+		m *= step.Q
+	}
+	return min(m, 1<<20)
+}
+
+// recolorOnce is the convenience form of the step used by tests: it
+// builds the step's agreement kernel and runs it on fresh scratch. The
+// caller's conflictColors slice is not modified.
+func recolorOnce(step Step, x int, conflictColors []int) int {
+	var sc stepScratch
+	sc.grow(step.Q)
+	return stepRoot(step).Recolor(sc.agrees, sc.row, x, conflictColors, nil)
+}
+
+// TestRecolorOnceMatchesReference proves the agreement kernel's step is
 // bit-for-bit identical to the seed implementation across realistic and
-// adversarial (step, color, conflicts) combinations.
+// adversarial (step, color, conflicts) combinations, including every
+// step of the schedules Plan(M0, deg, t) emits for M0 in {2*10^4,
+// 5*10^4, 10^6, 10^7}, deg in {2, 4, 8, 16, 24, 64} and t in {0, deg/4,
+// deg/2}.
 func TestRecolorOnceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	steps := []Step{
 		{Q: 5, D: 1}, {Q: 11, D: 2}, {Q: 23, D: 1}, {Q: 29, D: 3},
 		{Q: 101, D: 2}, {Q: 127, D: 1},
 	}
-	// Include the actual steps of a few planned schedules.
+	// Include the actual steps of planned schedules.
 	for _, plan := range []Schedule{
 		Plan(2000, 24, 0), Plan(100000, 16, 0), Plan(1000, 24, 12),
 	} {
 		steps = append(steps, plan.Steps...)
 	}
+	for _, m0 := range []int{20000, 50000, 1000000, 10000000} {
+		for _, deg := range []int{2, 4, 8, 16, 24, 64} {
+			for _, tgt := range []int{0, deg / 4, deg / 2} {
+				steps = append(steps, Plan(m0, deg, tgt).Steps...)
+			}
+		}
+	}
 	for _, step := range steps {
-		fam, err := field.Families(step.Q, step.D)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := fam.Size()
-		if m > 1<<20 {
-			m = 1 << 20
-		}
+		m := stepPalette(step)
 		for trial := 0; trial < 50; trial++ {
 			x := rng.Intn(m)
 			conflicts := make([]int, rng.Intn(24))
@@ -68,53 +83,25 @@ func TestRecolorOnceMatchesReference(t *testing.T) {
 }
 
 // TestRecolorOnceZeroAllocs asserts the steady-state step loop performs
-// zero allocations: warm scratch + memoized family + reused conflict
-// buffer is the exact shape of Algo.Step after the first round.
+// zero allocations: warm scratch + the step's kernel + reused conflict
+// buffer is the exact shape of Algo.StepWords after the first round.
+// (101, 2) is the first step of Plan(10^6, 16, 0) and (13, 3) a ladder
+// step.
 func TestRecolorOnceZeroAllocs(t *testing.T) {
-	for _, step := range []Step{{Q: 23, D: 1}, {Q: 11, D: 2}, {Q: 101, D: 2}} {
-		fam, err := field.Families(step.Q, step.D)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := fam.Block(-1)
+	for _, step := range []Step{{Q: 23, D: 1}, {Q: 11, D: 2}, {Q: 101, D: 2}, {Q: 13, D: 3}} {
+		r := stepRoot(step)
 		var sc stepScratch
 		sc.grow(step.Q)
-		conflicts := []int{3, 88, 121, 40, 501 % fam.Size(), 3, 77, 250, 311, 40}
-		x := 333 % fam.Size()
-		sc.recolorOnce(&b, x, conflicts, nil) // warm up
+		m := stepPalette(step)
+		conflicts := []int{3, 88, 121, 40, 501 % m, 3, 77, 250, 311, 40}
+		x := 333 % m
+		r.Recolor(sc.agrees, sc.row, x, conflicts, nil) // warm up
 		allocs := testing.AllocsPerRun(100, func() {
-			sc.recolorOnce(&b, x, conflicts, nil)
+			r.Recolor(sc.agrees, sc.row, x, conflicts, nil)
 		})
 		if allocs != 0 {
 			t.Errorf("step %+v: %v allocs/op in steady state, want 0", step, allocs)
 		}
-	}
-}
-
-// TestRecolorOnceZeroAllocsBeyondRowTable covers the beyond-table path:
-// a first-step family too large for a full row table must still run the
-// step without allocating (rows are batch-evaluated into scratch).
-func TestRecolorOnceZeroAllocsBeyondRowTable(t *testing.T) {
-	plan := Plan(100000, 16, 0)
-	step := plan.Steps[0]
-	fam, err := field.Families(step.Q, step.D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fam.RowsCached() >= fam.Size() {
-		t.Skipf("step %+v fully cached; beyond-table path not exercised", step)
-	}
-	b := fam.Block(-1)
-	var sc stepScratch
-	sc.grow(step.Q)
-	x := fam.RowsCached() + 41
-	conflicts := []int{fam.RowsCached() + 7, 12, fam.Size() - 1, fam.RowsCached() + 7}
-	sc.recolorOnce(&b, x, conflicts, nil)
-	allocs := testing.AllocsPerRun(100, func() {
-		sc.recolorOnce(&b, x, conflicts, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("beyond-table path: %v allocs/op, want 0", allocs)
 	}
 }
 

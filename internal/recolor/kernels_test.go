@@ -7,18 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/field"
 	"repro/internal/graph"
 )
 
-// TestSharedBlocksConcurrentRuns hammers the per-step row snapshots
-// from many goroutines (run under -race): concurrent NewAlgo calls
-// resolving the same process-wide families, all consumers recoloring
-// through the RowBlocks they resolved, and worker-pool runs on the warm
-// families. Nothing may race and every color must match the cold
-// sequential run. (Whole word-I/O runs are not overlapped here:
-// Result.OutputWords is engine-owned and reclaimed by the next run, a
-// documented transport caveat unrelated to the row snapshots.)
+// TestSharedBlocksConcurrentRuns hammers a run's shared per-step
+// agreement kernels from many goroutines (run under -race): concurrent
+// NewAlgo calls, each consumer recoloring through one run's kernels
+// from 8 goroutines at once, and worker-pool runs. Nothing may race and
+// every color must match the sequential run. (Whole word-I/O runs are
+// not overlapped here: Result.OutputWords is engine-owned and reclaimed
+// by the next run, a documented transport caveat unrelated to the
+// kernels.)
 func TestSharedBlocksConcurrentRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	g := graph.RandomRegularish(600, 4, rng)
@@ -26,13 +25,9 @@ func TestSharedBlocksConcurrentRuns(t *testing.T) {
 	p := Params{Color: -1, M0: n, DegBound: g.MaxDegree(), TargetDefect: 0}
 	net := dist.NewNetworkPermuted(g, rand.New(rand.NewSource(5)))
 	steps := Plan(p.M0, p.DegBound, p.TargetDefect).Steps
-	sizes := make([]int, len(steps))
-	for i, step := range steps {
-		fam, err := field.Families(step.Q, step.D)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes[i] = min(fam.Size(), 1<<20)
+	shared, err := NewAlgo(p, false)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	want := make([]int, n)
@@ -45,26 +40,24 @@ func TestSharedBlocksConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			algo, err := NewAlgo(p, false)
-			if err != nil {
+			if _, err := NewAlgo(p, false); err != nil {
 				t.Error(err)
 				return
 			}
 			rng := rand.New(rand.NewSource(seed))
 			var sc stepScratch
-			sc.grow(algo.rt.maxQ)
+			sc.grow(shared.rt.maxQ)
 			conflicts := make([]int, 8)
 			for iter := 0; iter < 50; iter++ {
-				step := rng.Intn(len(algo.rt.blocks))
-				b := &algo.rt.blocks[step]
-				m := sizes[step]
+				step := rng.Intn(len(shared.rt.roots))
+				m := stepPalette(steps[step])
 				x := rng.Intn(m)
 				for i := range conflicts {
 					conflicts[i] = rng.Intn(m)
 				}
 				want := recolorOnceRef(steps[step], x, conflicts)
-				if got := sc.recolorOnce(b, x, append([]int(nil), conflicts...), nil); got != want {
-					t.Errorf("step %d x=%d: shared-block recolor %d, ref %d", step, x, got, want)
+				if got := shared.rt.roots[step].Recolor(sc.agrees, sc.row, x, conflicts, nil); got != want {
+					t.Errorf("step %d x=%d: shared-kernel recolor %d, ref %d", step, x, got, want)
 					return
 				}
 			}
@@ -72,7 +65,7 @@ func TestSharedBlocksConcurrentRuns(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Worker-pool runs on the warm families: same colors as the cold run.
+	// Worker-pool runs: same colors as the sequential run.
 	for _, workers := range []int{2, 4} {
 		dst := make([]int, n)
 		if _, err := RunUniform(net.WithWorkers(workers), p, nil, nil, nil, dst); err != nil {

@@ -2,7 +2,6 @@ package recolor
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/dist"
@@ -28,7 +27,7 @@ type Params struct {
 }
 
 // Algo is the vertex program executing a recoloring schedule. Construct
-// it with NewAlgo: the schedule, per-step row-table snapshots and step
+// it with NewAlgo: the schedule's per-step agreement kernels and step
 // scratch are resolved once per run and shared by all nodes (rt), so a
 // run performs no per-vertex allocation at all. *Algo implements
 // dist.Algorithm: the six-word value is wider than the four words a
@@ -53,10 +52,9 @@ type Algo struct {
 // every node of the run reads but never writes, resolved once by
 // NewAlgo and reached from every Algo value through one pointer.
 type algoRT struct {
-	// blocks is the per-step row-table snapshot, resolved once per run
-	// by stepBlocks and sized to each step's palette; the step loop
-	// never touches the family's atomic table pointer.
-	blocks []field.RowBlock
+	// roots holds one agreement kernel per schedule step, built once
+	// per run by stepRoots.
+	roots []*field.Roots
 	// stats holds the shared per-step eval counters when process-wide
 	// stats are on (field.SetEvalStats); nil otherwise, so the hot path
 	// pays only a nil check.
@@ -83,11 +81,11 @@ func NewAlgo(p Params, arb bool) (Algo, error) {
 		}
 	}
 	rt := &algoRT{
-		blocks: stepBlocks(plan),
-		stats:  stepEvalCounters(plan),
-		maxQ:   maxQ,
+		roots: stepRoots(plan),
+		stats: stepEvalCounters(plan),
+		maxQ:  maxQ,
 	}
-	rt.pool.New = func() any { return new(wordScratch) }
+	rt.pool.New = func() any { return new(stepScratch) }
 	return Algo{P: p, arb: arb, rt: rt}, nil
 }
 
@@ -118,19 +116,20 @@ func counter(stats []*field.EvalCounters, step int) *field.EvalCounters {
 	return stats[step]
 }
 
-// stepScratch holds the reusable buffers of the recoloring step loop;
-// once grown, a step performs no allocations.
+// stepScratch is the transient per-step buffer set, recycled through
+// algoRT.pool: it is only live within one StepWords call, so a handful
+// of pooled instances serve all workers, and once grown a step
+// performs no allocations.
 type stepScratch struct {
-	myRow  []int // row buffer for indices beyond the cached table
-	nbrRow []int
-	agrees []int
+	agrees    []int // per-point agreement counts
+	row       []int // the ladder's row buffer (field.Roots.Recolor)
+	conflicts []int // the conflict neighbors' colors
 }
 
 func (sc *stepScratch) grow(q int) {
 	if cap(sc.agrees) < q {
-		sc.myRow = make([]int, q)
-		sc.nbrRow = make([]int, q)
 		sc.agrees = make([]int, q)
+		sc.row = make([]int, q)
 	}
 }
 
@@ -153,38 +152,32 @@ func (a *Algo) InitWords(n *dist.Node) {
 		color = n.ID() - 1
 	}
 	n.SetOutputWord(int64(color))
-	if a.rt == nil || len(a.rt.blocks) == 0 {
+	if a.rt == nil || len(a.rt.roots) == 0 {
 		n.Halt()
 		return
 	}
 	n.SendAllWord(int64(color))
 }
 
-// stepBlocks resolves one row-table snapshot per schedule step, once
-// per run, so the step loop indexes a slice and never touches a
-// family's atomic table pointer. Each step's memoized family
-// (field.FamiliesFor) is grown to the step's palette bound before the
-// snapshot is taken: step 0 evaluates colors in [0, M0), step i colors
-// in [0, Q_{i-1}^2), so the shared table covers exactly what the step
-// will index instead of the fixed construction cap.
-func stepBlocks(plan Schedule) []field.RowBlock {
+// stepRoots builds the agreement kernel of every schedule step, once
+// per run: O(Q) tables per step, and Q^2 < M0 for every step that
+// makes progress, so the cost stays far below the run's.
+func stepRoots(plan Schedule) []*field.Roots {
 	if len(plan.Steps) == 0 {
 		return nil
 	}
-	blocks := make([]field.RowBlock, len(plan.Steps))
-	palette := plan.M0
+	roots := make([]*field.Roots, len(plan.Steps))
 	for i, step := range plan.Steps {
-		fam, err := field.FamiliesFor(step.Q, step.D, palette)
+		r, err := field.NewRoots(step.Q, step.D)
 		if err != nil {
 			// Unreachable: schedules only contain prime moduli
 			// (Validate), and Plan searches degrees up to
 			// maxDegreeSearch, the field kernel's limit.
 			panic(fmt.Sprintf("recolor: invalid step %+v: %v", step, err))
 		}
-		blocks[i] = fam.Block(palette)
-		palette = step.Q * step.Q
+		roots[i] = r
 	}
-	return blocks
+	return roots
 }
 
 // stepEvalCounters resolves the shared per-step eval counters of the
@@ -202,14 +195,6 @@ func stepEvalCounters(plan Schedule) []*field.EvalCounters {
 	return cs
 }
 
-// wordScratch is the transient per-step buffer set, recycled through
-// algoRT.pool: the scratch is only live within one StepWords call, so a
-// handful of pooled instances serve all workers.
-type wordScratch struct {
-	stepScratch
-	conflicts []int
-}
-
 // StepWords executes one recoloring round. The step index is Round()-1
 // (all nodes run the schedule in lockstep) and the current color is the
 // node's own output word, so the call touches no per-node state.
@@ -217,7 +202,7 @@ type wordScratch struct {
 //distvet:noalloc
 func (a *Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 	rt := a.rt
-	sc := rt.pool.Get().(*wordScratch)
+	sc := rt.pool.Get().(*stepScratch)
 	sc.grow(rt.maxQ)
 	conflicts := sc.conflicts[:0]
 	var flags []int64
@@ -234,44 +219,15 @@ func (a *Algo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 		conflicts = append(conflicts, int(inbox.Word(p))) //distvet:alloc-ok amortized growth of the pooled scratch's conflicts buffer
 	}
 	step := n.Round() - 1
-	color := sc.recolorOnce(&rt.blocks[step], int(n.OutputWords()[0]), conflicts, counter(rt.stats, step))
+	color := rt.roots[step].Recolor(sc.agrees, sc.row, int(n.OutputWords()[0]), conflicts, counter(rt.stats, step))
 	sc.conflicts = conflicts
 	rt.pool.Put(sc)
 	n.SetOutputWord(int64(color))
-	if step+1 < len(rt.blocks) {
+	if step+1 < len(rt.roots) {
 		n.SendAllWord(int64(color))
 		return
 	}
 	n.Halt()
-}
-
-// recolorOnce applies one Step: pick alpha minimizing agreements with
-// differently-colored conflict neighbors and return alpha*q + phi_x(alpha).
-// It sorts conflictColors in place into one contiguous run and hands the
-// run to the batch kernel (field.RowBlock.AgreeRun): each distinct color
-// is weighted by its multiplicity (agreement counts are per neighbor)
-// and its row materialized at most once - a view into the block's table
-// snapshot, or the division-free finite-difference kernel into scratch.
-// No allocations and no atomic table loads on any input. ec, when
-// non-nil, classifies every row materialization as a table hit or a
-// batched kernel evaluation - exactly one count per distinct row.
-//
-//distvet:noalloc
-func (sc *stepScratch) recolorOnce(b *field.RowBlock, x int, conflictColors []int, ec *field.EvalCounters) int {
-	q := b.Q()
-	ec.CountRow(b.Cached(), x)
-	myRow := b.Row(x, sc.myRow)
-	agrees := sc.agrees[:q]
-	clear(agrees)
-	slices.Sort(conflictColors)
-	b.AgreeRun(agrees, myRow, conflictColors, x, sc.nbrRow, ec)
-	bestAlpha := 0
-	for alpha := 1; alpha < q; alpha++ {
-		if agrees[alpha] < agrees[bestAlpha] {
-			bestAlpha = alpha
-		}
-	}
-	return bestAlpha*q + myRow[bestAlpha]
 }
 
 // Result reports a whole-graph recoloring run.

@@ -14,6 +14,12 @@
 // conflict neighbors: all neighbors for the defective variant, parents
 // under an acyclic orientation for the arbdefective variant.
 //
+// The step never compares whole functions: phi_x and phi_y agree exactly
+// at the roots of phi_x - phi_y, so each conflict neighbor adds one at
+// each of those at most D points (at every point when the two colors
+// index the same polynomial), and field.Roots counts them per vertex
+// step - in closed form for D <= 2 - without a row table.
+//
 // A Schedule is the full deterministic iteration plan from an initial
 // M0-coloring down to the terminal color count; every node derives the same
 // schedule locally from (M0, degBound, targetDefect), so no communication

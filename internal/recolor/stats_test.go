@@ -13,49 +13,39 @@ import (
 // TestRecolorOnceCountsExactly pins the per-call accounting of the eval
 // counters against the step's arithmetic: one evaluation for the node's
 // own color plus one per conflict entry that differs from it (same-color
-// entries skip the neighbor row entirely).
+// entries are skipped), all hits on a closed-form step.
 func TestRecolorOnceCountsExactly(t *testing.T) {
 	step := Step{Q: 23, D: 1}
-	fam, err := field.Families(step.Q, step.D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := fam.Block(-1)
 	var sc stepScratch
 	sc.grow(step.Q)
 	x := 333
 	conflicts := []int{3, 88, x, 40, x, 77}
 	var c field.EvalCounters
-	sc.recolorOnce(&b, x, conflicts, &c)
-	want := int64(1 + 4) // own row + the 4 conflicts differing from x
+	stepRoot(step).Recolor(sc.agrees, sc.row, x, conflicts, &c)
+	want := int64(1 + 4) // own point + the 4 conflicts differing from x
 	if got := c.Hits() + c.Batched(); got != want {
 		t.Fatalf("counted %d evaluations, want %d", got, want)
 	}
 	if c.Batched() != 0 {
-		t.Fatalf("batched=%d on a fully cached family, want 0", c.Batched())
+		t.Fatalf("batched=%d on a closed-form step, want 0", c.Batched())
 	}
 }
 
-// TestRecolorOnceCountsBatched forces the beyond-table path: function
-// indices at or past the cached row table must land in the batched
-// bucket - the kernel materializes them division-free.
+// TestRecolorOnceCountsBatched takes a d >= 3 step, the first step of
+// Plan(10^7, 16, 0): its neighbors are resolved through the
+// finite-difference ladder and land in the batched bucket, while the
+// node's own point is a hit.
 func TestRecolorOnceCountsBatched(t *testing.T) {
-	plan := Plan(100000, 16, 0)
-	step := plan.Steps[0]
-	fam, err := field.Families(step.Q, step.D)
-	if err != nil {
-		t.Fatal(err)
+	step := Plan(10000000, 16, 0).Steps[0]
+	if step.D < 3 {
+		t.Fatalf("step %+v: want a ladder step (d >= 3)", step)
 	}
-	if fam.RowsCached() >= fam.Size() {
-		t.Skipf("step %+v fully cached; beyond-table path not exercised", step)
-	}
-	b := fam.Block(-1)
 	var sc stepScratch
 	sc.grow(step.Q)
-	x := b.Cached() + 41 // own row: beyond the table, batch-evaluated
-	conflicts := []int{12, b.Cached() + 7, fam.Size() - 1}
+	x := 1234567
+	conflicts := []int{12, x, 7654321, 9999999}
 	var c field.EvalCounters
-	sc.recolorOnce(&b, x, conflicts, &c)
+	stepRoot(step).Recolor(sc.agrees, sc.row, x, conflicts, &c)
 	if c.Hits() != 1 || c.Batched() != 3 {
 		t.Fatalf("hits=%d batched=%d, want 1/3", c.Hits(), c.Batched())
 	}
@@ -96,11 +86,10 @@ func TestEvalStatsWordMatchesBoxed(t *testing.T) {
 	}
 }
 
-// TestStepFamiliesPaletteHitRate pins the palette-sized row tables end
-// to end: stepBlocks sizes every step's table to its actual palette
-// bound (m_0 = M0, m_i = Q_{i-1}^2), so a full run whose bounds fit
-// under the growth ceiling evaluates every row off the table - hit
-// rate 1 on every step counter.
+// TestStepFamiliesPaletteHitRate pins the counters end to end: a run
+// whose schedule holds only closed-form steps (here (13, 2) and
+// (11, 2): d <= 2 over odd fields) resolves every neighbor in closed
+// form - hit rate 1 on every step counter.
 func TestStepFamiliesPaletteHitRate(t *testing.T) {
 	defer func() {
 		field.SetEvalStats(false)
@@ -113,19 +102,6 @@ func TestStepFamiliesPaletteHitRate(t *testing.T) {
 	plan := Plan(p.M0, p.DegBound, p.TargetDefect)
 	if len(plan.Steps) == 0 {
 		t.Fatal("schedule degenerate; pick a sparser test graph")
-	}
-
-	palette := plan.M0
-	for i, b := range stepBlocks(plan) {
-		step := plan.Steps[i]
-		fam, err := field.Families(step.Q, step.D)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := min(palette, fam.Size()); b.Cached() < want {
-			t.Fatalf("step %d snapshot covers %d rows, palette bound is %d", i, b.Cached(), want)
-		}
-		palette = step.Q * step.Q
 	}
 
 	field.SetEvalStats(true)
