@@ -431,7 +431,7 @@ func RandomizedColoring(g *Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 	var tally dist.Tally
-	tally.AddStats("randcolor", dist.RunStats{Rounds: res.Rounds})
+	tally.AddStats("randcolor", res.RunStats)
 	return newResult(res.Colors, g.MaxDegree()+1, &tally), nil
 }
 
@@ -447,7 +447,7 @@ func ColeVishkinForest(g *Graph, parentOf []int, opts Options) (*Result, error) 
 		return nil, err
 	}
 	var tally dist.Tally
-	tally.AddStats("cole-vishkin", dist.RunStats{Rounds: res.Rounds})
+	tally.AddStats("cole-vishkin", res.RunStats)
 	return newResult(res.Colors, 3, &tally), nil
 }
 

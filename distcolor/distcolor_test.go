@@ -3,6 +3,8 @@ package distcolor
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/baseline"
 )
 
 const seed = 12345
@@ -159,11 +161,22 @@ func TestBaselineFacades(t *testing.T) {
 	} else if err := VerifyLegal(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}
-	tree := GenTree(200, seed)
-	parentOf := make([]int, 200)
-	parentOf[0] = -1
-	// GenTree attaches v to a smaller index; recover parents from edges.
-	for v := 1; v < 200; v++ {
+	tree, parentOf := rootedTree(200)
+	if res, err := ColeVishkinForest(tree, parentOf, Options{}); err != nil {
+		t.Fatal(err)
+	} else if err := VerifyLegal(tree, res.Colors); err != nil {
+		t.Fatal(err)
+	} else if res.NumColors > 3 {
+		t.Error("Cole-Vishkin used more than 3 colors")
+	}
+}
+
+// rootedTree returns GenTree(n, seed) with its parent array: GenTree
+// attaches v to a smaller index, so v's parent is its smaller neighbor.
+func rootedTree(n int) (*Graph, []int) {
+	tree := GenTree(n, seed)
+	parentOf := make([]int, n)
+	for v := range parentOf {
 		parentOf[v] = -1
 		for _, u := range tree.Neighbors(v) {
 			if u < v {
@@ -172,12 +185,39 @@ func TestBaselineFacades(t *testing.T) {
 			}
 		}
 	}
-	if res, err := ColeVishkinForest(tree, parentOf, Options{}); err != nil {
+	return tree, parentOf
+}
+
+// TestBaselineFacadesCountMessages: RandomizedColoring and
+// ColeVishkinForest report the rounds and messages of the baseline run
+// they wrap, on the same instance and seed.
+func TestBaselineFacadesCountMessages(t *testing.T) {
+	g := GenForestUnion(500, 3, 1)
+	opts := Options{Seed: 1}
+	rc, err := RandomizedColoring(g, opts)
+	if err != nil {
 		t.Fatal(err)
-	} else if err := VerifyLegal(tree, res.Colors); err != nil {
+	}
+	rcWant, err := baseline.RandomizedColoring(opts.network(g), opts.Seed)
+	if err != nil {
 		t.Fatal(err)
-	} else if res.NumColors > 3 {
-		t.Error("Cole-Vishkin used more than 3 colors")
+	}
+	if rc.Rounds != rcWant.Rounds || rc.Messages != rcWant.Messages || rc.Messages == 0 {
+		t.Errorf("RandomizedColoring reports %d rounds, %d messages; the baseline run %d, %d",
+			rc.Rounds, rc.Messages, rcWant.Rounds, rcWant.Messages)
+	}
+	tree, parentOf := rootedTree(500)
+	cv, err := ColeVishkinForest(tree, parentOf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cvWant, err := baseline.ColeVishkinForest(opts.network(tree), parentOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv.Rounds != cvWant.Rounds || cv.Messages != cvWant.Messages || cv.Messages == 0 {
+		t.Errorf("ColeVishkinForest reports %d rounds, %d messages; the baseline run %d, %d",
+			cv.Rounds, cv.Messages, cvWant.Rounds, cvWant.Messages)
 	}
 }
 

@@ -132,7 +132,7 @@ func (a cvAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 // CVResult reports a Cole-Vishkin run.
 type CVResult struct {
 	Colors []int
-	Rounds int
+	dist.RunStats
 }
 
 // ColeVishkinForest 3-colors a rooted forest in O(log* n) rounds.
@@ -162,5 +162,5 @@ func ColeVishkinForest(net *dist.Network, parentOf []int) (*CVResult, error) {
 	if err := dist.IntsFromWords(res, colors); err != nil {
 		return nil, err
 	}
-	return &CVResult{Colors: colors, Rounds: res.Rounds}, nil
+	return &CVResult{Colors: colors, RunStats: res.Stats()}, nil
 }

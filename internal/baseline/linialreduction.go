@@ -70,5 +70,5 @@ func LinialReductionColoring(g *graph.Graph, seed int64) (*RandColorResult, erro
 			return nil, fmt.Errorf("baseline: vertex %d chose no color (MIS not maximal?)", v)
 		}
 	}
-	return &RandColorResult{Colors: colors, Rounds: mis.Rounds, Messages: mis.Messages}, nil
+	return &RandColorResult{Colors: colors, RunStats: mis.RunStats}, nil
 }

@@ -86,9 +86,8 @@ func (a lubyAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 
 // LubyResult reports a Luby MIS run.
 type LubyResult struct {
-	InMIS    []bool
-	Rounds   int
-	Messages int64
+	InMIS []bool
+	dist.RunStats
 }
 
 // LubyMIS runs Luby's randomized MIS. The seed makes runs reproducible;
@@ -104,5 +103,5 @@ func LubyMIS(net *dist.Network, seed int64) (*LubyResult, error) {
 	for v, w := range res.OutputWords {
 		inMIS[v] = w == 1
 	}
-	return &LubyResult{InMIS: inMIS, Rounds: res.Rounds, Messages: res.Messages}, nil
+	return &LubyResult{InMIS: inMIS, RunStats: res.Stats()}, nil
 }

@@ -88,9 +88,8 @@ func (a randColorAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 
 // RandColorResult reports a randomized coloring run.
 type RandColorResult struct {
-	Colors   []int
-	Rounds   int
-	Messages int64
+	Colors []int
+	dist.RunStats
 }
 
 // RandomizedColoring runs the trial-based (Delta+1)-coloring.
@@ -104,5 +103,5 @@ func RandomizedColoring(net *dist.Network, seed int64) (*RandColorResult, error)
 	if err := dist.IntsFromWords(res, colors); err != nil {
 		return nil, err
 	}
-	return &RandColorResult{Colors: colors, Rounds: res.Rounds, Messages: res.Messages}, nil
+	return &RandColorResult{Colors: colors, RunStats: res.Stats()}, nil
 }

@@ -282,8 +282,8 @@ func TestChaosSnapshotResume(t *testing.T) {
 		for _, shards := range []int{1, 3} {
 			label := fmt.Sprintf("cancel@%d shards=%d", k, shards)
 			net := mk()
-			res, err := net.Run(CleanWave(), dist.RunOptions{
-				InputWords: WaveInputs(n, 7), Context: RoundCancel(k), SnapshotOnAbort: true,
+			res, err := net.WithContext(RoundCancel(k)).Run(CleanWave(), dist.RunOptions{
+				InputWords: WaveInputs(n, 7), SnapshotOnAbort: true,
 			})
 			if !errors.Is(err, dist.ErrCanceled) || res == nil || res.Snapshot == nil {
 				t.Fatalf("%s: capture failed: %v", label, err)
@@ -384,8 +384,8 @@ func TestChaosProbedResume(t *testing.T) {
 			label := fmt.Sprintf("cancel@%d shards=%d", k, shards)
 			sink := &recordSink{}
 			p := dist.NewProbe(sink)
-			res, err := view().WithProbe(p).Run(CleanWave(), dist.RunOptions{
-				InputWords: WaveInputs(n, 7), Context: RoundCancel(k), SnapshotOnAbort: true,
+			res, err := view().WithProbe(p).WithContext(RoundCancel(k)).Run(CleanWave(), dist.RunOptions{
+				InputWords: WaveInputs(n, 7), SnapshotOnAbort: true,
 			})
 			if !errors.Is(err, dist.ErrCanceled) || res.Snapshot == nil {
 				t.Fatalf("%s: capture failed: %v", label, err)

@@ -158,12 +158,11 @@ func ColorWithin(net *dist.Network, baseLabels []int, active []bool, degBound in
 	// across levels; the palette-merge sweep runs on the network's
 	// worker pool.
 	merged := make([]int, n)
-	workers := net.SweepWorkers(n)
 	for i := len(levels) - 1; i >= 0; i-- {
 		lv := levels[i]
 		net.Probe().SetPhase(fmt.Sprintf("deltacolor/merge(d=%d)", lv.dBefore))
 		mergeStart := time.Now() //distvet:wallclock merge-phase wall attribution for the tally; wall figures are documented non-deterministic
-		dist.ParallelFor(n, workers, func(lo, hi int) {
+		net.ParallelFor(n, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				merged[v] = lv.classColor[v]*palette + colors[v]
 			}

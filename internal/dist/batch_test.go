@@ -163,7 +163,7 @@ func TestBatchParallelMatchesSequential(t *testing.T) {
 		rng := rand.New(rand.NewSource(530))
 		g := graph.ForestUnion(600, 4, rng)
 		net := NewNetworkPermuted(g, rng)
-		res, err := net.Run(wordGossip{rounds: 8}, RunOptions{Workers: workers})
+		res, err := net.WithWorkers(workers).Run(wordGossip{rounds: 8}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

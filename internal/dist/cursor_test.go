@@ -98,7 +98,7 @@ func runPattern(t *testing.T, net *Network, algo Algorithm, workers int) pattern
 	t.Helper()
 	sink := &memSink{}
 	p := NewProbe(sink)
-	res, err := net.WithProbe(p).Run(algo, RunOptions{Workers: workers, MaxRounds: 12})
+	res, err := net.WithProbe(p).WithWorkers(workers).Run(algo, RunOptions{MaxRounds: 12})
 	if cerr := p.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
@@ -221,7 +221,8 @@ func TestCursorState(t *testing.T) {
 	net := NewNetworkPermuted(g, rng)
 	var want []int64
 	for _, w := range []int{1, 2, 3, 7} {
-		res, err := net.Run(stateKeeper{}, RunOptions{Workers: w})
+		net := net.WithWorkers(w)
+		res, err := net.Run(stateKeeper{}, RunOptions{})
 		if err != nil {
 			t.Fatalf("%d workers: %v", w, err)
 		}
@@ -233,18 +234,18 @@ func TestCursorState(t *testing.T) {
 		} else if !reflect.DeepEqual(res.OutputWords, want) {
 			t.Fatalf("%d workers: outputs diverge", w)
 		}
-		if _, err := net.Run(nilState{}, RunOptions{Workers: w}); err != nil {
+		if _, err := net.Run(nilState{}, RunOptions{}); err != nil {
 			t.Fatalf("%d workers, run after a State run: %v", w, err)
 		}
-		_, err = net.Run(wordGossip{rounds: 6}, RunOptions{Workers: w, Context: cancelAtRound(2)})
+		_, err = net.WithContext(cancelAtRound(2)).Run(wordGossip{rounds: 6}, RunOptions{})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%d workers: err=%v, want ErrCanceled", w, err)
 		}
-		if _, err := net.Run(nilState{}, RunOptions{Workers: w}); err != nil {
+		if _, err := net.Run(nilState{}, RunOptions{}); err != nil {
 			t.Fatalf("%d workers, run after a canceled State run: %v", w, err)
 		}
 	}
-	_, err := net.Run(wordGossip{rounds: 6}, RunOptions{Context: cancelAtRound(2), SnapshotOnAbort: true})
+	_, err := net.WithContext(cancelAtRound(2)).Run(wordGossip{rounds: 6}, RunOptions{SnapshotOnAbort: true})
 	const wantErr = "dist: run aborted at round boundary: context canceled: dist: run canceled; " +
 		"snapshot not captured: dist: snapshot requires column-only state, but vertex 0 holds Node.State"
 	if err == nil || err.Error() != wantErr {

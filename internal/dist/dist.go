@@ -25,8 +25,8 @@ var ErrMaxRounds = errors.New("dist: round budget exhausted")
 var ErrCanceled = errors.New("dist: run canceled")
 
 // ErrDeadline is returned (wrapped) by Run when the run's context
-// deadline expires or RunOptions.WallBudget is exhausted, with the same
-// round-boundary and partial-Result semantics as ErrCanceled.
+// deadline expires, with the same round-boundary and partial-Result
+// semantics as ErrCanceled.
 var ErrDeadline = errors.New("dist: run deadline exceeded")
 
 // ErrVertexPanic is returned (wrapped) by Run when a vertex program
@@ -68,7 +68,10 @@ type Algorithm interface {
 	StepWords(n *Node, inbox WordInbox)
 }
 
-// RunOptions configures a single Run.
+// RunOptions configures a single Run: the subgraph it runs on, its round
+// budget, its input column and its snapshot request. The worker pool and
+// the abort context are properties of the Network view the run starts on
+// (WithWorkers, WithContext).
 type RunOptions struct {
 	// Labels restricts communication to the label-induced subgraphs: only
 	// same-label neighbors are visible (nil = one subgraph).
@@ -86,34 +89,13 @@ type RunOptions struct {
 	// engine reads it during the Run only, but the vertex program may
 	// reuse its own slots as scratch.
 	InputWords []int64
-	// Workers paces the run's worker pool - the per-round step fan-out
-	// and the engine's setup sweeps. Zero resolves to the
-	// Network default (WithWorkers), else to the auto heuristic:
-	// GOMAXPROCS workers whenever at least 512 participants remain, at
-	// least 64 nodes per goroutine. An explicitly pinned count (here or
-	// via WithWorkers) always fans out exactly that many workers, which
-	// is how tests force both engine paths and how benchmarks record a
-	// speedup curve. Results are bit-for-bit identical at every setting;
-	// only wall time changes. Negative counts are an error.
-	Workers int
-	// Context, when non-nil, aborts the run when it is canceled or its
-	// deadline expires. The engine checks it exactly once per round
-	// boundary (never mid-round), returning a partial Result wrapped in
-	// ErrCanceled or ErrDeadline; the session's pooled state is returned
-	// intact. Nil resolves to the Network's context (WithContext), else
-	// to "never aborts". The unprobed fast path pays one boolean check.
-	Context context.Context
-	// WallBudget, when positive, aborts the run with ErrDeadline once
-	// the run's wall time (setup through the current round boundary)
-	// exceeds it - a convenience over Context for callers that want a
-	// per-run budget without managing a context. Negative is an error.
-	WallBudget time.Duration
 	// SnapshotOnAbort captures a Snapshot of the round-structured engine
-	// state into Result.Snapshot when the run aborts via Context or
-	// WallBudget (not on vertex failure, whose mid-round state is not
-	// snapshot-clean). Requires a program whose state lives entirely in
-	// the word columns (see Snapshot); the capture verifies this and the
-	// abort error is annotated if the program does not qualify.
+	// state into Result.Snapshot when the run aborts through its view's
+	// context (WithContext; not on vertex failure, whose mid-round state
+	// is not snapshot-clean). Requires a program whose state lives
+	// entirely in the word columns (see Snapshot); the capture verifies
+	// this and the abort error is annotated if the program does not
+	// qualify.
 	SnapshotOnAbort bool
 }
 
@@ -203,8 +185,8 @@ func (n *Node) Halt() { n.halted = true }
 type Network struct {
 	g   *graph.Graph
 	ids []int
-	// workers is the pool size RunOptions.Workers == 0 resolves to
-	// (0 = the auto heuristic); see WithWorkers.
+	// workers is the pinned pool size of every Run and ParallelFor on
+	// this view (0 = the auto heuristic); see WithWorkers.
 	workers int
 	// sharding is the vertex partition of a Sharded view (the zero value
 	// on unsharded networks); see shard.go.
@@ -216,8 +198,7 @@ type Network struct {
 	// probe, when non-nil, receives round- and run-level trace records
 	// from every Run on this view; see WithProbe and probe.go.
 	probe *Probe
-	// ctx, when non-nil, is the run context RunOptions.Context == nil
-	// resolves to; see WithContext.
+	// ctx, when non-nil, aborts every Run on this view; see WithContext.
 	ctx context.Context
 }
 
@@ -270,13 +251,15 @@ func (net *Network) Graph() *graph.Graph { return net.g }
 func (net *Network) IDs() []int { return append([]int(nil), net.ids...) }
 
 // WithContext returns a view of the network sharing the graph,
-// identifier assignment and session whose Runs resolve
-// RunOptions.Context == nil to ctx. Pipelines that call Run internally
-// with default options inherit the context, which is how a whole
-// multi-phase algorithm (LegalColoring and friends) becomes cancelable
-// without threading a context through every signature. A canceled run
-// aborts at the next round boundary with a partial Result wrapped in
-// ErrCanceled (or ErrDeadline); the session stays reusable.
+// identifier assignment and session whose Runs abort when ctx is
+// canceled or its deadline expires. The engine checks ctx exactly once
+// per round boundary (never mid-round), so an aborted run returns a
+// partial Result wrapped in ErrCanceled or ErrDeadline and the session
+// stays reusable. Pipelines that call Run internally inherit the
+// context, which is how a whole multi-phase algorithm (LegalColoring and
+// friends) becomes cancelable without threading a context through every
+// signature. A nil ctx never aborts; runs without a context pay one nil
+// check per round boundary.
 func (net *Network) WithContext(ctx context.Context) *Network {
 	c := *net
 	c.ctx = ctx
@@ -285,8 +268,8 @@ func (net *Network) WithContext(ctx context.Context) *Network {
 
 // autoParallelThreshold is the participant count above which the auto
 // worker heuristic fans a sweep out; below it the per-round
-// synchronization costs more than it saves. Explicitly pinned worker
-// counts (RunOptions.Workers / WithWorkers) bypass the threshold.
+// synchronization costs more than it saves. Pinned worker counts
+// (WithWorkers) bypass the threshold.
 const autoParallelThreshold = 512
 
 // minChunk is the smallest per-worker slice of nodes the auto heuristic
@@ -303,9 +286,9 @@ func (net *Network) Run(algo Algorithm, opts RunOptions) (*Result, error) {
 	return s.run()
 }
 
-// prepare validates a run's options, assembles the pooled simulation and
-// resolves its abort sources - everything Run does before entering the
-// round loop. Resume (snapshot.go) shares it.
+// prepare validates a run's options and assembles the pooled simulation -
+// everything Run does before entering the round loop. Resume
+// (snapshot.go) shares it.
 func (net *Network) prepare(algo Algorithm, opts RunOptions) (*simulation, error) {
 	if algo == nil {
 		return nil, errors.New("dist: nil algorithm")
@@ -320,12 +303,6 @@ func (net *Network) prepare(algo Algorithm, opts RunOptions) (*simulation, error
 	if opts.MaxRounds < 0 {
 		return nil, fmt.Errorf("dist: negative round budget %d", opts.MaxRounds)
 	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("dist: negative worker count %d", opts.Workers)
-	}
-	if opts.WallBudget < 0 {
-		return nil, fmt.Errorf("dist: negative wall budget %v", opts.WallBudget)
-	}
 	start := time.Now() //distvet:wallclock setup-vs-compute attribution (Result.Wall, RunRecord.SetupNS); wall figures are documented non-deterministic
 	s, err := newSimulation(net, algo, opts)
 	if err != nil {
@@ -333,7 +310,6 @@ func (net *Network) prepare(algo Algorithm, opts RunOptions) (*simulation, error
 	}
 	s.start = start
 	s.setupNS = time.Since(start).Nanoseconds() //distvet:wallclock same setup-vs-compute attribution
-	s.initAbort()
 	return s, nil
 }
 
@@ -362,11 +338,6 @@ type simulation struct {
 	states   []any
 	hasState bool
 
-	// workers/explicit are the resolved pool size and whether it was
-	// pinned (see resolveWorkers); sweepWorkers applies them per sweep.
-	workers  int
-	explicit bool
-
 	// start/setupNS time the run for Result.Wall and the probe's
 	// setup-vs-compute split; topoCached/scratchPooled are the session
 	// events the run record reports (probe.go).
@@ -382,16 +353,11 @@ type simulation struct {
 	// the round loop's hooks cost one nil check each per round.
 	tr *roundTracer
 
-	// Run-control state. ctx/deadline are the resolved abort sources,
-	// checked once per round boundary (checkAbort); hasAbort folds both
-	// into the single boolean branch the fast path pays. phase is the
-	// probe phase label panic reports carry (empty unprobed). resumed is
-	// set by restore (snapshot.go): the loop starts at startRound+1 and
-	// Init is skipped (a snapshot captured at round 0 already holds
-	// Init's sends, so startRound alone cannot distinguish the cases).
-	ctx        context.Context
-	deadline   time.Time
-	hasAbort   bool
+	// Run-control state. phase is the probe phase label panic reports
+	// carry (empty unprobed). resumed is set by restore (snapshot.go): the
+	// loop starts at startRound+1 and Init is skipped (a snapshot captured
+	// at round 0 already holds Init's sends, so startRound alone cannot
+	// distinguish the cases).
 	phase      string
 	startRound int
 	resumed    bool
@@ -424,8 +390,7 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 	if 2*net.g.M() >= maxSlots {
 		return nil, fmt.Errorf("dist: graph has %d directed edges (max %d)", 2*net.g.M(), maxSlots-1)
 	}
-	workers, explicit := net.resolveWorkers(opts.Workers)
-	setupW := sweepWorkersFor(n, workers, explicit)
+	setupW := net.sweepWorkers(n)
 	topo, topoHit := net.sess.topology(net.g, opts.Labels, opts.Active, setupW)
 
 	width := algo.MessageWords()
@@ -455,8 +420,6 @@ func newSimulation(net *Network, algo Algorithm, opts RunOptions) (*simulation, 
 		opts:          opts,
 		topo:          topo,
 		rs:            rs,
-		workers:       workers,
-		explicit:      explicit,
 		topoCached:    topoHit,
 		scratchPooled: pooled,
 		width:         width,
@@ -556,7 +519,7 @@ func (s *simulation) boundary(rounds int) (*Result, error) {
 	if err := s.failSlot.take(); err != nil {
 		return s.partial(rounds), err
 	}
-	if s.hasAbort {
+	if s.net.ctx != nil {
 		if err := s.checkAbort(); err != nil {
 			return s.abortResult(rounds, err)
 		}
@@ -572,40 +535,20 @@ func (s *simulation) end(res *Result, err error) (*Result, error) {
 	return res, err
 }
 
-// initAbort resolves the run's abort sources: the explicit
-// RunOptions.Context, else the Network context (WithContext); the
-// WallBudget deadline anchors at the run's start time. Called after
-// s.start is set, on both fresh and resumed runs.
-func (s *simulation) initAbort() {
-	ctx := s.opts.Context
-	if ctx == nil {
-		ctx = s.net.ctx
-	}
-	s.ctx = ctx
-	s.deadline = time.Time{}
-	if wb := s.opts.WallBudget; wb > 0 {
-		s.deadline = s.start.Add(wb)
-	}
-	s.hasAbort = s.ctx != nil || !s.deadline.IsZero()
-}
-
-// checkAbort reports the run's abort condition at a round boundary: a
-// canceled or expired context maps to ErrCanceled/ErrDeadline, an
-// exhausted WallBudget to ErrDeadline. Only called between rounds, so an
-// abort never observes mid-round state.
+// checkAbort reports the view context's abort condition at a round
+// boundary: canceled maps to ErrCanceled, an expired deadline to
+// ErrDeadline. Only called between rounds, so an abort never observes
+// mid-round state.
 func (s *simulation) checkAbort() error {
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("dist: run aborted at round boundary: %v: %w", err, ErrDeadline)
-			}
-			return fmt.Errorf("dist: run aborted at round boundary: %v: %w", err, ErrCanceled)
-		}
+	err := s.net.ctx.Err()
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, context.DeadlineExceeded):
+		return fmt.Errorf("dist: run aborted at round boundary: %v: %w", err, ErrDeadline)
+	default:
+		return fmt.Errorf("dist: run aborted at round boundary: %v: %w", err, ErrCanceled)
 	}
-	if !s.deadline.IsZero() && time.Now().After(s.deadline) { //distvet:wallclock WallBudget enforcement is inherently wall-clock; documented non-deterministic
-		return fmt.Errorf("dist: wall budget %v exhausted: %w", s.opts.WallBudget, ErrDeadline)
-	}
-	return nil
 }
 
 // partial assembles the Result of a run that stopped early - abort or
@@ -621,7 +564,7 @@ func (s *simulation) partial(rounds int) *Result {
 	}
 }
 
-// abortResult pairs the partial Result of a context/deadline abort with
+// abortResult pairs the partial Result of a context abort with
 // its error, capturing a Snapshot first when the run asked for one (the
 // session's pooled columns are still bound at this point; close() runs
 // after).
@@ -658,7 +601,7 @@ func (s *simulation) sentTotal(lo, hi int) int64 {
 // fan-out would cost more than it saves.
 func (s *simulation) stepRound(r int) {
 	m := len(s.live)
-	w := s.sweepWorkers(m)
+	w := s.net.sweepWorkers(m)
 	var cuts []int
 	if s.tr != nil && s.tr.sharded() {
 		cuts = s.tr.shardSegs(s)
@@ -857,11 +800,4 @@ func (s *simulation) joinChunks() {
 		s.hasState = s.hasState || cur.stored
 	}
 	s.live = s.live[:k]
-}
-
-// sweepWorkersFor is sweepWorkers for code running before the simulation
-// exists (topology builds, the output column's re-zeroing).
-func sweepWorkersFor(m, workers int, explicit bool) int {
-	s := simulation{workers: workers, explicit: explicit}
-	return s.sweepWorkers(m)
 }

@@ -119,7 +119,7 @@ func runGossip(t *testing.T, seed int64, workers int) *Result {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.ForestUnion(600, 4, rng)
 	net := NewNetworkPermuted(g, rng)
-	res, err := net.Run(gossip{rounds: 8}, RunOptions{Workers: workers})
+	res, err := net.WithWorkers(workers).Run(gossip{rounds: 8}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

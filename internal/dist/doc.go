@@ -80,14 +80,14 @@
 //     contract (wordio.go) still requires the caller to decode an output
 //     column before STARTING the next run on that network.
 //
-// Rounds, engine setup sweeps, and the orchestrator helper
-// ParallelFor (sized by Network.SweepWorkers) fan out over a worker pool
-// paced by RunOptions.Workers / Network.WithWorkers: 0 means the auto
-// heuristic (GOMAXPROCS, gated by participant count), an explicit count
-// always fans out exactly that wide. Node steps touch only their own
-// column slots, through the chunk's cursor, and delivery reads only
-// previous-round data, so results are bit-for-bit identical at every
-// worker count - the speedup sweeps in CI assert exactly that.
+// Rounds, engine setup sweeps, and the orchestrators' sweeps
+// (Network.ParallelFor) fan out over one worker pool, paced by one knob:
+// the Network.WithWorkers view. Its default 0 means the auto heuristic
+// (GOMAXPROCS, gated by participant count); a pinned count always fans
+// out exactly that wide. Node steps touch only their own column slots,
+// through the chunk's cursor, and delivery reads only previous-round
+// data, so results are bit-for-bit identical at every worker count - the
+// speedup sweeps in CI assert exactly that.
 //
 // # Sharded execution
 //
@@ -152,16 +152,15 @@
 // completed, never mid-round. That single invariant is what makes the
 // rest of the contract cheap to state:
 //
-//   - Cancellation and deadlines. RunOptions.Context is polled (ctx.Err,
-//     exactly once) at each round boundary; RunOptions.WallBudget bounds
-//     the run's wall time the same way and composes with any context
-//     deadline (whichever expires first wins). An aborted run returns a
-//     non-nil partial Result (rounds completed, messages so far, outputs
-//     as of the boundary) with an error wrapping ErrCanceled or
-//     ErrDeadline. Network.WithContext attaches a context as a view, so
-//     orchestrator pipelines inherit it across phases. The unprobed fast
-//     path pays one nil check when no context is set (the probe-overhead
-//     benchmark gates this).
+//   - Cancellation and deadlines. A context comes only through the
+//     Network.WithContext view, so orchestrator pipelines inherit it
+//     across phases; a wall budget is a context deadline. The engine
+//     polls it (ctx.Err, exactly once) at each round boundary. An
+//     aborted run returns a non-nil partial Result (rounds completed,
+//     messages so far, outputs as of the boundary) with an error
+//     wrapping ErrCanceled or ErrDeadline. The unprobed fast path pays
+//     one nil check when no context is set (the probe-overhead benchmark
+//     gates this).
 //   - Panic containment. A panic raised by a vertex program during
 //     InitWords/StepWords (any worker count, sharded or flat) is
 //     recovered by the engine and converted to the deterministic Node.Fail

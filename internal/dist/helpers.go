@@ -102,8 +102,7 @@ func appendVisible(ports []int, g *graph.Graph, labels []int, active []bool, v i
 // on the same filters O(visible edges) with no per-vertex scan. The
 // ports slices are views into cached state and must not be modified.
 func (net *Network) ForEachVisible(labels []int, active []bool, fn func(v int, ports []int)) {
-	w, explicit := net.resolveWorkers(0)
-	topo, _ := net.sess.topology(net.g, labels, active, sweepWorkersFor(net.g.N(), w, explicit))
+	topo, _ := net.sess.topology(net.g, labels, active, net.sweepWorkers(net.g.N()))
 	for _, v := range topo.live {
 		fn(v, topo.ports[v])
 	}

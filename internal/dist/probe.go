@@ -476,7 +476,7 @@ func (t *roundTracer) roundEnd(s *simulation, r int) {
 		Round:       r,
 		Live:        t.live,
 		Messages:    cum - t.sent,
-		Workers:     s.sweepWorkers(t.live),
+		Workers:     s.net.sweepWorkers(t.live),
 		WallNS:      wall,
 		MaxChunkNS:  maxNS,
 		MeanChunkNS: sumNS / int64(max(nonempty, 1)),
@@ -496,7 +496,7 @@ func (t *roundTracer) runEnd(s *simulation, res *Result, err error) {
 		Run:           t.seq,
 		Phase:         t.phase,
 		PeakLive:      len(s.topo.live),
-		Workers:       s.workers,
+		Workers:       s.net.Workers(),
 		TopoCached:    s.topoCached,
 		ScratchPooled: s.scratchPooled,
 		SetupNS:       s.setupNS,

@@ -40,7 +40,7 @@ func probedGossip(t *testing.T, workers int) (*Result, *memSink) {
 	net := NewNetworkPermuted(g, rng)
 	sink := &memSink{}
 	p := NewProbe(sink)
-	res, err := net.WithProbe(p).Run(gossip{rounds: 8}, RunOptions{Workers: workers})
+	res, err := net.WithProbe(p).WithWorkers(workers).Run(gossip{rounds: 8}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ func TestCancelAtEveryRound(t *testing.T) {
 					sink = &memSink{}
 					run = net.WithProbe(NewProbe(sink))
 				}
-				res, err := run.Run(wordGossip{rounds: 6}, RunOptions{Context: cancelAtRound(k)})
+				res, err := run.WithContext(cancelAtRound(k)).Run(wordGossip{rounds: 6}, RunOptions{})
 				if sink != nil {
 					run.Probe().Close()
 				}
@@ -207,8 +207,9 @@ func checkAbortRecords(t *testing.T, k int, res *Result, sink *memSink) {
 }
 
 // TestWithContextView pins the Network-level context plumbing: a view's
-// context cancels runs that pass none of their own, and an explicit
-// RunOptions.Context wins over the view's.
+// canceled context aborts its runs with ErrCanceled, an expired deadline
+// aborts at the first boundary with ErrDeadline and a partial result at
+// round 0, and the parent network, which carries no context, still runs.
 func TestWithContextView(t *testing.T) {
 	net := NewNetwork(graph.Path(64))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -216,34 +217,17 @@ func TestWithContextView(t *testing.T) {
 	if _, err := net.WithContext(ctx).Run(wordGossip{rounds: 4}, RunOptions{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("view context ignored: %v", err)
 	}
-	// An explicit run context overrides the (canceled) view context.
-	if _, err := net.WithContext(ctx).Run(wordGossip{rounds: 4}, RunOptions{Context: context.Background()}); err != nil {
-		t.Fatalf("run context did not override view context: %v", err)
-	}
-}
-
-// TestWallBudget pins the deadline source: an already-exhausted wall
-// budget aborts at the first boundary with ErrDeadline; a generous one
-// does not abort at all. A context deadline also maps to ErrDeadline.
-func TestWallBudget(t *testing.T) {
-	net := NewNetwork(graph.Path(64))
-	res, err := net.Run(wordGossip{rounds: 4}, RunOptions{WallBudget: time.Nanosecond})
+	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer dcancel()
+	res, err := net.WithContext(dctx).Run(wordGossip{rounds: 4}, RunOptions{})
 	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("exhausted wall budget: err=%v, want ErrDeadline", err)
-	}
-	if res == nil || res.Rounds != 0 {
-		t.Fatalf("exhausted wall budget: partial result %+v", res)
-	}
-	if _, err := net.Run(wordGossip{rounds: 4}, RunOptions{WallBudget: time.Hour}); err != nil {
-		t.Fatalf("generous wall budget aborted: %v", err)
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := net.Run(wordGossip{rounds: 4}, RunOptions{Context: ctx}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("expired context deadline: err=%v, want ErrDeadline", err)
 	}
-	if _, err := net.Run(wordGossip{rounds: 4}, RunOptions{WallBudget: -time.Second}); err == nil {
-		t.Fatal("negative wall budget accepted")
+	if res == nil || res.Rounds != 0 {
+		t.Fatalf("expired context deadline: partial result %+v", res)
+	}
+	if _, err := net.Run(wordGossip{rounds: 4}, RunOptions{}); err != nil {
+		t.Fatalf("a view's context leaked into its parent network: %v", err)
 	}
 }
 
@@ -462,7 +446,7 @@ func TestSnapshotResumeEveryRound(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			for k := 0; k < ref.Rounds; k++ {
 				net := build(t, shape.capture)
-				res, err := run(t, net, RunOptions{Context: cancelAtRound(k), SnapshotOnAbort: true})
+				res, err := run(t, net.WithContext(cancelAtRound(k)), RunOptions{SnapshotOnAbort: true})
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("cancel@%d: err=%v", k, err)
 				}
@@ -502,9 +486,7 @@ func TestSnapshotContractRejections(t *testing.T) {
 	g := graph.Path(32)
 	net := NewNetwork(g)
 	// Program keeping its digest in Node.State: capture must refuse.
-	_, err := net.Run(wordGossip{rounds: 4}, RunOptions{
-		Context: cancelAtRound(1), SnapshotOnAbort: true,
-	})
+	_, err := net.WithContext(cancelAtRound(1)).Run(wordGossip{rounds: 4}, RunOptions{SnapshotOnAbort: true})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err=%v, want ErrCanceled with snapshot failure note", err)
 	}
@@ -514,8 +496,8 @@ func TestSnapshotContractRejections(t *testing.T) {
 
 	// A valid snapshot refuses to resume on a different graph.
 	words := waveInputs(g.N(), 3)
-	res, err := net.Run(waveWords{}, RunOptions{
-		InputWords: words, Context: cancelAtRound(1), SnapshotOnAbort: true,
+	res, err := net.WithContext(cancelAtRound(1)).Run(waveWords{}, RunOptions{
+		InputWords: words, SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, ErrCanceled) || res.Snapshot == nil {
 		t.Fatalf("capture failed: %v", err)
@@ -535,8 +517,8 @@ func TestSnapshotContractRejections(t *testing.T) {
 func TestSnapshotTruncation(t *testing.T) {
 	g := graph.Path(48)
 	net := NewNetwork(g)
-	res, err := net.Run(waveWords{}, RunOptions{
-		InputWords: waveInputs(g.N(), 5), Context: cancelAtRound(2), SnapshotOnAbort: true,
+	res, err := net.WithContext(cancelAtRound(2)).Run(waveWords{}, RunOptions{
+		InputWords: waveInputs(g.N(), 5), SnapshotOnAbort: true,
 	})
 	if !errors.Is(err, ErrCanceled) || res.Snapshot == nil {
 		t.Fatalf("capture failed: %v", err)

@@ -3,7 +3,6 @@ package dist
 import (
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -60,9 +59,8 @@ type topology struct {
 var emptyPorts = make([]int, 0)
 
 // buildUnfiltered assembles the whole-graph topology. The port lists are
-// the graph's own adjacency slices; only the slot table is computed, in
-// parallel.
-func (sc *session) buildUnfiltered(g *graph.Graph, workers int) *topology {
+// the graph's own adjacency slices; only the slot table is computed.
+func (sc *session) buildUnfiltered(g *graph.Graph) *topology {
 	n := g.N()
 	t := &topology{
 		ports: make([][]int, n),
@@ -84,13 +82,13 @@ func (sc *session) buildUnfiltered(g *graph.Graph, workers int) *topology {
 	}
 	t.totalPorts = next
 	t.inSlots = make([]int32, next)
-	fillSlots(t, workers)
+	fillSlots(t)
 	return t
 }
 
 // buildFiltered assembles the topology of a label/active-filtered run.
-// The per-vertex passes (visibility counting, port filling, slot
-// ranking) run in parallel; only the O(n) prefix sums are serial.
+// The per-vertex passes (visibility counting, port filling) run in
+// parallel; the O(n) prefix sums and the slot fill are serial.
 func (sc *session) buildFiltered(g *graph.Graph, labels []int, active []bool, workers int) *topology {
 	n := g.N()
 	t := &topology{
@@ -138,44 +136,19 @@ func (sc *session) buildFiltered(g *graph.Graph, labels []int, active []bool, wo
 		}
 	})
 	t.inSlots = make([]int32, next)
-	fillSlots(t, workers)
+	fillSlots(t)
 	return t
 }
 
-// fillSlots computes the delivery-slot table: visibility is symmetric, so
-// v always appears in its visible neighbors' port lists and the rank
-// lookup is a binary search in the neighbor's sorted ports. A
-// single-worker build takes the counting sweep instead, which replaces
-// every binary search with one increment.
-func fillSlots(t *topology, workers int) {
-	n := len(t.ports)
-	if workers <= 1 || n <= 1 {
-		fillSlotsCounting(t)
-		return
-	}
-	parfor(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			ports := t.ports[v]
-			if len(ports) == 0 {
-				continue
-			}
-			slots := t.inSlots[t.base[v]:]
-			for p, u := range ports {
-				slots[p] = int32(t.base[u] + sort.SearchInts(t.ports[u], v))
-			}
-		}
-	})
-}
-
-// fillSlotsCounting is the sequential delivery-slot fill: one ascending
-// sweep over the senders. Port lists are sorted ascending and visibility
-// is symmetric, so when vertices are visited in ascending order, v is
-// the cnt[u]-th visible neighbor u has been reached by and its rank in
-// u's sorted port list is exactly cnt[u] - every binary search of the
-// parallel fill becomes a counter increment. Identical output to the
-// parfor path (both compute sender ranks); only the work per port
-// differs.
-func fillSlotsCounting(t *topology) {
+// fillSlots computes the delivery-slot table in one ascending sweep over
+// the senders: inSlots[base[v]+p] is u's base plus v's rank in u's
+// sorted port list, for u = ports[v][p]. Port lists are sorted ascending
+// and visibility is symmetric, so when vertices are visited in ascending
+// order, v is the cnt[u]-th visible neighbor u has been reached by and
+// its rank is exactly cnt[u] - a counter increment per port instead of a
+// binary search. The sweep stays serial at every worker count: a
+// binary-search fill split over two cores is 3-4x slower than it.
+func fillSlots(t *topology) {
 	cnt := make([]int32, len(t.ports))
 	for v, ports := range t.ports {
 		if len(ports) == 0 {
@@ -284,7 +257,7 @@ func (sc *session) topology(g *graph.Graph, labels []int, active []bool, workers
 		if t != nil {
 			return t, true
 		}
-		t = sc.buildUnfiltered(g, workers)
+		t = sc.buildUnfiltered(g)
 		sc.mu.Lock()
 		if sc.unfiltered == nil {
 			sc.unfiltered = t
@@ -451,32 +424,21 @@ func parfor(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ParallelFor runs fn over the contiguous chunks of [0, n) on worker
-// goroutines: a positive workers count is honored exactly (capped at
-// one index per goroutine) - pinned counts fan out even on tiny sweeps,
-// exactly like the engine's round loop - while workers <= 0 resolves to
-// the auto heuristic (GOMAXPROCS, inline below 512 indices, at least 64
-// indices per goroutine). Orchestrators pass Network.SweepWorkers so a
-// pipeline's pinned worker count governs their setup and decode sweeps
-// too; fn must touch disjoint state per index range. The split is
-// deterministic, so any fn whose chunks are independent yields
-// identical results at every worker count.
-func ParallelFor(n, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if n < autoParallelThreshold {
-			workers = 1
-		}
-		if max := (n + minChunk - 1) / minChunk; workers > max {
-			workers = max
-		}
-	}
-	parfor(n, workers, fn)
+// ParallelFor runs fn over the contiguous chunks of [0, n) on the
+// network's worker pool, sized like the engine's own sweeps: a pinned
+// count (WithWorkers) fans out exactly, capped at one index per
+// goroutine, while the auto default runs inline below 512 indices and
+// keeps at least 64 per goroutine. Orchestrators use it for their setup
+// and decode sweeps, so a pipeline's pinned worker count governs those
+// too. fn must touch disjoint state per index range; the split is
+// deterministic, so any fn whose chunks are independent yields identical
+// results at every worker count.
+func (net *Network) ParallelFor(n int, fn func(lo, hi int)) {
+	parfor(n, net.sweepWorkers(n), fn)
 }
 
-// Workers returns the worker count this network's runs resolve
-// RunOptions.Workers == 0 to: the WithWorkers override when set, else
-// GOMAXPROCS.
+// Workers returns the worker count this network's runs resolve to: the
+// WithWorkers count when set, else (auto) GOMAXPROCS.
 func (net *Network) Workers() int {
 	if net.workers > 0 {
 		return net.workers
@@ -484,22 +446,14 @@ func (net *Network) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SweepWorkers resolves the fan-out of a sweep over n items under this
-// network's worker configuration, with the same semantics as the
-// engine's own sweeps: a pinned count (WithWorkers) is honored exactly,
-// the auto default applies the participant-count heuristic. It is the
-// value orchestrators hand to ParallelFor.
-func (net *Network) SweepWorkers(n int) int {
-	w, explicit := net.resolveWorkers(0)
-	return sweepWorkersFor(n, w, explicit)
-}
-
 // WithWorkers returns a view of the network sharing the graph, identifier
-// assignment and session whose Runs resolve RunOptions.Workers == 0 to
-// the given count (0 restores the auto heuristic). Like WithProbe, the
-// view lets a harness pin the fan-out of every phase of a multi-phase
-// pipeline without threading an option through every signature; results
-// are bit-for-bit identical at every setting.
+// assignment and session whose Runs and ParallelFor sweeps use w workers
+// (0 restores the auto heuristic). A pinned count always fans out
+// exactly that wide, which is how tests force both engine paths and how
+// benchmarks record a speedup curve. Like WithProbe, the view pins the
+// fan-out of every phase of a multi-phase pipeline without threading an
+// option through every signature; results are bit-for-bit identical at
+// every setting.
 func (net *Network) WithWorkers(w int) *Network {
 	if w < 0 {
 		w = 0
@@ -509,31 +463,17 @@ func (net *Network) WithWorkers(w int) *Network {
 	return &c
 }
 
-// resolveWorkers resolves a Run's worker count: the explicit option, else
-// the network default, else (auto) GOMAXPROCS. explicit reports whether
-// the count was pinned by either - pinned counts always fan out (so tests
-// and benchmarks exercise exactly the requested pool), while auto counts
-// are gated by the participant-count heuristic of sweepWorkers.
-func (net *Network) resolveWorkers(optWorkers int) (workers int, explicit bool) {
-	if optWorkers > 0 {
-		return optWorkers, true
-	}
-	if net.workers > 0 {
-		return net.workers, true
-	}
-	return runtime.GOMAXPROCS(0), false
-}
-
-// sweepWorkers returns the fan-out for a sweep over m items: a pinned
-// count is honored as-is (capped at one item per goroutine), the auto
-// heuristic parallelizes only beyond autoParallelThreshold participants
-// with at least minChunk items per goroutine.
-func (s *simulation) sweepWorkers(m int) int {
-	w := s.workers
+// sweepWorkers returns the view's fan-out for a sweep over m items - a
+// round's steps, a setup sweep, a ParallelFor: a pinned count
+// (WithWorkers) is honored as-is, capped at one item per goroutine; the
+// auto default parallelizes only beyond autoParallelThreshold
+// participants with at least minChunk items per goroutine.
+func (net *Network) sweepWorkers(m int) int {
+	w := net.Workers()
 	if w <= 1 || m <= 1 {
 		return 1
 	}
-	if !s.explicit {
+	if net.workers == 0 {
 		if m < autoParallelThreshold {
 			return 1
 		}

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -90,26 +92,27 @@ func TestSessionReuseMatchesFreshNetwork(t *testing.T) {
 		active[v] = v%7 != 0
 	}
 	type step struct {
-		name string
-		opts RunOptions
+		name    string
+		opts    RunOptions
+		workers int
 	}
 	steps := []step{
-		{"unfiltered-word", RunOptions{}},
-		{"filtered-word", RunOptions{Labels: labels, Active: active}},
-		{"filtered-word-repeat", RunOptions{Labels: labels, Active: active}}, // cache hit
-		{"labels-only", RunOptions{Labels: labels}},
-		{"unfiltered-word-again", RunOptions{}},
-		{"filtered-word-workers", RunOptions{Labels: labels, Active: active, Workers: 4}},
-		{"unfiltered-sequential", RunOptions{Workers: 1}},
+		{"unfiltered-word", RunOptions{}, 0},
+		{"filtered-word", RunOptions{Labels: labels, Active: active}, 0},
+		{"filtered-word-repeat", RunOptions{Labels: labels, Active: active}, 0}, // cache hit
+		{"labels-only", RunOptions{Labels: labels}, 0},
+		{"unfiltered-word-again", RunOptions{}, 0},
+		{"filtered-word-workers", RunOptions{Labels: labels, Active: active}, 4},
+		{"unfiltered-sequential", RunOptions{}, 1},
 	}
 	shared := NewNetwork(g)
 	for _, st := range steps {
-		got, err := shared.Run(wordSum{rounds: 4}, st.opts)
+		got, err := shared.WithWorkers(st.workers).Run(wordSum{rounds: 4}, st.opts)
 		if err != nil {
 			t.Fatalf("%s (shared): %v", st.name, err)
 		}
 		got = snapshotResult(got)
-		want, err := NewNetwork(g).Run(wordSum{rounds: 4}, st.opts)
+		want, err := NewNetwork(g).WithWorkers(st.workers).Run(wordSum{rounds: 4}, st.opts)
 		if err != nil {
 			t.Fatalf("%s (fresh): %v", st.name, err)
 		}
@@ -210,13 +213,12 @@ func TestTopologyCacheReuseAndNormalization(t *testing.T) {
 func TestSecondUnfilteredRunZeroSetupAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(630))
 	g := graph.ForestUnion(3000, 3, rng)
-	net := NewNetworkPermuted(g, rng)
-	opts := RunOptions{Workers: 1} // no goroutine spawns in the count
-	if _, err := net.Run(wordSum{rounds: 4}, opts); err != nil {
+	net := NewNetworkPermuted(g, rng).WithWorkers(1) // no goroutine spawns in the count
+	if _, err := net.Run(wordSum{rounds: 4}, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := net.Run(wordSum{rounds: 4}, opts); err != nil {
+		if _, err := net.Run(wordSum{rounds: 4}, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -242,13 +244,16 @@ func TestBackToBackPipelinesOneNetwork(t *testing.T) {
 	net := NewNetwork(g)
 	pipeline := func() []*Result {
 		var out []*Result
-		for _, opts := range []RunOptions{
-			{},
-			{Labels: labels},
-			{Labels: labels, Workers: 1},
-			{Workers: 3},
+		for _, st := range []struct {
+			opts    RunOptions
+			workers int
+		}{
+			{RunOptions{}, 0},
+			{RunOptions{Labels: labels}, 0},
+			{RunOptions{Labels: labels}, 1},
+			{RunOptions{}, 3},
 		} {
-			res, err := net.Run(wordSum{rounds: 3}, opts)
+			res, err := net.WithWorkers(st.workers).Run(wordSum{rounds: 3}, st.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,10 +347,11 @@ func TestConcurrentRunsOneNetwork(t *testing.T) {
 	}
 }
 
-// TestFillSlotsCountingMatchesParallel pins the two delivery-slot fill
-// strategies against each other: the single-worker counting sweep and
-// the parallel binary-search fill must produce identical slot tables on
-// flat and filtered builds.
+// TestFillSlotsCountingMatchesParallel pins the counting slot fill
+// against the slot definition: inSlots[base[v]+p] is u's base plus the
+// rank of v in u's sorted port list (u = ports[v][p]), the binary-search
+// formula the parallel fill used, on flat and filtered builds at worker
+// counts 1, 2 and 4.
 func TestFillSlotsCountingMatchesParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := graph.Gnp(300, 0.03, rng)
@@ -355,22 +361,80 @@ func TestFillSlotsCountingMatchesParallel(t *testing.T) {
 		labels[v] = v % 3
 		active[v] = v%5 != 0
 	}
-	builds := []struct {
-		name string
-		make func(workers int) *topology
+	for _, f := range []struct {
+		name   string
+		labels []int
+		active []bool
 	}{
-		{"flat", func(w int) *topology {
-			return (&session{}).buildUnfiltered(g, w)
-		}},
-		{"filtered", func(w int) *topology {
-			return (&session{}).buildFiltered(g, labels, active, w)
-		}},
+		{"flat", nil, nil},
+		{"filtered", labels, active},
+	} {
+		for _, w := range []int{1, 2, 4} {
+			topo, _ := (&session{}).topology(g, f.labels, f.active, w)
+			var want []int32
+			for _, v := range topo.live {
+				for _, u := range topo.ports[v] {
+					want = append(want, int32(topo.base[u]+sort.SearchInts(topo.ports[u], v)))
+				}
+			}
+			if !slices.Equal(topo.inSlots, want) {
+				t.Errorf("%s at %d workers: inSlots differ from the rank definition", f.name, w)
+			}
+		}
 	}
-	for _, b := range builds {
-		seq := b.make(1)
-		par := b.make(4)
-		if !slices.Equal(seq.inSlots, par.inSlots) {
-			t.Errorf("%s: counting fill and parallel fill disagree on inSlots", b.name)
+}
+
+// TestNetworkParallelFor pins the orchestrator sweep's sizing: a pinned
+// count fans out into exactly that many chunks (capped at one index per
+// chunk), and the auto default covers fewer than 512 indices in one
+// inline call.
+func TestNetworkParallelFor(t *testing.T) {
+	net := NewNetwork(graph.Path(8))
+	for _, c := range []struct {
+		workers, n int
+		want       [][2]int
+	}{
+		{3, 10, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
+		{4, 2, [][2]int{{0, 1}, {1, 2}}},
+		{1, 1000, [][2]int{{0, 1000}}},
+		{0, 511, [][2]int{{0, 511}}},
+		{0, 0, nil},
+	} {
+		var mu sync.Mutex
+		var got [][2]int
+		net.WithWorkers(c.workers).ParallelFor(c.n, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("workers=%d n=%d: chunks %v, want %v", c.workers, c.n, got, c.want)
+		}
+	}
+}
+
+// BenchmarkTopologyBuild times a cold topology build - port lists, slot
+// bases and the delivery-slot fill - on a fresh session, unfiltered and
+// label-filtered, at a pinned one and two workers. BenchmarkRunSetup
+// times warm runs only, so it cannot see this cost.
+func BenchmarkTopologyBuild(b *testing.B) {
+	g := graph.ForestUnion(50000, 8, rand.New(rand.NewSource(5)))
+	labels := make([]int, g.N())
+	for v := range labels {
+		labels[v] = v % 4
+	}
+	for _, f := range []struct {
+		name   string
+		labels []int
+	}{{"flat", nil}, {"filtered", labels}} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", f.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					(&session{}).topology(g, f.labels, nil, w)
+				}
+			})
 		}
 	}
 }

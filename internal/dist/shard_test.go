@@ -125,7 +125,7 @@ func TestShardedParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Result {
-		res, err := view.Run(wordGossip{rounds: 8}, RunOptions{Workers: workers})
+		res, err := view.WithWorkers(workers).Run(wordGossip{rounds: 8}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func (f stepFanout) StepWords(n *Node, inbox WordInbox) {
 }
 
 // A pinned worker count bounds the step fan-out of probed sharded runs
-// too: with Workers: 2 on an 8-shard view, the probed step walks the
+// too: with WithWorkers(2) on an 8-shard view, the probed step walks the
 // shard segments on at most 2 goroutines, like the unprobed one. Each
 // shard's first vertex holds its step, so a fan-out of one goroutine
 // per shard would show up as 8 steps at once.
@@ -388,7 +388,7 @@ func TestShardedProbeHonorsWorkers(t *testing.T) {
 	fanout := func(net *Network) int64 {
 		var in, peak atomic.Int64
 		prog := stepFanout{in: &in, peak: &peak, hold: g.N() / shards}
-		if _, err := net.Run(prog, RunOptions{Workers: workers}); err != nil {
+		if _, err := net.WithWorkers(workers).Run(prog, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return peak.Load()

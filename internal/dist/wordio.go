@@ -21,7 +21,9 @@ import (
 //   - Input columns are CALLER-owned: the engine (and the vertex
 //     program) read them during the Run only, but a program may also use
 //     its own input slots as per-run scratch, so callers must not assume
-//     the column is unchanged after the Run (see forest.WaitColorAlgo).
+//     the column is unchanged after the Run unless the program restores
+//     it (forest.WaitColorAlgo restores its column on every completed
+//     run, not on a failed one).
 //   - Output columns are ENGINE-owned and reused: Result.OutputWords
 //     aliases a column that the next Run on the same Network (or any of
 //     its WithWorkers/WithProbe/WithContext views) reclaims and

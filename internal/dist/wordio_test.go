@@ -231,7 +231,7 @@ func TestFailReportsSmallestVertexDeterministically(t *testing.T) {
 
 	want := ""
 	for _, workers := range []int{4, 1} { // pinned worker pool and sequential
-		_, err := net.Run(failAt{div: 7}, RunOptions{Workers: workers})
+		_, err := net.WithWorkers(workers).Run(failAt{div: 7}, RunOptions{})
 		if !errors.Is(err, errFailAt) {
 			t.Fatalf("workers=%d: got %v, want errFailAt", workers, err)
 		}

@@ -59,7 +59,7 @@ type Record struct {
 	AllocsPerVertex float64 `json:"allocs_per_vertex,omitempty"`
 	// GoMaxProcs and Workers pin the parallelism of a scale-run record:
 	// the process's GOMAXPROCS at run time and the engine worker count
-	// the run resolved to (RunOptions.Workers / Network.WithWorkers).
+	// the run resolved to (Network.WithWorkers, else GOMAXPROCS).
 	// Together with WallMS they are the speedup curve the nightly
 	// -scale-procs sweep archives; colors/rounds/messages must be
 	// bit-for-bit identical at every point.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -450,6 +451,44 @@ func TestWaitColorLeastUsedPigeonhole(t *testing.T) {
 		}
 		if err := g.CheckArbdefectWitness(wc.Colors, sigma, m/k); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+}
+
+// TestWaitColorRestoresDirs: a completed run hands every recorded parent
+// slot back, so or.Dirs equals its pre-run copy under both rules, on an
+// unfiltered and a label/active-filtered orientation.
+func TestWaitColorRestoresDirs(t *testing.T) {
+	rng := rand.New(rand.NewSource(207))
+	g := graph.ForestUnion(300, 4, rng)
+	net := dist.NewNetworkPermuted(g, rng)
+	labels := make([]int, g.N())
+	active := make([]bool, g.N())
+	for v := range labels {
+		labels[v] = v % 3
+		active[v] = v%7 != 0
+	}
+	for _, f := range []struct {
+		name   string
+		labels []int
+		active []bool
+	}{{"flat", nil, nil}, {"filtered", labels, active}} {
+		hp, err := ComputeHPartition(net, 4, DefaultEps, f.labels, f.active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		or, err := OrientByLevelKey(net, hp.Level, net.IDs(), f.labels, f.active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(or.Dirs)
+		for _, rule := range []ChoiceRule{RuleFirstFree, RuleLeastUsed} {
+			if _, err := WaitColor(net, or, hp.Degree+1, rule); err != nil {
+				t.Fatalf("%s rule %d: %v", f.name, rule, err)
+			}
+			if !slices.Equal(or.Dirs, want) {
+				t.Errorf("%s rule %d: the run left or.Dirs rewritten", f.name, rule)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package forest
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/dist"
@@ -61,10 +60,11 @@ func (r ChoiceRule) choose(counts []int) (int, error) {
 // newWaitColor. Word layout: the input column is an orientation's Dirs
 // (one word per visible port) and doubles as the node's per-run state -
 // a word <= 0 marks a non-parent port, 1 a parent not yet heard from,
-// and c+2 a parent that announced color c (so the run rewrites the
-// column it is given). The output column is one word per vertex, the
-// chosen color. With the waiting state folded into the input column a
-// run allocates nothing per vertex.
+// and c+2 a parent that announced color c. A finishing node hands every
+// recorded slot back as 1, so a completed run leaves the column as it
+// found it; a failed run may leave slots rewritten. The output column is
+// one word per vertex, the chosen color. With the waiting state folded
+// into the input column a run allocates nothing per vertex.
 type WaitColorAlgo struct {
 	// Palette is the number of available colors k and Rule selects the
 	// color choice rule; both are uniform and globally known.
@@ -139,7 +139,8 @@ func (a WaitColorAlgo) StepWords(n *dist.Node, inbox dist.WordInbox) {
 
 // finishWords chooses the node's color, publishes it as the output,
 // halts and announces it to children. Parent counts are rebuilt from the
-// recorded input words into pooled scratch.
+// recorded input words into pooled scratch, and each recorded slot goes
+// back to 1 as it is counted.
 //
 //distvet:noalloc
 func (a WaitColorAlgo) finishWords(n *dist.Node) {
@@ -149,10 +150,15 @@ func (a WaitColorAlgo) finishWords(n *dist.Node) {
 	}
 	counts := sc.counts[:a.Palette]
 	clear(counts)
-	for _, w := range n.InputWords() {
-		if c := int(w) - 2; c >= 0 && c < a.Palette {
+	in := n.InputWords()
+	for p, w := range in {
+		if w < 2 {
+			continue
+		}
+		if c := int(w) - 2; c < a.Palette {
 			counts[c]++
 		}
+		in[p] = 1
 	}
 	c, err := a.Rule.choose(counts)
 	a.pool.Put(sc)
@@ -176,11 +182,13 @@ type WaitColorResult struct {
 // of colors k; rule selects the per-vertex choice. Running time is
 // len(sigma)+1 rounds; the run gets or.LengthBound+2, so an orientation
 // longer than its bound, or a cyclic one, fails with dist.ErrMaxRounds.
+//
+// The run keeps its state in or.Dirs itself and restores it on success,
+// so one orientation may feed several runs one after another, but never
+// concurrent ones; after a failed run or.Dirs may hold rewritten slots.
 func WaitColor(net *dist.Network, or *OrientResult, palette int, rule ChoiceRule) (*WaitColorResult, error) {
-	// The program keeps its state in its input column, so it runs on a
-	// copy: one orientation may feed several runs.
 	res, err := net.Run(newWaitColor(palette, rule), dist.RunOptions{
-		InputWords: slices.Clone(or.Dirs),
+		InputWords: or.Dirs,
 		Labels:     or.labels,
 		Active:     or.active,
 		MaxRounds:  or.LengthBound + 2,

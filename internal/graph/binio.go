@@ -86,8 +86,9 @@ func byteSizeHint(r io.Reader) int64 {
 	return end - cur
 }
 
-// readBufSize sizes a DCG1 reader's I/O buffer: 1 MiB, or the bytes left
-// in the input when a size hint says it holds fewer (hint < 0: unknown).
+// readBufSize sizes an input reader's I/O buffer: 1 MiB, or the bytes
+// left in the input when a size hint says it holds fewer (hint < 0:
+// unknown).
 func readBufSize(hint int64) int {
 	if hint >= 0 && hint < 1<<20 {
 		return int(hint)
@@ -115,7 +116,11 @@ func (g *Graph) WriteBinarySharded(w io.Writer, shardSize int) error {
 	if uint64(g.n) > 2*uint64(g.m)+maxBinFreeVertices {
 		return fmt.Errorf("graph: %d vertices with only %d edges exceed the binary format's isolated-vertex allowance (2m+%d)", g.n, g.m, maxBinFreeVertices)
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
+	// The writer packs every shard but the last, so the file is exactly
+	// the header plus the minimal payload; a small graph gets a small
+	// buffer.
+	size := min(1<<20, 28+binMinPayload(uint64(g.m), uint32(shardSize)))
+	bw := bufio.NewWriterSize(w, int(size))
 	var hdr [28]byte
 	copy(hdr[0:4], binMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], binVersion)
@@ -178,11 +183,15 @@ func OpenBinary(path string) (*Graph, error) {
 // hint; otherwise edge storage grows only as records actually arrive),
 // so it is safe on untrusted input (see FuzzReadBinary). The same hint
 // caps its I/O buffer (1 MiB, or the input size when smaller), so a
-// small file costs no megabyte to load. One pass is all it needs, so r
-// need not be seekable (Load hands it a bufio.Reader).
+// small file costs no megabyte to load; a *bufio.Reader is read as is.
+// One pass is all it needs, so r need not be seekable (Load hands it a
+// bufio.Reader).
 func ReadBinary(r io.Reader) (*Graph, error) {
 	hint := byteSizeHint(r)
-	br := bufio.NewReaderSize(r, readBufSize(hint))
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, readBufSize(hint))
+	}
 	var hdr [28]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: binary header: %w", err)
@@ -236,9 +245,10 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 }
 
 // Load reads a graph from r in either supported format, sniffing the
-// DCG1 magic to pick the binary or the text edge-list parser.
+// DCG1 magic to pick the binary or the text edge-list parser. Its one
+// reader is sized like ReadBinary's: by the input when r is seekable.
 func Load(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, readBufSize(byteSizeHint(r)))
 	head, err := br.Peek(4)
 	if err == nil && string(head) == binMagic {
 		return ReadBinary(br)

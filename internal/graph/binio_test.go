@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -336,4 +337,37 @@ func TestBinaryReadersSmallInputAllocs(t *testing.T) {
 		t.Errorf("ReadBinaryShards allocates %.0f B per 48-byte file, want < 32 KiB", sharded)
 	}
 	t.Logf("per call: ReadBinary %.0f B, ReadBinaryShards %.0f B", flat, sharded)
+}
+
+// TestSmallInputIOAllocs pins that the text reader, Load and the DCG1
+// writer size their buffers by the input too: on Path(3) a ReadEdgeList,
+// a Load of either form and a WriteBinary each cost kilobytes, not a
+// 1 MiB buffer.
+func TestSmallInputIOAllocs(t *testing.T) {
+	g := Path(3)
+	var text, bin bytes.Buffer
+	if err := g.WriteEdgeList(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ReadEdgeList", func() error { _, err := ReadEdgeList(bytes.NewReader(text.Bytes())); return err }},
+		{"Load text", func() error { _, err := Load(bytes.NewReader(text.Bytes())); return err }},
+		{"Load DCG1", func() error { _, err := Load(bytes.NewReader(bin.Bytes())); return err }},
+		{"WriteBinary", func() error { return g.WriteBinary(io.Discard) }},
+	} {
+		per := allocBytesPerRun(50, func() {
+			if err := c.run(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if per >= 16<<10 {
+			t.Errorf("%s allocates %.0f B on Path(3), want < 16 KiB", c.name, per)
+		}
+	}
 }

@@ -32,7 +32,7 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 // an edge. All errors carry 1-based line numbers.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // starts small, grows to a 1 MiB line cap
 	var b *Builder
 	declaredN, declaredM := 0, -1
 	headerLine := 0

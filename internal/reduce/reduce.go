@@ -266,7 +266,7 @@ func KWPooled(net *dist.Network, colors []int, m, target int, labels []int, acti
 		pool.nbrs = make([]int, total)
 	}
 	nbrs := pool.nbrs[:total]
-	dist.ParallelFor(total, net.SweepWorkers(total), func(lo, hi int) {
+	net.ParallelFor(total, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			nbrs[i] = -1
 		}
@@ -275,7 +275,7 @@ func KWPooled(net *dist.Network, colors []int, m, target int, labels []int, acti
 		pool.col = make([]int64, n)
 	}
 	col := pool.col[:n]
-	dist.ParallelFor(n, net.SweepWorkers(n), func(lo, hi int) {
+	net.ParallelFor(n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			col[v] = int64(colors[v])
 		}
