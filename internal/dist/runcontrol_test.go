@@ -207,9 +207,8 @@ func checkAbortRecords(t *testing.T, k int, res *Result, sink *memSink) {
 }
 
 // TestWithContextView pins the Network-level context plumbing: a view's
-// canceled context aborts its runs with ErrCanceled, an expired deadline
-// aborts at the first boundary with ErrDeadline and a partial result at
-// round 0, and the parent network, which carries no context, still runs.
+// canceled context aborts its runs with ErrCanceled, and the parent
+// network, which carries no context, still runs.
 func TestWithContextView(t *testing.T) {
 	net := NewNetwork(graph.Path(64))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -217,17 +216,30 @@ func TestWithContextView(t *testing.T) {
 	if _, err := net.WithContext(ctx).Run(wordGossip{rounds: 4}, RunOptions{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("view context ignored: %v", err)
 	}
-	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer dcancel()
-	res, err := net.WithContext(dctx).Run(wordGossip{rounds: 4}, RunOptions{})
+	if _, err := net.Run(wordGossip{rounds: 4}, RunOptions{}); err != nil {
+		t.Fatalf("a view's context leaked into its parent network: %v", err)
+	}
+}
+
+// TestWallBudget pins the wall-clock deadline, which a run takes from its
+// view's context: an expired deadline aborts at the first boundary with
+// ErrDeadline and a partial result at round 0; a generous one does not
+// abort at all.
+func TestWallBudget(t *testing.T) {
+	net := NewNetwork(graph.Path(64))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := net.WithContext(ctx).Run(wordGossip{rounds: 4}, RunOptions{})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("expired context deadline: err=%v, want ErrDeadline", err)
 	}
 	if res == nil || res.Rounds != 0 {
 		t.Fatalf("expired context deadline: partial result %+v", res)
 	}
-	if _, err := net.Run(wordGossip{rounds: 4}, RunOptions{}); err != nil {
-		t.Fatalf("a view's context leaked into its parent network: %v", err)
+	gctx, gcancel := context.WithTimeout(context.Background(), time.Hour)
+	defer gcancel()
+	if _, err := net.WithContext(gctx).Run(wordGossip{rounds: 4}, RunOptions{}); err != nil {
+		t.Fatalf("generous context deadline aborted: %v", err)
 	}
 }
 
