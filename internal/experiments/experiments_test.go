@@ -1,12 +1,19 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
 
 // smallSizes keeps the full-suite test fast.
 var smallSizes = Sizes{N: 500, Seed: 3}
+
+// rowsGolden holds every row of All(smallSizes) as `colorbench -n 500
+// -seed 3 -json` prints it, with wall_ms zeroed: the suite's output
+// contract, checked row by row.
+const rowsGolden = "testdata/rows-n500-seed3.jsonl"
 
 func TestAllExperimentsPassBounds(t *testing.T) {
 	rows, err := All(smallSizes)
@@ -24,6 +31,28 @@ func TestAllExperimentsPassBounds(t *testing.T) {
 		if r.Bound > 0 && r.Measured > r.Bound {
 			t.Errorf("experiment %s %s exceeds bound: %.1f > %.1f",
 				r.Exp, r.Params, r.Measured, r.Bound)
+		}
+	}
+	recs := make([]Record, len(rows))
+	for i, r := range rows {
+		recs[i] = NewRecord(r, 0, smallSizes)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(rowsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Errorf("%d rows, %s has %d", len(got), rowsGolden, len(want))
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Errorf("row %d differs from %s:\n got  %s\n want %s", i+1, rowsGolden, got[i], want[i])
 		}
 	}
 }
