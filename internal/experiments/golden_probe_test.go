@@ -103,11 +103,10 @@ func TestGoldenE14ArbKuhnProbed(t *testing.T) {
 		if sink.runs == 0 {
 			t.Errorf("E14 param=%d: pipeline emitted no run records", want.param)
 		}
-		// The trace covers every engine run of the pipeline, including the
-		// H-partition probe runs the tally's complete-orientation phase
-		// does not fold in (seed accounting), so traced >= tallied.
-		if sink.messages < want.messages {
-			t.Errorf("E14 param=%d: traced messages %d below the tallied %d", want.param, sink.messages, want.messages)
+		// The trace covers every engine run of the pipeline, and the tally
+		// charges every one of them, so traced == tallied.
+		if sink.messages != want.messages {
+			t.Errorf("E14 param=%d: traced messages %d, tallied %d", want.param, sink.messages, want.messages)
 		}
 	}
 }

@@ -198,6 +198,7 @@ func CompleteAcyclicOrientation(net *dist.Network, a int, eps Eps) (*OrientResul
 		return nil, nil, err
 	}
 	or.Rounds += hp.Rounds
+	or.Messages += hp.Messages
 	or.Wall += hp.Wall
 	or.PeakLive = max(or.PeakLive, hp.PeakLive)
 	return or, hp, nil
