@@ -323,7 +323,7 @@ func Forests(g *Graph, a int, opts Options) (*ForestsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ForestsResult{ForestOf: fd.ForestOf, NumForests: fd.NumForests, Rounds: fd.Rounds}, nil
+	return &ForestsResult{ForestOf: fd.ForestOf, NumForests: fd.NumForests, Rounds: fd.Tally.Rounds()}, nil
 }
 
 // EstimateArboricity returns an arboricity bound found by doubling search
@@ -345,13 +345,11 @@ func Linial(g *Graph, opts Options) (*Result, error) {
 	if err := guard(g); err != nil {
 		return nil, err
 	}
-	net := opts.network(g)
-	res, err := recolor.Linial(net)
+	var tally dist.Tally
+	res, err := recolor.Linial(opts.network(g).WithPhase(&tally, "linial"))
 	if err != nil {
 		return nil, err
 	}
-	var tally dist.Tally
-	tally.AddStats("linial", res.RunStats)
 	return newResult(res.Colors, res.Schedule.FinalColors(), &tally), nil
 }
 
@@ -361,13 +359,11 @@ func Defective(g *Graph, p int, opts Options) (*Result, error) {
 	if err := guard(g); err != nil {
 		return nil, err
 	}
-	net := opts.network(g)
-	res, err := recolor.Defective(net, p)
+	var tally dist.Tally
+	res, err := recolor.Defective(opts.network(g).WithPhase(&tally, "defective"), p)
 	if err != nil {
 		return nil, err
 	}
-	var tally dist.Tally
-	tally.AddStats("defective", res.RunStats)
 	return newResult(res.Colors, res.Schedule.FinalColors(), &tally), nil
 }
 
@@ -425,13 +421,11 @@ func RandomizedColoring(g *Graph, opts Options) (*Result, error) {
 	if err := guard(g); err != nil {
 		return nil, err
 	}
-	net := opts.network(g)
-	res, err := baseline.RandomizedColoring(net, opts.Seed)
+	var tally dist.Tally
+	res, err := baseline.RandomizedColoring(opts.network(g).WithPhase(&tally, "randcolor"), opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	var tally dist.Tally
-	tally.AddStats("randcolor", res.RunStats)
 	return newResult(res.Colors, g.MaxDegree()+1, &tally), nil
 }
 
@@ -441,13 +435,11 @@ func ColeVishkinForest(g *Graph, parentOf []int, opts Options) (*Result, error) 
 	if err := guard(g); err != nil {
 		return nil, err
 	}
-	net := opts.network(g)
-	res, err := baseline.ColeVishkinForest(net, parentOf)
+	var tally dist.Tally
+	res, err := baseline.ColeVishkinForest(opts.network(g).WithPhase(&tally, "cole-vishkin"), parentOf)
 	if err != nil {
 		return nil, err
 	}
-	var tally dist.Tally
-	tally.AddStats("cole-vishkin", res.RunStats)
 	return newResult(res.Colors, 3, &tally), nil
 }
 

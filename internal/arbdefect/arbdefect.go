@@ -77,12 +77,10 @@ func Coloring(net *dist.Network, a, k, t int, eps forest.Eps, labels []int, acti
 	}
 	var tally dist.Tally
 	tally.Merge(po.Tally)
-	net.Probe().SetPhase("arbdefect/simple-arbdefective")
-	sr, err := Simple(net, po.Orient, k)
+	sr, err := Simple(net.WithPhase(&tally, "simple-arbdefective"), po.Orient, k)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("simple-arbdefective", sr.RunStats)
 	return &ColoringResult{
 		Colors: sr.Colors,
 		Bound:  a/t + eps.Threshold(a)/k,
@@ -110,20 +108,16 @@ func Kuhn(net *dist.Network, a, t int, eps forest.Eps) (*KuhnResult, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("arbdefect: t must be >= 1, got %d", t)
 	}
-	net.Probe().SetPhase("arbdefect/complete-orientation")
-	or, _, err := forest.CompleteAcyclicOrientation(net, a, eps)
-	if err != nil {
-		return nil, err
-	}
 	var tally dist.Tally
-	tally.AddStats("complete-orientation", or.RunStats)
-	d := a / t
-	net.Probe().SetPhase("arbdefect/arb-recolor")
-	res, err := recolor.ArbKuhn(net, or.Dirs, or.OutDegree, d)
+	or, _, err := forest.CompleteAcyclicOrientation(net.WithPhase(&tally, "complete-orientation"), a, eps)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("arb-recolor", res.RunStats)
+	d := a / t
+	res, err := recolor.ArbKuhn(net.WithPhase(&tally, "arb-recolor"), or.Dirs, or.OutDegree, d)
+	if err != nil {
+		return nil, err
+	}
 	return &KuhnResult{
 		Colors: res.Colors,
 		Defect: d,

@@ -88,12 +88,10 @@ func OneShot(net *dist.Network, a int, eps forest.Eps) (*Result, error) {
 		return nil, err
 	}
 	tally.Merge(co.Tally)
-	net.Probe().SetPhase("core/final-greedy")
-	wc, err := forest.WaitColor(net, co.Orient, gamma, forest.RuleFirstFree)
+	wc, err := forest.WaitColor(net.WithPhase(&tally, "final-greedy"), co.Orient, gamma, forest.RuleFirstFree)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("final-greedy", wc.RunStats)
 	colors := make([]int, n)
 	for v := 0; v < n; v++ {
 		colors[v] = ad.Colors[v]*gamma + wc.Colors[v]
@@ -123,18 +121,14 @@ func twoPhase(net *dist.Network, a, d, p int, eps forest.Eps) (*FastResult, erro
 		eps = forest.DefaultEps
 	}
 	var tally dist.Tally
-	net.Probe().SetPhase("core/complete-orientation")
-	or, _, err := forest.CompleteAcyclicOrientation(net, a, eps)
+	or, _, err := forest.CompleteAcyclicOrientation(net.WithPhase(&tally, "complete-orientation"), a, eps)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("complete-orientation", or.RunStats)
-	net.Probe().SetPhase("core/arb-recolor")
-	kres, err := recolor.ArbKuhn(net, or.Dirs, or.OutDegree, d)
+	kres, err := recolor.ArbKuhn(net.WithPhase(&tally, "arb-recolor"), or.Dirs, or.OutDegree, d)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("arb-recolor", kres.RunStats)
 
 	alpha := d
 	if alpha < 1 {

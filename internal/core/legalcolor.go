@@ -192,12 +192,10 @@ func LegalColoring(net *dist.Network, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: final orientation: %w", err)
 	}
 	tally.Merge(co.Tally)
-	net.Probe().SetPhase("core/final-greedy")
-	wc, err := forest.WaitColor(net, co.Orient, paletteA, forest.RuleFirstFree)
+	wc, err := forest.WaitColor(net.WithPhase(&tally, "final-greedy"), co.Orient, paletteA, forest.RuleFirstFree)
 	if err != nil {
 		return nil, fmt.Errorf("core: final coloring: %w", err)
 	}
-	tally.AddStats("final-greedy", wc.RunStats)
 
 	// Line 19's palette offset: color = z*A + psi (a free local step).
 	colors := make([]int, n)

@@ -105,11 +105,9 @@ func MIS(net *dist.Network, cfg Config) (*MISResult, *dist.Tally, error) {
 	}
 	var tally dist.Tally
 	tally.Merge(lc.Tally)
-	net.Probe().SetPhase("core/mis-sweep")
-	mr, err := MISFromColoring(net, lc.Colors)
+	mr, err := MISFromColoring(net.WithPhase(&tally, "mis-sweep"), lc.Colors)
 	if err != nil {
 		return nil, nil, err
 	}
-	tally.AddStats("mis-sweep", mr.RunStats)
 	return mr, &tally, nil
 }

@@ -29,7 +29,6 @@ package deltacolor
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/recolor"
@@ -113,12 +112,10 @@ func ColorWithin(net *dist.Network, baseLabels []int, active []bool, degBound in
 		plan := recolor.Plan(n, d, target)
 		classColor := takeSnapshot()
 		p := recolor.Params{Color: -1, M0: n, DegBound: d, TargetDefect: target}
-		net.Probe().SetPhase(fmt.Sprintf("deltacolor/defective(d=%d)", d))
-		st, err := recolor.RunUniform(net, p, nil, labels, active, classColor)
-		if err != nil {
+		dnet := net.WithPhase(&tally, fmt.Sprintf("defective(d=%d)", d))
+		if _, err := recolor.RunUniform(dnet, p, nil, labels, active, classColor); err != nil {
 			return nil, fmt.Errorf("deltacolor: defective split at d=%d: %w", d, err)
 		}
-		tally.AddStats(fmt.Sprintf("defective(d=%d)", d), st)
 		lvLabels := takeSnapshot()
 		copy(lvLabels, labels)
 		levels = append(levels, level{
@@ -136,21 +133,15 @@ func ColorWithin(net *dist.Network, baseLabels []int, active []bool, degBound in
 	basePlan := recolor.Plan(n, d, 0)
 	colors := make([]int, n)
 	p := recolor.Params{Color: -1, M0: n, DegBound: d, TargetDefect: 0}
-	net.Probe().SetPhase("deltacolor/base-linial")
-	st, err := recolor.RunUniform(net, p, nil, labels, active, colors)
-	if err != nil {
+	if _, err := recolor.RunUniform(net.WithPhase(&tally, "base-linial"), p, nil, labels, active, colors); err != nil {
 		return nil, fmt.Errorf("deltacolor: base Linial: %w", err)
 	}
-	tally.AddStats("base-linial", st)
 
 	var rpool reduce.Pool
 	m := basePlan.FinalColors()
-	net.Probe().SetPhase("deltacolor/base-reduce")
-	st, err = reduce.KWPooled(net, colors, m, d+1, labels, active, &rpool, colors)
-	if err != nil {
+	if _, err := reduce.KWPooled(net.WithPhase(&tally, "base-reduce"), colors, m, d+1, labels, active, &rpool, colors); err != nil {
 		return nil, fmt.Errorf("deltacolor: base reduction: %w", err)
 	}
-	tally.AddStats("base-reduce", st)
 	palette := d + 1
 
 	// Bottom-up merges: disjoint palettes per sibling class, then reduce
@@ -160,8 +151,6 @@ func ColorWithin(net *dist.Network, baseLabels []int, active []bool, degBound in
 	merged := make([]int, n)
 	for i := len(levels) - 1; i >= 0; i-- {
 		lv := levels[i]
-		net.Probe().SetPhase(fmt.Sprintf("deltacolor/merge(d=%d)", lv.dBefore))
-		mergeStart := time.Now() //distvet:wallclock merge-phase wall attribution for the tally; wall figures are documented non-deterministic
 		net.ParallelFor(n, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				merged[v] = lv.classColor[v]*palette + colors[v]
@@ -169,15 +158,11 @@ func ColorWithin(net *dist.Network, baseLabels []int, active []bool, degBound in
 		})
 		m := lv.numClasses * palette
 		target := lv.dBefore + 1
-		st, err := reduce.KWPooled(net, merged, m, target, lv.labels, active, &rpool, colors)
-		if err != nil {
+		mnet := net.WithPhase(&tally, fmt.Sprintf("merge(d=%d)", lv.dBefore))
+		if _, err := reduce.KWPooled(mnet, merged, m, target, lv.labels, active, &rpool, colors); err != nil {
 			return nil, fmt.Errorf("deltacolor: merge at d=%d: %w", lv.dBefore, err)
 		}
 		palette = target
-		// The merge phase's wall includes the central palette-merge sweep,
-		// which precedes the reduction but belongs to this phase.
-		st.Wall = time.Since(mergeStart) //distvet:wallclock same merge-phase wall attribution
-		tally.AddStats(fmt.Sprintf("merge(d=%d)", lv.dBefore), st)
 	}
 
 	return &Result{Colors: colors, Palette: palette, Tally: &tally}, nil

@@ -137,8 +137,17 @@ func TestCursorHaltPatterns(t *testing.T) {
 		want := runPattern(t, net, pat, 1)
 		switch {
 		case name == "never":
-			if want.res != nil || want.err != "dist: 420 nodes still running after 12 rounds: "+ErrMaxRounds.Error() {
-				t.Fatalf("%s: res=%v err=%q", name, want.res, want.err)
+			// An exhausted budget reports the partial Result of its rounds.
+			if want.res == nil || want.res.Rounds != 12 ||
+				want.err != "dist: 420 nodes still running after 12 rounds: "+ErrMaxRounds.Error() {
+				t.Fatalf("%s: res=%+v err=%q", name, want.res, want.err)
+			}
+			var msgs int64
+			for _, rec := range want.rounds {
+				msgs += rec[1]
+			}
+			if msgs != want.res.Messages {
+				t.Fatalf("%s: round records sum to %d messages, the Result has %d", name, msgs, want.res.Messages)
 			}
 		case want.err != "":
 			t.Fatalf("%s: %s", name, want.err)

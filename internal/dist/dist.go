@@ -12,7 +12,8 @@ import (
 )
 
 // ErrMaxRounds is returned (wrapped) by Run when nodes are still running
-// after RunOptions.MaxRounds rounds. Callers that probe for a property -
+// after RunOptions.MaxRounds rounds, with the partial Result of those
+// rounds. Callers that probe for a property -
 // e.g. the H-partition testing an arboricity guess - detect the overrun
 // with errors.Is.
 var ErrMaxRounds = errors.New("dist: round budget exhausted")
@@ -114,7 +115,7 @@ type Result struct {
 	Messages int64
 	// Wall is the host-side wall time of the whole Run (setup through
 	// result collection). Unlike everything else in a Result it is not
-	// deterministic; orchestrators carry it into PhaseStat.Wall.
+	// deterministic; a WithPhase view charges it to PhaseStat.Wall.
 	Wall time.Duration
 	// PeakLive is the number of live vertices the run started with (the
 	// live set only shrinks).
@@ -200,6 +201,9 @@ type Network struct {
 	probe *Probe
 	// ctx, when non-nil, aborts every Run on this view; see WithContext.
 	ctx context.Context
+	// phase, when non-nil, is the tally phase every Run on this view is
+	// charged to; see WithPhase.
+	phase *phase
 }
 
 // NewNetwork returns a network with canonical identifiers id(v) = v+1.
@@ -353,12 +357,10 @@ type simulation struct {
 	// the round loop's hooks cost one nil check each per round.
 	tr *roundTracer
 
-	// Run-control state. phase is the probe phase label panic reports
-	// carry (empty unprobed). resumed is set by restore (snapshot.go): the
+	// Run-control state. resumed is set by restore (snapshot.go): the
 	// loop starts at startRound+1 and Init is skipped (a snapshot captured
 	// at round 0 already holds Init's sends, so startRound alone cannot
 	// distinguish the cases).
-	phase      string
 	startRound int
 	resumed    bool
 
@@ -493,7 +495,7 @@ func (s *simulation) run() (*Result, error) {
 	}
 	for r := rounds + 1; len(s.live) > 0; r++ {
 		if r > budget {
-			return s.end(nil, fmt.Errorf("dist: %d nodes still running after %d rounds: %w",
+			return s.end(s.partial(budget), fmt.Errorf("dist: %d nodes still running after %d rounds: %w",
 				len(s.live), budget, ErrMaxRounds))
 		}
 		if s.tr != nil {
@@ -527,8 +529,10 @@ func (s *simulation) boundary(rounds int) (*Result, error) {
 	return nil, nil
 }
 
-// end is the run's single exit: a probed run emits its run record.
+// end is the run's single exit: the view's phases are charged the
+// Result, and a probed run emits its run record.
 func (s *simulation) end(res *Result, err error) (*Result, error) {
+	s.net.phase.charge(res)
 	if s.tr != nil {
 		s.tr.runEnd(s, res, err)
 	}
@@ -551,9 +555,10 @@ func (s *simulation) checkAbort() error {
 	}
 }
 
-// partial assembles the Result of a run that stopped early - abort or
-// vertex failure - at a round boundary: the outputs and message totals
-// of the rounds completed so far, in the same shape as a completed run.
+// partial assembles the Result of a run at a round boundary: the outputs
+// and message totals of the rounds completed so far. A completed run and
+// every early stop - abort, vertex failure, exhausted round budget -
+// report through it.
 func (s *simulation) partial(rounds int) *Result {
 	return &Result{
 		OutputWords: s.outCol,
@@ -706,7 +711,7 @@ func (s *simulation) recoverStep(r, lo, hi int, c *cursor) {
 	if rec == nil {
 		return
 	}
-	err := fmt.Errorf("vertex program panic at round %d phase %q: %v: %w", r, s.phase, rec, ErrVertexPanic)
+	err := fmt.Errorf("vertex program panic at round %d phase %q: %v: %w", r, s.net.phase.label(), rec, ErrVertexPanic)
 	nd := &c.Node
 	if nd.vertex < 0 {
 		// An engine bug: record it unattributed rather than crash.

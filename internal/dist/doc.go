@@ -23,7 +23,9 @@
 //
 // Cost accounting follows the paper: Result reports the number of
 // communication rounds (the LOCAL measure) and messages sent; Tally
-// accumulates both across the phases of a multi-stage pipeline.
+// accumulates both across the phases of a multi-stage pipeline. A phase
+// is a Network.WithPhase view: the engine charges every run on it, so no
+// orchestrator copies a Result into a tally (tally.go).
 //
 // # Data plane
 //
@@ -58,8 +60,8 @@
 // # Sessions and parallelism
 //
 // A Network owns a persistent session (session.go) living as long as the
-// Network itself and shared by all WithWorkers/WithProbe/WithContext
-// views of it:
+// Network itself and shared by all WithWorkers/WithProbe/WithContext/
+// WithPhase views of it:
 //
 //   - Topology caches. The simulation wiring that depends only on the
 //     (graph, Labels, Active) triple - visible port lists, live set,
@@ -121,10 +123,12 @@
 // tracing without touching results. Lifetime and ownership rules:
 //
 //   - Construct with NewProbe(sink), attach with Network.WithProbe
-//     (a view, like WithWorkers/WithContext), label upcoming runs
-//     with Probe.SetPhase, and Close the probe after the last run -
-//     Close flushes buffered records and stops the flusher; writing
-//     sinks (obs.TraceWriter) are closed after the probe.
+//     (a view, like WithWorkers/WithContext), and Close the probe after
+//     the last run - Close flushes buffered records and stops the
+//     flusher; writing sinks (obs.TraceWriter) are closed after the
+//     probe. A run's RunRecord.Phase is its view's phase path
+//     (WithPhase), so pipelines sharing one probe never label each
+//     other's runs.
 //   - Sink callbacks receive slices that the probe reuses after the
 //     callback returns; a sink that retains records must copy them.
 //     Callbacks run off the round loop (a background flusher drains
@@ -139,7 +143,10 @@
 //     nothing per vertex (BenchmarkRunProbeOff/On pins this).
 //   - Records only cover rounds 1..Result.Rounds; Init's messages
 //     fold into the first round's record, and a run that halts at
-//     Init emits a RunRecord but no RoundRecords.
+//     Init emits a RunRecord but no RoundRecords. A run that stops
+//     early - abort, failure, exhausted round budget - records its
+//     partial Result, so its round records still sum to its run
+//     record.
 //
 // RunRecords also expose the session telemetry above (TopoCached,
 // ScratchPooled, setup vs. compute time), which is how cache behavior
@@ -205,9 +212,10 @@
 // //distvet: directives:
 //
 //   - //distvet:wallclock <why> - on a site line or in a function's doc
-//     comment: a sanctioned wall-clock read. Only the probe/tally
-//     timing paths and the Result.Wall/SetupNS attribution qualify;
-//     everything those reads feed is documented non-deterministic.
+//     comment: a sanctioned wall-clock read. Only the probe timing
+//     paths and the Result.Wall/SetupNS attribution (which phase views
+//     charge to their tallies) qualify; everything those reads feed is
+//     documented non-deterministic.
 //   - //distvet:noalloc - in a function's doc comment: the function is
 //     on the per-vertex hot path and must contain no allocating
 //     constructs. The step loop (stepSlice, stepSliceGuarded) and

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,11 +15,9 @@ func TestTallyAccounting(t *testing.T) {
 	if a.Rounds() != 0 || a.Messages() != 0 || len(a.Phases()) != 0 {
 		t.Fatal("zero tally not empty")
 	}
-	a.AddStats("one", RunStats{Rounds: 3, Messages: 10})
-	a.AddStats("two", RunStats{Rounds: 4})
+	a.Merge(TallyFromPhases([]PhaseStat{{Name: "one", Rounds: 3, Messages: 10}, {Name: "two", Rounds: 4}}))
 
-	var b Tally
-	b.AddStats("three", RunStats{Rounds: 5, Messages: 7})
+	b := TallyFromPhases([]PhaseStat{{Name: "three", Rounds: 5, Messages: 7}})
 	b.Merge(&a)
 	b.Merge(nil) // nil-safe
 
@@ -43,17 +43,18 @@ func TestTallyAccounting(t *testing.T) {
 		t.Error("Phases() exposed internal storage")
 	}
 	// Merge copies state, not aliasing: growing a later must not affect b.
-	a.AddStats("four", RunStats{Rounds: 100})
+	a.Merge(TallyFromPhases([]PhaseStat{{Name: "four", Rounds: 100}}))
 	if b.Rounds() != 12 {
 		t.Error("Merge aliased the source tally")
 	}
 }
 
 func TestTallyWallAttribution(t *testing.T) {
-	var a Tally
-	a.AddStats("timed", RunStats{Rounds: 2, Messages: 5, Wall: 3 * time.Millisecond, PeakLive: 100})
-	a.AddStats("stats", RunStats{Rounds: 1, Messages: 2, Wall: 2 * time.Millisecond, PeakLive: 250})
-	a.AddStats("unattributed", RunStats{Rounds: 1, Messages: 1}) // no wall attribution
+	a := TallyFromPhases([]PhaseStat{
+		{Name: "timed", Rounds: 2, Messages: 5, Wall: 3 * time.Millisecond, PeakLive: 100},
+		{Name: "stats", Rounds: 1, Messages: 2, Wall: 2 * time.Millisecond, PeakLive: 250},
+		{Name: "unattributed", Rounds: 1, Messages: 1}, // no wall attribution
+	})
 	if got, want := a.Wall(), 5*time.Millisecond; got != want {
 		t.Errorf("wall = %v, want %v", got, want)
 	}
@@ -63,7 +64,7 @@ func TestTallyWallAttribution(t *testing.T) {
 
 	// Merge must preserve the wall and peak-live fields phase by phase.
 	var b Tally
-	b.Merge(&a)
+	b.Merge(a)
 	if b.Wall() != a.Wall() || b.PeakLive() != a.PeakLive() {
 		t.Errorf("merge dropped attribution: wall %v/%v peak %d/%d",
 			b.Wall(), a.Wall(), b.PeakLive(), a.PeakLive())
@@ -78,6 +79,81 @@ func TestTallyWallAttribution(t *testing.T) {
 	}
 	if b.Phase(2).Wall != 0 || b.Phase(2).PeakLive != 0 {
 		t.Errorf("unattributed phase gained attribution: %+v", b.Phase(2))
+	}
+}
+
+// TestWithPhase pins the phase view: phases keep the order their views
+// were made in, every run on a view (or a view derived from it) charges
+// its Result, a nested view charges its own phase and the enclosing one
+// and labels its runs with the joined path, a failed run charges its
+// partial Result, and a panic error names the path without a probe.
+func TestWithPhase(t *testing.T) {
+	sink := &memSink{}
+	p := NewProbe(sink)
+	net := NewNetwork(graph.Path(9)).WithProbe(p)
+	var outer, inner Tally
+	first := net.WithPhase(&outer, "first")
+	second := net.WithPhase(&outer, "second")
+	nested := second.WithPhase(&inner, "nested")
+
+	stat := func(res *Result) PhaseStat {
+		return PhaseStat{Rounds: res.Rounds, Messages: res.Messages, Wall: res.Wall, PeakLive: res.PeakLive}
+	}
+	// Runs in reverse order of the views: the phase order stays.
+	r1, err := nested.WithWorkers(2).Run(gossip{rounds: 3}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]PhaseStat{"nested": stat(r1)}
+	r2, err := second.Run(gossip{rounds: 2}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A budget-exhausted run charges its partial Result.
+	r3, err := first.Run(chainColor{}, RunOptions{InputWords: pathInputs(9), MaxRounds: 4})
+	if !errors.Is(err, ErrMaxRounds) || r3 == nil || r3.Rounds != 4 || r3.Messages == 0 {
+		t.Fatalf("over-budget run: res=%+v err=%v", r3, err)
+	}
+	want["first"] = stat(r3)
+	want["second"] = PhaseStat{
+		Rounds: r1.Rounds + r2.Rounds, Messages: r1.Messages + r2.Messages,
+		Wall: r1.Wall + r2.Wall, PeakLive: max(r1.PeakLive, r2.PeakLive),
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tl := range []struct {
+		tally *Tally
+		names []string
+	}{{&outer, []string{"first", "second"}}, {&inner, []string{"nested"}}} {
+		if tl.tally.NumPhases() != len(tl.names) {
+			t.Fatalf("phases %+v, want %v", tl.tally.Phases(), tl.names)
+		}
+		for i, name := range tl.names {
+			got := tl.tally.Phase(i)
+			w := want[name]
+			w.Name = name
+			if got != w {
+				t.Errorf("phase %d = %+v, want %+v", i, got, w)
+			}
+		}
+	}
+	var labels []string
+	for _, rec := range sink.runs {
+		labels = append(labels, rec.Phase)
+	}
+	if want := []string{"second/nested", "second", "first"}; !reflect.DeepEqual(labels, want) {
+		t.Errorf("run labels %q, want %q", labels, want)
+	}
+
+	// The panic label comes from the view, probed or not.
+	_, err = NewNetwork(graph.Path(9)).WithPhase(&outer, "a").WithPhase(&inner, "b").
+		Run(panicProg{from: 4, round: 1, rounds: 3}, RunOptions{})
+	if !errors.Is(err, ErrVertexPanic) || !strings.Contains(err.Error(), `phase "a/b"`) {
+		t.Fatalf("unprobed panic: %v, want phase \"a/b\"", err)
+	}
+	if a, b := outer.Phase(2), inner.Phase(1); a.Rounds != 1 || b.Rounds != 1 || a.Messages != b.Messages {
+		t.Errorf("panicked run charged %+v and %+v, want its one round in both", a, b)
 	}
 }
 

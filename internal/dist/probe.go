@@ -71,8 +71,9 @@ type RunRecord struct {
 	// Run is the probe-scoped sequence number shared with the run's
 	// RoundRecords.
 	Run int64 `json:"run"`
-	// Phase is the orchestrator-declared label current at the start of
-	// the run (see Probe.SetPhase); empty when none was set.
+	// Phase is the phase path of the run's view (see Network.WithPhase):
+	// the tally phase name, or the enclosing phases' names joined by "/"
+	// when phased views nest; empty on an unphased view.
 	Phase string `json:"phase,omitempty"`
 	// Rounds / Messages / PeakLive mirror Result.
 	Rounds   int   `json:"rounds"`
@@ -172,7 +173,6 @@ type ProbeTotals struct {
 // the Run sequence number ties each record to its run.
 type Probe struct {
 	mu     sync.Mutex
-	phase  string
 	seq    int64
 	cur    []RoundRecord
 	free   chan []RoundRecord
@@ -250,18 +250,6 @@ func (p *Probe) flush(sink ProbeSink) {
 	}
 }
 
-// SetPhase labels subsequent runs with an orchestrator-level phase name
-// (snapshotted per run into RunRecord.Phase). Safe on a nil probe, so
-// orchestrators call net.Probe().SetPhase(...) unconditionally.
-func (p *Probe) SetPhase(name string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.phase = name
-	p.mu.Unlock()
-}
-
 // Totals returns the probe's running aggregates.
 func (p *Probe) Totals() ProbeTotals {
 	p.mu.Lock()
@@ -269,14 +257,12 @@ func (p *Probe) Totals() ProbeTotals {
 	return p.totals
 }
 
-// beginRun assigns the next run sequence number and snapshots the
-// current phase label.
-func (p *Probe) beginRun() (seq int64, phase string) {
+// beginRun assigns the next run sequence number.
+func (p *Probe) beginRun() int64 {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.seq++
-	seq, phase = p.seq, p.phase
-	p.mu.Unlock()
-	return seq, phase
+	return p.seq
 }
 
 // round stages one round record, flushing the chunk when full.
@@ -343,13 +329,11 @@ func (net *Network) WithProbe(p *Probe) *Network {
 	return &c
 }
 
-// Probe returns the probe attached to this network view, or nil. Its
-// nil-safe methods (SetPhase) let orchestrators label phases without
-// checking.
+// Probe returns the probe attached to this network view, or nil.
 func (net *Network) Probe() *Probe { return net.probe }
 
 // roundTracer is the per-run state of a probed run, pooled in the run
-// scratch: the run's sequence number and phase, the round clock, and the
+// scratch: the run's sequence number, the round clock, and the
 // per-range send counters the round records diff. A range is one shard
 // of a sharded view, or the whole vertex space otherwise. The round loop
 // calls its hooks - runStart, roundStart, roundEnd, runEnd - behind one
@@ -357,7 +341,6 @@ func (net *Network) Probe() *Probe { return net.probe }
 type roundTracer struct {
 	p       *Probe
 	seq     int64
-	phase   string
 	compute time.Time
 	round   time.Time
 	live    int
@@ -376,8 +359,8 @@ type roundTracer struct {
 // sharded reports whether the run carries per-shard telemetry.
 func (t *roundTracer) sharded() bool { return len(t.vcuts) > 2 }
 
-// runStart opens the run: sequence number, phase label, compute clock
-// and the send baseline. A resume from round r > 0 starts the baseline at
+// runStart opens the run: sequence number, compute clock and the send
+// baseline. A resume from round r > 0 starts the baseline at
 // the restored counters, whose pre-kill sends the first leg's records
 // already carry. A round-0 resume starts it at zero, like a fresh run:
 // the first leg emitted no record, so the restored Init sends belong to
@@ -386,8 +369,7 @@ func (t *roundTracer) sharded() bool { return len(t.vcuts) > 2 }
 //distvet:wallclock the compute clock feeds RunRecord.ComputeNS, documented non-deterministic
 func (t *roundTracer) runStart(s *simulation) {
 	t.p = s.net.probe
-	t.seq, t.phase = t.p.beginRun()
-	s.phase = t.phase
+	t.seq = t.p.beginRun()
 	t.compute = time.Now()
 	t.vcuts = append(t.vcuts[:0], 0)
 	if sh := s.net.sharding; sh.NumShards() > 1 {
@@ -486,24 +468,21 @@ func (t *roundTracer) roundEnd(s *simulation, r int) {
 	t.sent = cum
 }
 
-// runEnd stages the run record. res is nil when the run failed without a
-// partial Result (round budget exhausted): the record then reports zero
-// rounds and messages.
+// runEnd stages the run record.
 //
 //distvet:wallclock ComputeNS is wall telemetry, documented non-deterministic
 func (t *roundTracer) runEnd(s *simulation, res *Result, err error) {
 	rec := RunRecord{
 		Run:           t.seq,
-		Phase:         t.phase,
+		Phase:         s.net.phase.label(),
+		Rounds:        res.Rounds,
+		Messages:      res.Messages,
 		PeakLive:      len(s.topo.live),
 		Workers:       s.net.Workers(),
 		TopoCached:    s.topoCached,
 		ScratchPooled: s.scratchPooled,
 		SetupNS:       s.setupNS,
 		ComputeNS:     time.Since(t.compute).Nanoseconds(),
-	}
-	if res != nil {
-		rec.Rounds, rec.Messages = res.Rounds, res.Messages
 	}
 	if t.sharded() {
 		rec.Shards = len(t.vcuts) - 1

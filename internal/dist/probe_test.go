@@ -187,7 +187,8 @@ func TestProbeMultiChunkFlush(t *testing.T) {
 }
 
 // TestProbeRecordsFailedRun pins the error path: an over-budget run
-// emits a run record carrying the error and its staged round records.
+// emits its staged round records and a run record carrying the error and
+// the budget's rounds, whose messages the round records sum to.
 func TestProbeRecordsFailedRun(t *testing.T) {
 	sink := &memSink{}
 	p := NewProbe(sink)
@@ -205,6 +206,13 @@ func TestProbeRecordsFailedRun(t *testing.T) {
 	}
 	if len(sink.rounds) != 4 {
 		t.Fatalf("%d round records before the abort, want 4", len(sink.rounds))
+	}
+	var msgs int64
+	for _, rec := range sink.rounds {
+		msgs += rec.Messages
+	}
+	if run := sink.runs[0]; run.Rounds != 4 || run.Messages != msgs {
+		t.Fatalf("run record %d rounds / %d messages, want 4 / %d", run.Rounds, run.Messages, msgs)
 	}
 }
 

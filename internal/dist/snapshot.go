@@ -118,7 +118,9 @@ func (s *simulation) captureSnapshot(rounds int) (*Snapshot, error) {
 // Messages. opts.InputWords must be a column of the captured length; its
 // contents are overwritten with the snapshot's (programs use input slots
 // as scratch, so the snapshot's copy is authoritative). The shard count
-// of this network view need not match the captured run's.
+// of this network view need not match the captured run's. Absolute counts
+// mean a phase view (WithPhase) that was charged the aborted leg counts
+// that leg again when the resume runs on it too.
 func (net *Network) Resume(algo Algorithm, opts RunOptions, sn *Snapshot) (*Result, error) {
 	if sn == nil {
 		return nil, errors.New("dist: nil snapshot")

@@ -9,28 +9,68 @@ type PhaseStat struct {
 	Name     string
 	Rounds   int
 	Messages int64
-	// Wall is the wall time attributed to the phase - for phases that are
-	// a single engine run, Result.Wall; for composite phases, the sum the
-	// orchestrator recorded. Zero for phases recorded without one.
+	// Wall is the summed Result.Wall of the phase's runs.
 	Wall time.Duration
 	// PeakLive is the largest live-vertex count any of the phase's runs
-	// started with (0 when unattributed).
+	// started with.
 	PeakLive int
 }
 
 // Tally accumulates round and message counts across the phases of a
-// pipeline (H-partition, level coloring, orientation, ...). The zero
-// value is an empty tally ready for use.
+// pipeline (H-partition, level coloring, orientation, ...). The engine
+// fills it: a phase is a WithPhase view, and every run on the view
+// charges its Result to the phase. The zero value is an empty tally
+// ready for use. A Tally is not safe for concurrent use, so runs that
+// charge one tally must not overlap.
 type Tally struct {
 	phases []PhaseStat
 }
 
-// AddStats records a phase with its cost: the LOCAL measures plus wall
-// time and peak live-set size (zero where the phase has none).
-func (t *Tally) AddStats(name string, st RunStats) {
-	t.phases = append(t.phases, PhaseStat{
-		Name: name, Rounds: st.Rounds, Messages: st.Messages, Wall: st.Wall, PeakLive: st.PeakLive,
-	})
+// phase is the charge target of a WithPhase view: phase i of t, the
+// enclosing phase of the view it was made from (nil at the outermost),
+// and the path that labels its runs.
+type phase struct {
+	t      *Tally
+	i      int
+	parent *phase
+	path   string
+}
+
+// WithPhase returns a view of the network that appends phase name to t
+// now and charges to it every Run on the view or on a view derived from
+// it: the Result's rounds, messages and wall add up, and its peak-live
+// raises the phase's. An aborted run charges its partial Result. A view
+// made from a phased view charges both phases, so a composite phase is
+// the sum of its parts; nest phases of different tallies, since a tally's
+// totals sum its phases. The phase path - name, or the enclosing path,
+// "/" and name - labels the runs' RunRecord.Phase and panic errors.
+func (net *Network) WithPhase(t *Tally, name string) *Network {
+	t.phases = append(t.phases, PhaseStat{Name: name})
+	c := *net
+	c.phase = &phase{t: t, i: len(t.phases) - 1, parent: net.phase, path: name}
+	if net.phase != nil {
+		c.phase.path = net.phase.path + "/" + name
+	}
+	return &c
+}
+
+// label returns the phase path of a view's runs ("" unphased).
+func (ph *phase) label() string {
+	if ph == nil {
+		return ""
+	}
+	return ph.path
+}
+
+// charge adds a run's Result to the phase and every enclosing phase.
+func (ph *phase) charge(res *Result) {
+	for ; ph != nil; ph = ph.parent {
+		p := &ph.t.phases[ph.i]
+		p.Rounds += res.Rounds
+		p.Messages += res.Messages
+		p.Wall += res.Wall
+		p.PeakLive = max(p.PeakLive, res.PeakLive)
+	}
 }
 
 // Merge appends every phase of other (nil-safe) to t. Phases are copied
@@ -61,8 +101,7 @@ func (t *Tally) Messages() int64 {
 	return total
 }
 
-// Wall returns the total attributed wall time across all phases. Phases
-// recorded without wall time contribute zero.
+// Wall returns the total wall time across all phases.
 func (t *Tally) Wall() time.Duration {
 	var total time.Duration
 	for _, p := range t.phases {

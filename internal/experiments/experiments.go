@@ -126,7 +126,7 @@ func E02Forests(s Sizes) ([]Row, error) {
 		ok := fd.Validate() == nil
 		rows = append(rows, Row{
 			Exp: "E02", Workload: fmt.Sprintf("forest-union n=%d", g.N()),
-			Params: fmt.Sprintf("a=%d", a), Rounds: fd.Rounds, Messages: fd.Messages,
+			Params: fmt.Sprintf("a=%d", a), Rounds: fd.Tally.Rounds(), Messages: fd.Tally.Messages(),
 			Measured: float64(fd.NumForests), Bound: float64(forest.DefaultEps.Threshold(a)),
 			Metric: "num-forests", OK: ok && fd.NumForests <= forest.DefaultEps.Threshold(a),
 		})

@@ -16,9 +16,9 @@ type ForestsDecomposition struct {
 	Orient     *OrientResult
 	ForestOf   map[[2]int]int
 	NumForests int
-	Rounds     int
-	Messages   int64
-	g          *graph.Graph
+	// Tally has the complete-orientation and forest-assign phases.
+	Tally *dist.Tally
+	g     *graph.Graph
 }
 
 // forestAssign: each vertex locally labels its outgoing (parent) edges with
@@ -59,22 +59,22 @@ func (forestAssign) StepWords(n *dist.Node, inbox dist.WordInbox) {}
 // (Lemma 2.2(2)): H-partition, (level,id) orientation, then local forest
 // assignment of each vertex's <= floor((2+eps)a) outgoing edges.
 func Decompose(net *dist.Network, a int, eps Eps) (*ForestsDecomposition, error) {
-	or, _, err := CompleteAcyclicOrientation(net, a, eps)
+	var tally dist.Tally
+	or, _, err := CompleteAcyclicOrientation(net.WithPhase(&tally, "complete-orientation"), a, eps)
 	if err != nil {
 		return nil, err
 	}
 	g := net.Graph()
 	// Unfiltered run: visible ports coincide with the graph's port
 	// numbering, so the output decodes along the adjacency lists.
-	res, err := net.Run(forestAssign{}, dist.RunOptions{InputWords: or.Dirs})
+	res, err := net.WithPhase(&tally, "forest-assign").Run(forestAssign{}, dist.RunOptions{InputWords: or.Dirs})
 	if err != nil {
 		return nil, err
 	}
 	fd := &ForestsDecomposition{
 		Orient:   or,
 		ForestOf: make(map[[2]int]int, g.M()),
-		Rounds:   or.Rounds + res.Rounds,
-		Messages: or.Messages + res.Messages,
+		Tally:    &tally,
 		g:        g,
 	}
 	out, off := res.OutputWords, 0

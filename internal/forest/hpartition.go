@@ -141,18 +141,18 @@ func ComputeHPartition(net *dist.Network, a int, eps Eps, labels []int, active [
 // EstimateArboricity runs H-partitions with doubling arboricity guesses
 // until one succeeds, returning the first admissible guess (at most twice
 // the degeneracy) and the partition it produced. Total time O(log a log n).
+// The tally has one phase hpartition(a=...) per guess; a failed guess
+// costs its whole round budget.
 func EstimateArboricity(net *dist.Network, eps Eps) (int, *HPartition, *dist.Tally, error) {
 	var tally dist.Tally
 	for a := 1; a <= net.Graph().N(); a *= 2 {
-		hp, err := ComputeHPartition(net, a, eps, nil, nil)
+		hp, err := ComputeHPartition(net.WithPhase(&tally, fmt.Sprintf("hpartition(a=%d)", a)), a, eps, nil, nil)
 		if err == nil {
-			tally.AddStats(fmt.Sprintf("hpartition(a=%d)", a), dist.RunStats{Rounds: hp.Rounds})
 			return a, hp, &tally, nil
 		}
 		if !errors.Is(err, ErrArboricityTooSmall) {
 			return 0, nil, nil, err
 		}
-		tally.AddStats(fmt.Sprintf("hpartition(a=%d,failed)", a), dist.RunStats{Rounds: eps.MaxLevels(net.Graph().N()) + 2})
 	}
 	return 0, nil, nil, fmt.Errorf("forest: estimation failed up to n")
 }

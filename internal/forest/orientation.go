@@ -186,7 +186,9 @@ func (or *OrientResult) Orientation(net *dist.Network) *graph.Orientation {
 
 // CompleteAcyclicOrientation implements Lemma 2.4: an acyclic complete
 // orientation with out-degree floor((2+eps)a) in O(log n) time, via an
-// H-partition followed by the (level, id) orientation exchange.
+// H-partition followed by the (level, id) orientation exchange. Each
+// result carries its own run's cost; a caller charges both runs to one
+// phase by passing a WithPhase view.
 func CompleteAcyclicOrientation(net *dist.Network, a int, eps Eps) (*OrientResult, *HPartition, error) {
 	hp, err := ComputeHPartition(net, a, eps, nil, nil)
 	if err != nil {
@@ -197,9 +199,5 @@ func CompleteAcyclicOrientation(net *dist.Network, a int, eps Eps) (*OrientResul
 	if err != nil {
 		return nil, nil, err
 	}
-	or.Rounds += hp.Rounds
-	or.Messages += hp.Messages
-	or.Wall += hp.Wall
-	or.PeakLive = max(or.PeakLive, hp.PeakLive)
 	return or, hp, nil
 }

@@ -183,7 +183,7 @@ func TestDecomposeWordShadowsBoxed(t *testing.T) {
 			}
 		}
 	}
-	checkRun(t, "decompose", runGolden{0xb5fcf3c49337c482, 4, 4544}, forests, d.Rounds, d.Messages)
+	checkRun(t, "decompose", runGolden{0xb5fcf3c49337c482, 4, 4544}, forests, d.Tally.Rounds(), d.Tally.Messages())
 	if d.NumForests != 6 {
 		t.Errorf("%d forests, frozen boxed run had 6", d.NumForests)
 	}

@@ -36,8 +36,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(17))
 	g := graph.ForestUnion(200, 3, rng)
-	net := dist.NewNetworkPermuted(g, rng).WithProbe(p)
-	p.SetPhase("test/flood")
+	net := dist.NewNetworkPermuted(g, rng).WithProbe(p).WithPhase(new(dist.Tally), "test").WithPhase(new(dist.Tally), "flood")
 	res, err := net.Run(flood{rounds: 5}, dist.RunOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -62,21 +62,19 @@ func Partial(net *dist.Network, a, t int, eps forest.Eps, labels []int, active [
 	if t < 1 {
 		return nil, fmt.Errorf("orient: t must be >= 1, got %d", t)
 	}
-	return run(net, a, eps, labels, active, func(levelLabels []int) ([]int, int, dist.RunStats, error) {
+	return run(net, a, eps, labels, active, func(lnet *dist.Network, levelLabels []int) ([]int, int, error) {
 		// Step 2 of Algorithm 1: floor(a/t)-defective O(t^2)-coloring of
 		// each G(H_i) in parallel.
-		g := net.Graph()
-		n := g.N()
+		n := net.Graph().N()
 		degBound := eps.Threshold(a)
 		target := a / t
 		plan := recolor.Plan(n, degBound, target)
 		colors := make([]int, n)
 		p := recolor.Params{Color: -1, M0: n, DegBound: degBound, TargetDefect: target}
-		st, err := recolor.RunUniform(net, p, nil, levelLabels, active, colors)
-		if err != nil {
-			return nil, 0, dist.RunStats{}, err
+		if _, err := recolor.RunUniform(lnet, p, nil, levelLabels, active, colors); err != nil {
+			return nil, 0, err
 		}
-		return colors, plan.FinalColors(), st, nil
+		return colors, plan.FinalColors(), nil
 	})
 }
 
@@ -85,71 +83,56 @@ func Partial(net *dist.Network, a, t int, eps forest.Eps, labels []int, active [
 // floor((2+eps)a). The method selects the per-level coloring (see
 // LevelColoring). labels/active restrict to subgraphs.
 func Complete(net *dist.Network, a int, eps forest.Eps, method LevelColoring, labels []int, active []bool) (*Result, error) {
-	return run(net, a, eps, labels, active, func(levelLabels []int) ([]int, int, dist.RunStats, error) {
-		g := net.Graph()
-		n := g.N()
+	return run(net, a, eps, labels, active, func(lnet *dist.Network, levelLabels []int) ([]int, int, error) {
+		n := net.Graph().N()
 		degBound := eps.Threshold(a)
 		switch method {
 		case LevelLinial:
 			plan := recolor.Plan(n, degBound, 0)
 			colors := make([]int, n)
 			p := recolor.Params{Color: -1, M0: n, DegBound: degBound, TargetDefect: 0}
-			st, err := recolor.RunUniform(net, p, nil, levelLabels, active, colors)
-			if err != nil {
-				return nil, 0, dist.RunStats{}, err
+			if _, err := recolor.RunUniform(lnet, p, nil, levelLabels, active, colors); err != nil {
+				return nil, 0, err
 			}
-			return colors, plan.FinalColors(), st, nil
+			return colors, plan.FinalColors(), nil
 		case LevelDeltaPlusOne:
-			dres, err := deltacolor.ColorWithin(net, levelLabels, active, degBound)
+			dres, err := deltacolor.ColorWithin(lnet, levelLabels, active, degBound)
 			if err != nil {
-				return nil, 0, dist.RunStats{}, err
+				return nil, 0, err
 			}
-			st := dist.RunStats{
-				Rounds:   dres.Tally.Rounds(),
-				Messages: dres.Tally.Messages(),
-				Wall:     dres.Tally.Wall(),
-				PeakLive: dres.Tally.PeakLive(),
-			}
-			return dres.Colors, dres.Palette, st, nil
+			return dres.Colors, dres.Palette, nil
 		default:
-			return nil, 0, dist.RunStats{}, fmt.Errorf("orient: unknown level coloring %d", method)
+			return nil, 0, fmt.Errorf("orient: unknown level coloring %d", method)
 		}
 	})
 }
 
 // run factors the common three-step structure: H-partition, per-level
-// coloring within (label x level) classes, then the (level, color)
-// orientation exchange.
+// coloring within (label x level) classes on the level-coloring phase's
+// view, then the (level, color) orientation exchange.
 func run(net *dist.Network, a int, eps forest.Eps, labels []int, active []bool,
-	colorLevels func(levelLabels []int) (colors []int, palette int, st dist.RunStats, err error),
+	colorLevels func(lnet *dist.Network, levelLabels []int) (colors []int, palette int, err error),
 ) (*Result, error) {
 	var tally dist.Tally
-
-	net.Probe().SetPhase("orient/h-partition")
-	hp, err := forest.ComputeHPartition(net, a, eps, labels, active)
+	hp, err := forest.ComputeHPartition(net.WithPhase(&tally, "h-partition"), a, eps, labels, active)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("h-partition", hp.RunStats)
 
 	levelLabels := hp.Level
 	if labels != nil {
 		levelLabels = dist.ComposeLabels(labels, hp.Level)
 	}
-	net.Probe().SetPhase("orient/level-coloring")
-	colors, palette, st, err := colorLevels(levelLabels)
+	colors, palette, err := colorLevels(net.WithPhase(&tally, "level-coloring"), levelLabels)
 	if err != nil {
 		return nil, err
 	}
-	tally.AddStats("level-coloring", st)
 
-	net.Probe().SetPhase("orient/orientation")
-	or, err := forest.OrientByLevelKey(net, hp.Level, colors, labels, active)
+	or, err := forest.OrientByLevelKey(net.WithPhase(&tally, "orientation"), hp.Level, colors, labels, active)
 	if err != nil {
 		return nil, err
 	}
 	or.LengthBound = hp.NumLevels * (palette + 1)
-	tally.AddStats("orientation", or.RunStats)
 
 	return &Result{
 		Orient:       or,
