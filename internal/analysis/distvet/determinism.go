@@ -21,6 +21,7 @@ var enginePackages = []string{
 	"internal/deltacolor",
 	"internal/orient",
 	"internal/field",
+	"internal/graph",
 }
 
 func isEnginePackage(path string) bool {
@@ -40,11 +41,11 @@ var DeterminismAnalyzer = &analysis.Analyzer{
 	Doc: `forbid nondeterminism sources in engine packages
 
 Inside the engine packages (internal/dist, recolor, forest, reduce,
-deltacolor, orient, field) this analyzer flags:
+deltacolor, orient, field, graph) this analyzer flags:
 
   - calls to time.Now / time.Since, unless the site or its enclosing
     function carries //distvet:wallclock <why> (the sanctioned probe and
-    tally timing sites; Result.Wall is explicitly non-deterministic);
+    Result.Wall timing sites, explicitly non-deterministic);
   - any package-level use of math/rand or math/rand/v2 (using an
     injected *rand.Rand value is fine - the caller owns the seed; naming
     the package is not);

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Generators for the workload families used by the experiments. All take an
@@ -178,19 +179,19 @@ func PowerLawish(n, k int, rng *rand.Rand) *Graph {
 	// Repeated-endpoint list for proportional sampling.
 	endpoints := make([]int, 0, 2*n*k)
 	endpoints = append(endpoints, 0)
+	// chosen keeps the draws in draw order, so the endpoint list - and
+	// every later draw - is a function of the seed.
+	chosen := make([]int, 0, k)
 	for v := 1; v < n; v++ {
-		attach := k
-		if v < k {
-			attach = v
-		}
-		chosen := make(map[int]struct{}, attach)
+		attach := min(k, v)
+		chosen = chosen[:0]
 		for len(chosen) < attach {
-			u := endpoints[rng.Intn(len(endpoints))]
-			if u != v {
-				chosen[u] = struct{}{}
+			// endpoints holds only vertices below v.
+			if u := endpoints[rng.Intn(len(endpoints))]; !slices.Contains(chosen, u) {
+				chosen = append(chosen, u)
 			}
 		}
-		for u := range chosen {
+		for _, u := range chosen {
 			_ = b.AddEdge(v, u)
 			endpoints = append(endpoints, u)
 		}

@@ -56,7 +56,7 @@ func (b *Builder) AddEdge(u, v int) error {
 // Build finalizes the graph.
 func (b *Builder) Build() *Graph {
 	adj := make([][]int, b.n)
-	for e := range b.edges {
+	for e := range b.edges { //distvet:unordered each adjacency list is sorted below, before anything reads it
 		adj[e[0]] = append(adj[e[0]], e[1])
 		adj[e[1]] = append(adj[e[1]], e[0])
 	}

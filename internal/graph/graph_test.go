@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -204,6 +205,29 @@ func TestPowerLawishDegeneracy(t *testing.T) {
 	g := PowerLawish(500, 3, rng)
 	if d, _ := g.Degeneracy(); d > 3 {
 		t.Errorf("PowerLawish degeneracy %d > k=3", d)
+	}
+}
+
+// TestGeneratorsAreFunctionsOfTheSeed builds every seeded generator twice
+// from one seed and requires equal edge lists.
+func TestGeneratorsAreFunctionsOfTheSeed(t *testing.T) {
+	gens := map[string]func(*rand.Rand) *Graph{
+		"RandomTree":       func(r *rand.Rand) *Graph { return RandomTree(500, r) },
+		"Gnp":              func(r *rand.Rand) *Graph { return Gnp(300, 0.05, r) },
+		"ForestUnion":      func(r *rand.Rand) *Graph { return ForestUnion(500, 4, r) },
+		"StarForest":       func(r *rand.Rand) *Graph { return StarForest(500, 3, 4, 60, r) },
+		"PowerLawish":      func(r *rand.Rand) *Graph { return PowerLawish(2000, 4, r) },
+		"RandomRegularish": func(r *rand.Rand) *Graph { return RandomRegularish(500, 6, r) },
+		"UnitDiskish":      func(r *rand.Rand) *Graph { return UnitDiskish(300, 10, 1.5, r) },
+	}
+	for name, gen := range gens {
+		want := gen(rand.New(rand.NewSource(5))).Edges()
+		for i := 0; i < 3; i++ {
+			if got := gen(rand.New(rand.NewSource(5))).Edges(); !slices.Equal(got, want) {
+				t.Errorf("%s: two builds from seed 5 differ", name)
+				break
+			}
+		}
 	}
 }
 
