@@ -105,9 +105,9 @@ type RunRecord struct {
 	SinkErr bool `json:"sink_err,omitempty"`
 }
 
-// RunStats is the compact cost summary of one engine run, carried by
-// orchestrator results so every pipeline phase can be attributed wall
-// time and peak live-set size alongside the LOCAL measures.
+// RunStats is the compact cost summary of one engine run. A single-run
+// result embeds its RunStats (Result.Stats); a multi-run result carries
+// a Tally that its phase views filled.
 type RunStats struct {
 	Rounds   int
 	Messages int64
@@ -328,9 +328,6 @@ func (net *Network) WithProbe(p *Probe) *Network {
 	c.probe = p
 	return &c
 }
-
-// Probe returns the probe attached to this network view, or nil.
-func (net *Network) Probe() *Probe { return net.probe }
 
 // roundTracer is the per-run state of a probed run, pooled in the run
 // scratch: the run's sequence number, the round clock, and the

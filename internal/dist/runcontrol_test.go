@@ -143,14 +143,15 @@ func TestCancelAtEveryRound(t *testing.T) {
 			net := m.view(t)
 			ref := runFull(t, m.fresh(t), RunOptions{})
 			for k := 0; k <= ref.Rounds; k++ {
-				run, sink := net, (*memSink)(nil)
+				run, sink, p := net, (*memSink)(nil), (*Probe)(nil)
 				if m.probed {
 					sink = &memSink{}
-					run = net.WithProbe(NewProbe(sink))
+					p = NewProbe(sink)
+					run = net.WithProbe(p)
 				}
 				res, err := run.WithContext(cancelAtRound(k)).Run(wordGossip{rounds: 6}, RunOptions{})
-				if sink != nil {
-					run.Probe().Close()
+				if p != nil {
+					p.Close()
 				}
 				if k == ref.Rounds {
 					// The run finishes before poll k+1 fires mid-run; whether

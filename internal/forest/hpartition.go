@@ -141,8 +141,9 @@ func ComputeHPartition(net *dist.Network, a int, eps Eps, labels []int, active [
 // EstimateArboricity runs H-partitions with doubling arboricity guesses
 // until one succeeds, returning the first admissible guess (at most twice
 // the degeneracy) and the partition it produced. Total time O(log a log n).
-// The tally has one phase hpartition(a=...) per guess; a failed guess
-// costs its whole round budget.
+// The tally has one phase hpartition(a=...) per guess. A failed guess
+// costs its whole round budget: vertices learn that it failed only by
+// waiting the budget out.
 func EstimateArboricity(net *dist.Network, eps Eps) (int, *HPartition, *dist.Tally, error) {
 	var tally dist.Tally
 	for a := 1; a <= net.Graph().N(); a *= 2 {
