@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -208,24 +209,71 @@ func TestPowerLawishDegeneracy(t *testing.T) {
 	}
 }
 
-// TestGeneratorsAreFunctionsOfTheSeed builds every seeded generator twice
-// from one seed and requires equal edge lists.
-func TestGeneratorsAreFunctionsOfTheSeed(t *testing.T) {
-	gens := map[string]func(*rand.Rand) *Graph{
-		"RandomTree":       func(r *rand.Rand) *Graph { return RandomTree(500, r) },
-		"Gnp":              func(r *rand.Rand) *Graph { return Gnp(300, 0.05, r) },
-		"ForestUnion":      func(r *rand.Rand) *Graph { return ForestUnion(500, 4, r) },
-		"StarForest":       func(r *rand.Rand) *Graph { return StarForest(500, 3, 4, 60, r) },
-		"PowerLawish":      func(r *rand.Rand) *Graph { return PowerLawish(2000, 4, r) },
-		"RandomRegularish": func(r *rand.Rand) *Graph { return RandomRegularish(500, 6, r) },
-		"UnitDiskish":      func(r *rand.Rand) *Graph { return UnitDiskish(300, 10, 1.5, r) },
+// graphHash is the FNV-64a hash of N, M and Edges(), each as a
+// little-endian uint64.
+func graphHash(g *Graph) uint64 {
+	h := fnv.New64a()
+	var w [8]byte
+	put := func(x int) {
+		binary.LittleEndian.PutUint64(w[:], uint64(x))
+		h.Write(w[:])
 	}
-	for name, gen := range gens {
-		want := gen(rand.New(rand.NewSource(5))).Edges()
-		for i := 0; i < 3; i++ {
-			if got := gen(rand.New(rand.NewSource(5))).Edges(); !slices.Equal(got, want) {
-				t.Errorf("%s: two builds from seed 5 differ", name)
-				break
+	put(g.N())
+	put(g.M())
+	for _, e := range g.Edges() {
+		put(e[0])
+		put(e[1])
+	}
+	return h.Sum64()
+}
+
+// TestGeneratorsAreFunctionsOfTheSeed builds every generator twice from
+// one seed and requires both builds to hash to a pinned value, so a
+// change to the builder or a generator cannot move any graph unseen. The
+// perfbench rows are that benchmark's instances at seed 3; the large Gnp
+// row decodes pairs across thousands of rows.
+func TestGeneratorsAreFunctionsOfTheSeed(t *testing.T) {
+	must := func(g *Graph, err error) *Graph {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	gens := []struct {
+		name string
+		seed int64
+		gen  func(*rand.Rand) *Graph
+		hash uint64
+	}{
+		{"RandomTree", 5, func(r *rand.Rand) *Graph { return RandomTree(500, r) }, 0x5720d0458bfae1c9},
+		{"Gnp", 5, func(r *rand.Rand) *Graph { return Gnp(300, 0.05, r) }, 0xfbb242066c025f9f},
+		{"Gnp/rows", 5, func(r *rand.Rand) *Graph { return Gnp(4000, 0.002, r) }, 0x1af2ee9ce5de0f9c},
+		{"Gnp/dense", 5, func(r *rand.Rand) *Graph { return Gnp(50, 0.9, r) }, 0xa771d8cae557909e},
+		{"ForestUnion", 5, func(r *rand.Rand) *Graph { return ForestUnion(500, 4, r) }, 0x6d79545a210f5f48},
+		{"StarForest", 5, func(r *rand.Rand) *Graph { return StarForest(500, 3, 4, 60, r) }, 0x5f92f5e153bde9c1},
+		{"PowerLawish", 5, func(r *rand.Rand) *Graph { return PowerLawish(2000, 4, r) }, 0x9cd5bfbdf4637331},
+		{"RandomRegularish", 5, func(r *rand.Rand) *Graph { return RandomRegularish(500, 6, r) }, 0x8b03babf4a935bbf},
+		{"UnitDiskish", 5, func(r *rand.Rand) *Graph { return UnitDiskish(300, 10, 1.5, r) }, 0x4ad665790d27a290},
+		{"perfbench/ForestUnion", 3, func(r *rand.Rand) *Graph { return ForestUnion(50000, 8, r) }, 0xdce0aad6a1335dd4},
+		{"perfbench/RandomRegularish", 3, func(r *rand.Rand) *Graph { return RandomRegularish(20000, 16, r) }, 0xf12e9acd38795a7c},
+		{"Path", 0, func(*rand.Rand) *Graph { return Path(100) }, 0x24ec238d0762d961},
+		{"Cycle", 0, func(*rand.Rand) *Graph { return must(Cycle(100)) }, 0x77966bc6e53cf145},
+		{"Star", 0, func(*rand.Rand) *Graph { return Star(100) }, 0x3912fd82db56ce42},
+		{"Complete", 0, func(*rand.Rand) *Graph { return Complete(30) }, 0xd87ca5d8358ceb62},
+		{"CompleteBipartite", 0, func(*rand.Rand) *Graph { return CompleteBipartite(7, 11) }, 0x7ac912c3bc91591b},
+		{"Grid", 0, func(*rand.Rand) *Graph { return Grid(12, 17) }, 0x33d6049a56f2d266},
+		{"InducedSubgraph", 5, func(r *rand.Rand) *Graph {
+			sub, _, err := ForestUnion(500, 4, r).InducedSubgraph(r.Perm(500)[:200])
+			return must(sub, err)
+		}, 0x11163c9ef43db760},
+		{"FromEdges", 0, func(*rand.Rand) *Graph {
+			return must(FromEdges(6, [][2]int{{0, 1}, {1, 0}, {4, 2}, {2, 4}, {0, 1}, {5, 3}, {3, 0}}))
+		}, 0x5f0f053686a20f45},
+	}
+	for _, tc := range gens {
+		for i := 0; i < 2; i++ {
+			if got := graphHash(tc.gen(rand.New(rand.NewSource(tc.seed)))); got != tc.hash {
+				t.Errorf("%s (seed %d, build %d): hash %#x, want %#x", tc.name, tc.seed, i, got, tc.hash)
 			}
 		}
 	}
