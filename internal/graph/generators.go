@@ -103,8 +103,11 @@ func Gnp(n int, p float64, rng *rand.Rand) *Graph {
 	}
 	logq := math.Log(1 - p)
 	// Enumerate pairs (u,v), u<v, as a flat index and jump geometrically.
+	// Row u holds the pairs (u, u+1..n-1) at indices [rowStart,
+	// rowStart+rowLen); pos only grows, so the row cursor only advances.
 	total := n * (n - 1) / 2
 	pos := -1
+	u, rowStart, rowLen := 0, 0, n-1
 	for {
 		u01 := rng.Float64()
 		if u01 >= 1 {
@@ -114,16 +117,12 @@ func Gnp(n int, p float64, rng *rand.Rand) *Graph {
 		if pos >= total || pos < 0 {
 			return b.Build()
 		}
-		// Decode pos into (u, v).
-		u := 0
-		rem := pos
-		rowLen := n - 1
-		for rem >= rowLen {
-			rem -= rowLen
+		for pos-rowStart >= rowLen {
+			rowStart += rowLen
 			u++
 			rowLen--
 		}
-		_ = b.AddEdge(u, u+1+rem)
+		_ = b.AddEdge(u, u+1+pos-rowStart)
 	}
 }
 
