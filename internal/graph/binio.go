@@ -226,13 +226,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		deg[ends[i]]++
 		deg[ends[i+1]]++
 	}
-	backing := make([]int, 2*m)
 	adj := make([][]int, n)
-	off := 0
-	for v := 0; v < n; v++ {
-		adj[v] = backing[off : off : off+int(deg[v])]
-		off += int(deg[v])
-	}
+	carve(adj, deg)
 	for i := 0; i < len(ends); i += 2 {
 		u, v := int(ends[i]), int(ends[i+1])
 		adj[u] = append(adj[u], v)

@@ -11,12 +11,16 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
 // Graph is a finite simple undirected graph with adjacency lists.
 // Adjacency lists are sorted; the position of a neighbor in the list is the
-// "port number" used by the distributed runtime.
+// "port number" used by the distributed runtime. The lists are carved out
+// of one backing array of 2m ints (CSR layout), as Build and ReadBinary
+// both produce it.
 //
 // Construct with NewBuilder/AddEdge/Build (deduplicates, rejects loops) or
 // FromEdges. A built Graph is immutable.
@@ -26,19 +30,23 @@ type Graph struct {
 	adj [][]int
 }
 
-// Builder accumulates edges for a Graph.
+// Builder accumulates edges for a Graph as a flat list of endpoint pairs:
+// each AddEdge costs 8 bytes, duplicates included, and nothing else is
+// allocated until Build. Build costs O(n + m) plus one sort per vertex of
+// the larger endpoints recorded with it, which are few on sparse graphs.
 type Builder struct {
 	n     int
-	edges map[[2]int]struct{}
+	pairs []uint32 // (min, max) per AddEdge, in call order
 }
 
 // NewBuilder returns a Builder for a graph on n vertices (0..n-1).
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, edges: make(map[[2]int]struct{})}
+	return &Builder{n: n}
 }
 
-// AddEdge records the undirected edge {u,v}. Duplicate edges are ignored.
-// It returns an error for loops or out-of-range endpoints.
+// AddEdge records the undirected edge {u,v}; Build drops duplicates, in
+// either orientation. It returns an error for loops or out-of-range
+// endpoints; an endpoint above math.MaxUint32 is out of range at any n.
 func (b *Builder) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
@@ -46,24 +54,83 @@ func (b *Builder) AddEdge(u, v int) error {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
 	}
+	if max(u, v) > math.MaxUint32 {
+		return fmt.Errorf("graph: edge (%d,%d) out of range: endpoints above %d do not fit a uint32", u, v, math.MaxUint32)
+	}
 	if u > v {
 		u, v = v, u
 	}
-	b.edges[[2]int{u, v}] = struct{}{}
+	b.pairs = append(b.pairs, uint32(u), uint32(v))
 	return nil
 }
 
-// Build finalizes the graph.
+// Build returns the graph of the recorded edges, each once. It
+// counting-sorts the pairs into one bucket per smaller endpoint, sorts
+// and compacts each bucket, and fills the adjacency in ascending order of
+// the smaller endpoint, which leaves every list sorted. The recorded
+// pairs stay as they are, so Build may be called again, also after more
+// AddEdge calls.
 func (b *Builder) Build() *Graph {
-	adj := make([][]int, b.n)
-	for e := range b.edges { //distvet:unordered each adjacency list is sorted below, before anything reads it
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
+	n := b.n
+	// Bucket s is hi[start[s]:start[s+1]]: the larger endpoints of the
+	// pairs whose smaller endpoint is s.
+	start := make([]int, n+1)
+	for i := 0; i < len(b.pairs); i += 2 {
+		start[b.pairs[i]]++
 	}
-	for _, l := range adj {
-		sort.Ints(l)
+	for s := 1; s <= n; s++ {
+		start[s] += start[s-1]
 	}
-	return &Graph{n: b.n, m: len(b.edges), adj: adj}
+	hi := make([]uint32, len(b.pairs)/2)
+	for i := 0; i < len(b.pairs); i += 2 {
+		s := b.pairs[i]
+		start[s]--
+		hi[start[s]] = b.pairs[i+1]
+	}
+	// Sort each bucket and compact the distinct endpoints to the front of
+	// hi, counting degrees on the way.
+	deg := make([]int32, n)
+	m := 0
+	for s := 0; s < n; s++ {
+		bucket := hi[start[s]:start[s+1]]
+		start[s] = m
+		slices.Sort(bucket)
+		for _, w := range bucket {
+			if m > start[s] && hi[m-1] == w {
+				continue
+			}
+			hi[m] = w
+			m++
+			deg[w]++
+		}
+		deg[s] += int32(m - start[s])
+	}
+	start[n] = m
+	adj := make([][]int, n)
+	carve(adj, deg)
+	for s := 0; s < n; s++ {
+		for _, w := range hi[start[s]:start[s+1]] {
+			adj[s] = append(adj[s], int(w))
+			adj[w] = append(adj[w], s)
+		}
+	}
+	return &Graph{n: n, m: m, adj: adj}
+}
+
+// carve points each adj[v] at an empty list of capacity deg[v], all cut
+// from one backing array of sum(deg) ints, so that filling the lists by
+// append never reallocates.
+func carve(adj [][]int, deg []int32) {
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	backing := make([]int, total)
+	off := 0
+	for v, d := range deg {
+		adj[v] = backing[off : off : off+int(d)]
+		off += int(d)
+	}
 }
 
 // FromEdges builds a graph on n vertices from an edge list.

@@ -2,8 +2,13 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -17,6 +22,116 @@ func TestBuilderRejectsBadEdges(t *testing.T) {
 	}
 	if err := b.AddEdge(-1, 0); err == nil {
 		t.Error("negative endpoint accepted")
+	}
+
+	// Endpoints are stored as uint32s: above math.MaxUint32 is out of
+	// range whatever n says, and a Builder allocates nothing for its n
+	// until Build.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	big := NewBuilder(1 << 33)
+	if err := big.AddEdge(0, math.MaxUint32); err != nil {
+		t.Errorf("endpoint math.MaxUint32 rejected: %v", err)
+	}
+	if err := big.AddEdge(math.MaxUint32+1, 0); err == nil {
+		t.Error("endpoint above math.MaxUint32 accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<16 {
+		t.Errorf("NewBuilder(1<<33) and two AddEdge calls allocated %d bytes", d)
+	}
+}
+
+// refBuilder is the map-keyed builder that Builder replaced, kept as the
+// reference TestBuilderMatchesReference compares Builder against.
+type refBuilder struct {
+	n     int
+	edges map[[2]int]struct{}
+}
+
+func newRefBuilder(n int) *refBuilder {
+	return &refBuilder{n: n, edges: make(map[[2]int]struct{})}
+}
+
+func (b *refBuilder) AddEdge(u, v int) error {
+	if u == v {
+		return fmt.Errorf("graph: self-loop at vertex %d", u)
+	}
+	if u < 0 || u >= b.n || v < 0 || v >= b.n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
+	}
+	if u > v {
+		u, v = v, u
+	}
+	b.edges[[2]int{u, v}] = struct{}{}
+	return nil
+}
+
+func (b *refBuilder) Build() *Graph {
+	adj := make([][]int, b.n)
+	for e := range b.edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	for _, l := range adj {
+		sort.Ints(l)
+	}
+	return &Graph{n: b.n, m: len(b.edges), adj: adj}
+}
+
+func requireSameGraph(t *testing.T, what string, got, want *Graph) {
+	t.Helper()
+	if got.N() != want.N() || got.M() != want.M() {
+		t.Fatalf("%s: N, M = %d, %d, want %d, %d", what, got.N(), got.M(), want.N(), want.M())
+	}
+	for v := 0; v < want.N(); v++ {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+			t.Fatalf("%s: vertex %d has neighbors %v, want %v", what, v, got.Neighbors(v), want.Neighbors(v))
+		}
+	}
+}
+
+// TestBuilderMatchesReference feeds seeded random edge multisets - loops,
+// duplicates in both orientations, vertices left isolated - to Builder
+// and to the map-keyed reference, and requires equal adjacency and M().
+// It also builds twice, adds edges after a Build and builds again, and
+// checks that the earlier graph did not change.
+func TestBuilderMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 17, 1000} {
+		for seed := int64(1); seed <= 4; seed++ {
+			what := fmt.Sprintf("n=%d seed=%d", n, seed)
+			rng := rand.New(rand.NewSource(seed))
+			b, ref := NewBuilder(n), newRefBuilder(n)
+			// Endpoints come from the first three quarters of the
+			// vertices (all of them when n < 4), so the rest stay
+			// isolated; denser seeds repeat more pairs.
+			span := max(n-n/4, 1)
+			if n < 4 {
+				span = n
+			}
+			add := func() {
+				for i := 0; i < int(seed)*n; i++ {
+					u, v := rng.Intn(span), rng.Intn(span)
+					errB, errRef := b.AddEdge(u, v), ref.AddEdge(u, v)
+					if (errB == nil) != (errRef == nil) {
+						t.Fatalf("%s: AddEdge(%d, %d) = %v, reference %v", what, u, v, errB, errRef)
+					}
+					if errB == nil && rng.Intn(4) == 0 {
+						_, _ = b.AddEdge(v, u), ref.AddEdge(v, u)
+					}
+				}
+			}
+			add()
+			first := b.Build()
+			requireSameGraph(t, what, first, ref.Build())
+			requireSameGraph(t, what+" (second Build)", b.Build(), first)
+			firstEdges := first.Edges()
+			add()
+			requireSameGraph(t, what+" (AddEdge after Build)", b.Build(), ref.Build())
+			if !slices.Equal(first.Edges(), firstEdges) {
+				t.Fatalf("%s: a later AddEdge and Build changed an earlier graph", what)
+			}
+		}
 	}
 }
 

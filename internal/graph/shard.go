@@ -264,16 +264,7 @@ func ReadBinaryShards(rs io.ReadSeeker, shards int) (*Graph, Sharding, error) {
 	adj := make([][]int, n)
 	for k := 0; k < sh.NumShards(); k++ {
 		lo, hi := sh.Bounds(k)
-		total := 0
-		for v := lo; v < hi; v++ {
-			total += int(deg[v])
-		}
-		backing := make([]int, total)
-		off := 0
-		for v := lo; v < hi; v++ {
-			adj[v] = backing[off : off : off+int(deg[v])]
-			off += int(deg[v])
-		}
+		carve(adj[lo:hi], deg[lo:hi])
 	}
 
 	// Pass 2: seek back and stream again, appending endpoints into the
