@@ -405,3 +405,27 @@ func TestUnitDiskish(t *testing.T) {
 		t.Errorf("suspicious edge count %d", g.M())
 	}
 }
+
+var benchGraph *Graph
+
+// BenchmarkBuild times graph construction - each generator's draws, its
+// AddEdge calls and Build - on perfbench's two instances at seed 3 and a
+// sparse Gnp.
+func BenchmarkBuild(b *testing.B) {
+	gens := []struct {
+		name string
+		gen  func(*rand.Rand) *Graph
+	}{
+		{"ForestUnion(5e4,8)", func(r *rand.Rand) *Graph { return ForestUnion(50000, 8, r) }},
+		{"RandomRegularish(2e4,16)", func(r *rand.Rand) *Graph { return RandomRegularish(20000, 16, r) }},
+		{"Gnp(2e4,1e-3)", func(r *rand.Rand) *Graph { return Gnp(20000, 1e-3, r) }},
+	}
+	for _, tc := range gens {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchGraph = tc.gen(rand.New(rand.NewSource(3)))
+			}
+		})
+	}
+}
