@@ -54,8 +54,8 @@ func (b *Builder) AddEdge(u, v int) error {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
 	}
-	if max(u, v) > math.MaxUint32 {
-		return fmt.Errorf("graph: edge (%d,%d) out of range: endpoints above %d do not fit a uint32", u, v, math.MaxUint32)
+	if uint64(max(u, v)) > math.MaxUint32 {
+		return fmt.Errorf("graph: edge (%d,%d) out of range: endpoints above %d do not fit a uint32", u, v, uint64(math.MaxUint32))
 	}
 	if u > v {
 		u, v = v, u
@@ -93,17 +93,14 @@ func (b *Builder) Build() *Graph {
 	m := 0
 	for s := 0; s < n; s++ {
 		bucket := hi[start[s]:start[s+1]]
-		start[s] = m
 		slices.Sort(bucket)
+		bucket = slices.Compact(bucket)
 		for _, w := range bucket {
-			if m > start[s] && hi[m-1] == w {
-				continue
-			}
-			hi[m] = w
-			m++
 			deg[w]++
 		}
-		deg[s] += int32(m - start[s])
+		deg[s] += int32(len(bucket))
+		start[s] = m
+		m += copy(hi[m:], bucket)
 	}
 	start[n] = m
 	adj := make([][]int, n)
