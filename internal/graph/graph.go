@@ -19,8 +19,8 @@ import (
 // Graph is a finite simple undirected graph with adjacency lists.
 // Adjacency lists are sorted; the position of a neighbor in the list is the
 // "port number" used by the distributed runtime. The lists are carved out
-// of one backing array of 2m ints (CSR layout), as Build and ReadBinary
-// both produce it.
+// of one backing array of 2m ints (CSR layout); ReadBinaryShards carves
+// one backing array per shard.
 //
 // Construct with NewBuilder/AddEdge/Build (deduplicates, rejects loops) or
 // FromEdges. A built Graph is immutable.
